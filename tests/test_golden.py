@@ -1,0 +1,37 @@
+"""Byte-level guard on CLI reports that print cyclotomic coefficients.
+
+Each run's stdout is pinned by its sha256.  The closed-form runs cover
+coefficients at levels 20, 42 and 18; at N = 9 the Gauss sums (level 18) and
+the pole data (level 9) meet with character values at level 6, so the printed
+level is an lcm of levels that do not divide each other.  The recorded
+digests must only change when the report format is meant to change.
+"""
+
+import hashlib
+
+import pytest
+
+from cyclomac.cli import DEFAULT_ORDER_ENV, main
+
+GOLDEN = [
+    (["closed-form", "--N", "5", "--k", "1", "--Q", "x + x^3", "--format", "json"],
+     "e8cde787e62bbad64f5b3e29ce963d03e40bad432869e601ad8d975ccc36fc73"),
+    (["closed-form", "--N", "7", "--k", "1", "--Q", "x^3", "--format", "json"],
+     "f1985f2b8c439d4a3907c36500a54368fcf8f12dcb0d2ec0efeeaf2785a15582"),
+    (["closed-form", "--N", "9", "--k", "1", "--Q", "x + x^5", "--format", "json"],
+     "cf64913cec8aca0630e7a25b8489c931873be778284ec83c0827f2fa43ccc341"),
+    (["closed-form", "--N", "2", "--k", "4", "--Q", "x^2", "--format", "json"],
+     "f9c84326b3ddd0d80767b6a7b1541bc0c63d8825cc1dcdeaface0463f4b5c65f"),
+    (["verify", "--N", "5", "--k", "2", "--Q", "x^4", "--t", "2",
+      "--order", "30", "--format", "json"],
+     "0961dc6dfc882fb1c9929e759927cbe30b36b5051dcdc7ec07d15e8331a05fa2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN,
+                         ids=[" ".join(argv[:5]) for argv, _ in GOLDEN])
+def test_report_bytes_are_unchanged(argv, digest, capsys, monkeypatch):
+    monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,7 +11,6 @@ from functools import lru_cache
 from math import comb as binomial, factorial  # noqa: F401  (re-exported API)
 from typing import TYPE_CHECKING
 
-from .field import value_add, value_inv, value_is_zero, value_mul
 from .polynomial import Polynomial, cyclotomic_polynomial
 
 if TYPE_CHECKING:
@@ -138,47 +137,34 @@ def partitions(n: int) -> list[Partition]:
     return [Partition.from_parts(p) for p in gen(n, n, [])]
 
 
-def _series_mul(a: list, b: list, order: int) -> list:
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        for j, y in enumerate(b[: order + 1 - i]):
-            out[i + j] = value_add(out[i + j], value_mul(x, y))
-    return out
-
-
-def _series_inv(a: list, order: int) -> list:
-    inv0 = value_inv(a[0])
-    out = [inv0] + [Fraction(0)] * order
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, min(n, len(a) - 1) + 1):
-            acc = value_add(acc, value_mul(a[i], out[n - i]))
-        out[n] = value_mul(-inv0, acc)
-    return out
+@lru_cache(maxsize=None)
+def _bernoulli(m: int) -> Fraction:
+    """Classical Bernoulli number B_m (so B_1 = -1/2), by the recurrence
+    sum_{j <= m} binom(m+1, j) B_j = 0."""
+    if m == 0:
+        return Fraction(1)
+    return -sum(binomial(m + 1, j) * _bernoulli(j) for j in range(m)) / (m + 1)
 
 
 def gen_bernoulli(k: int, chi: "DirichletCharacter"):
-    """k-th generalized Bernoulli number of chi, from the exponential
-    generating function sum_a chi(a) t e^(a t) / (e^(N t) - 1).
+    """k-th generalized Bernoulli number of chi, by
+    B_{k,chi} = f^(k-1) sum_{a=1..f} chi(a) B_k(a/f) with f the modulus
+    (Washington, Introduction to Cyclotomic Fields, Prop. 4.1), where
+    B_k(x) = sum_j binom(k, j) B_j x^(k-j) is the Bernoulli polynomial.
 
-    Exact truncated series arithmetic over the character's value field; the
-    trivial character modulo 1 yields the classical Bernoulli numbers (with
-    the e^t-in-the-numerator sign convention, so the weight-1 value is +1/2).
+    The value lies in the character's value field.  The trivial character
+    modulo 1 gives B_k(1), the classical numbers with the weight-1 value
+    B_1(1) = +1/2.
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    n_mod = chi.modulus
-    order = k
-    # numerator/t = sum_a chi(a) e^(a t); denominator/t = (e^(N t) - 1)/t.
-    num = [Fraction(0)] * (order + 1)
-    for a in range(1, n_mod + 1):
+    f = chi.modulus
+    total = Fraction(0)
+    for a in range(1, f + 1):
         v = chi.value(a)
-        if value_is_zero(v):
-            continue
-        power = Fraction(1)
-        for i in range(order + 1):
-            num[i] = value_add(num[i], value_mul(v, power))
-            power = power * a / (i + 1)
-    den = [Fraction(n_mod) ** (i + 1) / factorial(i + 1) for i in range(order + 1)]
-    series = _series_mul(num, _series_inv(den, order), order)
-    return value_mul(series[k], factorial(k))
+        if v:
+            x = Fraction(a, f)
+            total = total + v * sum(
+                binomial(k, j) * _bernoulli(j) * x ** (k - j) for j in range(k + 1)
+            )
+    return total * Fraction(f) ** (k - 1)

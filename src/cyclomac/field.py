@@ -2,9 +2,10 @@
 
 Elements are stored in the power basis {zeta_L^i : 0 <= i < phi(L)}, reduced
 modulo the L-th cyclotomic polynomial, so equality at a fixed level is a plain
-coefficient comparison.  Binary operations require both operands at the same
-level; `common_level` embeds a pair into Q(zeta_lcm) when callers need it.
-Values are immutable.
+coefficient comparison.  Binary operations accept ints, Fractions and
+CycNums at the same level, and raise `LevelMismatchError` on two different
+levels; `coerce_pair` and `common_level` embed a pair into Q(zeta_lcm) where
+a caller means to mix levels.  Values are immutable.
 """
 
 from __future__ import annotations
@@ -336,14 +337,17 @@ def common_level(a: CycNum, b: CycNum) -> tuple[CycNum, CycNum]:
     return a.embed(target), b.embed(target)
 
 
-# -- mixed scalar helpers ----------------------------------------------
+# -- level lifting and display --------------------------------------
 #
-# Series and closed-form code mixes Fraction and CycNum coefficients at
-# varying levels.  These helpers lift pairs to a common representation so
-# every arithmetic step stays a plain operator application.
+# Fractions and same-level CycNums mix through the plain operators.  Two
+# different levels meet only where the closed form multiplies pole data by
+# Gauss sums and character values; `coerce_pair` lifts such a pair, or a
+# Fraction and a CycNum, to one level there.
 
 
 def coerce_pair(a, b):
+    """Lift two scalars (Fraction or CycNum) to one representation: CycNums
+    at the lcm of their levels when either is a CycNum, else Fractions."""
     a_cyc = isinstance(a, CycNum)
     b_cyc = isinstance(b, CycNum)
     if a_cyc and b_cyc:
@@ -355,48 +359,6 @@ def coerce_pair(a, b):
     if b_cyc:
         return CycNum.from_rational(b.level, a), b
     return Fraction(a), Fraction(b)
-
-
-def value_add(a, b):
-    x, y = coerce_pair(a, b)
-    return x + y
-
-
-def value_sub(a, b):
-    x, y = coerce_pair(a, b)
-    return x - y
-
-
-def value_mul(a, b):
-    if isinstance(a, CycNum) and isinstance(b, (int, Fraction)):
-        return a * b
-    if isinstance(b, CycNum) and isinstance(a, (int, Fraction)):
-        return b * a
-    x, y = coerce_pair(a, b)
-    return x * y
-
-
-def value_neg(a):
-    return -a
-
-
-def value_inv(a):
-    if isinstance(a, CycNum):
-        return a.inverse()
-    if a == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(1) / Fraction(a)
-
-
-def value_eq(a, b) -> bool:
-    x, y = coerce_pair(a, b)
-    return x == y
-
-
-def value_is_zero(a) -> bool:
-    if isinstance(a, CycNum):
-        return a.is_zero()
-    return a == 0
 
 
 def maybe_rational(a):

@@ -12,8 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .comb import Partition, factorial, partitions
-from .field import value_add, value_eq, value_is_zero, value_str
-from .pfdform import AdmissibleInput, closed_form_series
+from .field import value_str
+from .pfdform import (
+    AdmissibleInput,
+    NonPositiveParameterError,
+    NonzeroConstantTermError,
+    closed_form_series,
+)
 from .polynomial import Polynomial, cyclotomic_polynomial
 from .series import OrderMismatchError, QSeries, substitute_qn
 
@@ -48,22 +53,22 @@ def weight_series(n_level: int, k: int, q_poly: Polynomial, n: int,
     return substitute_qn(w_y, n, order)
 
 
-def _check_truncation_sound(spec: MacMahonSpec) -> None:
-    # Indices n > order cannot reach tracked coefficients: the n-th factor has
-    # q-valuation >= n exactly when Q(0) = 0 and Phi_N(0) is a unit.
+def validate_spec(spec: MacMahonSpec) -> MacMahonSpec:
+    """Check the clauses brute-force evaluation needs, raising the one that
+    fails.  Indices n > order cannot reach tracked coefficients: the n-th
+    factor has q-valuation >= n exactly when Q(0) = 0, as Phi_N(0) = +-1."""
+    for name in ("t", "N", "k"):
+        if getattr(spec, name) < 1:
+            raise NonPositiveParameterError(f"{name} must be a positive integer")
     if spec.Q.coefficient(0) != 0:
-        raise ValueError("Q(0) = 0 is required for sound truncation")
-    phi0 = cyclotomic_polynomial(spec.N).coefficient(0)
-    if phi0 not in (1, -1):
-        raise ValueError("cyclotomic constant term must be a unit")
+        raise NonzeroConstantTermError("Q(0) = 0 is required for sound truncation")
+    return spec
 
 
 def brute_force(spec: MacMahonSpec, order: int) -> QSeries:
     """Evaluate the nested series by evolving the product generating function
     one index at a time, tracking powers of the bookkeeping variable up to t."""
-    if spec.t < 1:
-        raise ValueError("t must be a positive integer")
-    _check_truncation_sound(spec)
+    validate_spec(spec)
     t = spec.t
     f = [QSeries.one(order)] + [QSeries.zero(order) for _ in range(t)]
     for n in range(1, order + 1):
@@ -206,9 +211,9 @@ def certify(lhs: QSeries, rhs: QSeries, lhs_label: str, rhs_label: str,
     first = None
     for j in range(lhs.order + 1):
         expected = rhs.coeffs[j]
-        if j == 0 and not value_is_zero(constant_offset):
-            expected = value_add(expected, constant_offset)
-        if not value_eq(lhs.coeffs[j], expected):
+        if j == 0 and constant_offset:
+            expected = expected + constant_offset
+        if lhs.coeffs[j] != expected:
             first = (j, lhs.coeffs[j], rhs.coeffs[j])
             break
     return Certificate(

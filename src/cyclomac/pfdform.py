@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .chars import (
     enumerate_characters,
@@ -26,23 +26,19 @@ from .comb import (
     mobius,
     stirling_first_unsigned,
 )
-from .field import (
-    CycNum,
-    value_add,
-    value_eq,
-    value_is_zero,
-    value_mul,
-    value_str,
-    zeta,
-)
+from .field import CycNum, coerce_pair, value_str, zeta
 from .polynomial import Polynomial, cyclotomic_polynomial
-from .series import EisensteinTerm, QSeries, g_constant
+from .series import EisensteinTerm, QSeries, f_series, g_constant
 
 
 class ValidationError(ValueError):
     """Base class for admissibility failures; `clause` names the broken rule."""
 
     clause = "invalid"
+
+
+class NonPositiveParameterError(ValidationError):
+    clause = "positive parameters: t, N, k >= 1"
 
 
 class DegreeTooLargeError(ValidationError):
@@ -76,8 +72,9 @@ class AdmissibleInput:
 
 def validate(inp: AdmissibleInput) -> AdmissibleInput:
     """Check all admissibility clauses, raising the one that fails."""
-    if inp.N < 1 or inp.k < 1:
-        raise ValidationError("N and k must be positive integers")
+    for name in ("N", "k"):
+        if getattr(inp, name) < 1:
+            raise NonPositiveParameterError(f"{name} must be a positive integer")
     bound = inp.phi_times_k()
     if inp.Q.degree() >= bound:
         raise DegreeTooLargeError(
@@ -109,7 +106,7 @@ def _pole_taylor(n: int, k: int, q_poly: Polynomial, s: int) -> list[CycNum]:
     pole = zeta(n, -s)
     x_of_u = QSeries([pole, -pole], k)
     phi_comp = cyclotomic_polynomial(n)(x_of_u)
-    if not value_is_zero(phi_comp.coefficient(0)):
+    if phi_comp.coefficient(0):
         raise ArithmeticError("expansion point is not a root of the denominator")
     h = QSeries(phi_comp.coeffs[1:], k - 1)
     q_comp = q_poly(x_of_u).truncate(k - 1)
@@ -142,7 +139,7 @@ def _partial_sums(b: list) -> dict[int, object]:
     acc = Fraction(0)
     sums = []
     for m in range(k):
-        acc = value_add(acc, b[m])
+        acc = acc + b[m]
         sums.append(acc)
     for r in range(1, k + 1):
         out[r] = sums[k - r]
@@ -156,9 +153,7 @@ def _c_from_a(a: dict[int, object], k: int) -> dict[int, object]:
         for r in range(ell, k + 1):
             st = stirling_first_unsigned(r - 1, ell - 1)
             if st:
-                acc = value_add(
-                    acc, value_mul(a[r], Fraction(st, factorial(r - 1)))
-                )
+                acc = acc + a[r] * Fraction(st, factorial(r - 1))
         out[ell] = acc
     return out
 
@@ -176,7 +171,7 @@ def _c_from_taylor(b: list, k: int) -> dict[int, object]:
             w = Fraction(
                 factorial(k - r) * binomial(k - 1, r - 1) * st, factorial(k - 1)
             )
-            acc = value_add(acc, value_mul(b[k - r], w))
+            acc = acc + b[k - r] * w
         out[ell] = acc
     return out
 
@@ -231,7 +226,7 @@ def c_coefficients(p: PfdCoefficients) -> PfdCoefficients:
         c_def = _c_from_a(a_j, k)
         c_alt = _c_from_taylor(b, k)
         for ell in range(1, k + 1):
-            if not value_eq(c_def[ell], c_alt[ell]):
+            if c_def[ell] != c_alt[ell]:
                 raise InternalMismatchError(
                     f"weight-coefficient routes disagree at j={j}, ell={ell}: "
                     f"{value_str(c_def[ell])} vs {value_str(c_alt[ell])}"
@@ -244,7 +239,7 @@ def c_coefficients(p: PfdCoefficients) -> PfdCoefficients:
             c_def = _c_from_a(a_j, k)
             c_alt = _c_from_taylor(b, k)
             for ell in range(1, k + 1):
-                if not value_eq(c_def[ell], c_alt[ell]):
+                if c_def[ell] != c_alt[ell]:
                     raise InternalMismatchError(
                         f"conjugate weight-coefficient routes disagree at "
                         f"j={j}, ell={ell}"
@@ -265,17 +260,15 @@ def reconstruct_series(p: PfdCoefficients, order: int) -> QSeries:
         # At N = 2 the root is -1, giving the alternating sign (-1)^m; at N = 1 it is 1.
         for r in range(1, k + 1):
             a_r = values[r]
-            if value_is_zero(a_r):
+            if not a_r:
                 continue
             for m in range(1, order + 1):
                 w = binomial(m + r - 2, r - 1)
                 if n <= 2:
-                    term = value_mul(a_r, Fraction(w if n == 1 else w * (-1) ** m))
+                    term = a_r * Fraction(w if n == 1 else w * (-1) ** m)
                 else:
-                    term = value_mul(
-                        value_mul(a_r, zeta(n, root_exp * m)), Fraction(w)
-                    )
-                coeffs[m] = value_add(coeffs[m], term)
+                    term = a_r * zeta(n, root_exp * m) * Fraction(w)
+                coeffs[m] = coeffs[m] + term
 
     if n <= 2:
         add_family({r: p.a[(1, r)] for r in range(1, k + 1)}, 0)
@@ -316,16 +309,23 @@ class ClosedForm:
     constant: object  # Fraction or CycNum
 
     def evaluate(self, order: int) -> QSeries:
+        # Coefficients and character values sit at several levels; lift each
+        # scalar once to their lcm, so the series arithmetic sees one level.
+        scalars = [t.coefficient for t in self.terms] + [self.constant]
+        level = lcm(*(t.character.level for t in self.terms),
+                    *(v.level for v in scalars if isinstance(v, CycNum)))
+
+        def lift(v):
+            return v.embed(level) if isinstance(v, CycNum) else v
+
         total = QSeries.zero(order)
+        offset = lift(self.constant)
         for t in self.terms:
-            total = total + t.evaluate(order)
-        offset = self.constant
-        if self.form == "G":
-            for t in self.terms:
-                offset = value_add(
-                    offset,
-                    value_mul(t.coefficient, g_constant(t.weight, t.character)),
-                )
+            c = lift(t.coefficient)
+            series = f_series(t.weight, t.character, t.dilation, order)
+            total = total + series.map_coefficients(lift).scale(c)
+            if self.form == "G":
+                offset = offset + c * lift(g_constant(t.weight, t.character))
         return total + offset
 
     def to_json(self) -> dict:
@@ -345,7 +345,8 @@ def _term_sort_key(t: EisensteinTerm):
 
 def _merge_terms(acc: dict, key, coefficient):
     if key in acc:
-        acc[key] = value_add(acc[key], coefficient)
+        a, b = coerce_pair(acc[key], coefficient)
+        acc[key] = a + b
     else:
         acc[key] = coefficient
 
@@ -354,7 +355,7 @@ def _collect(acc: dict) -> tuple[EisensteinTerm, ...]:
     terms = [
         EisensteinTerm(weight=ell, character=chi, dilation=g, coefficient=coef)
         for (g, chi, ell), coef in acc.items()
-        if not value_is_zero(coef)
+        if coef
     ]
     terms.sort(key=_term_sort_key)
     return tuple(terms)
@@ -378,13 +379,13 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
     elif n == 2:
         for ell in range(2, k + 1, 2):
             c = p.c[(1, ell)]
-            _merge_terms(acc, (2, one, ell), value_mul(c, Fraction(2**ell)))
-            _merge_terms(acc, (1, one, ell), value_mul(c, Fraction(-1)))
+            _merge_terms(acc, (2, one, ell), c * 2**ell)
+            _merge_terms(acc, (1, one, ell), -c)
     else:
         for j in pole_exponents(n):
             for ell in range(1, k + 1):
                 c = p.c[(j, ell)]
-                if value_is_zero(c):
+                if not c:
                     continue
                 want_parity = (-1) ** ell
                 for g in divisors(n):
@@ -394,10 +395,10 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
                         if chi.parity != want_parity:
                             continue
                         chi_bar = chi.conjugate()
-                        coef = value_mul(
-                            value_mul(gauss_sum(chi), chi_bar.value(j)),
-                            value_mul(c, scale),
-                        )
+                        # Pole data (level N) meets the Gauss sum (level
+                        # lcm(N/g, chi.level)) and chi_bar(j) (chi.level).
+                        g_sum, pole = coerce_pair(gauss_sum(chi), c * scale)
+                        coef = g_sum * pole * chi_bar.value(j).embed(g_sum.level)
                         _merge_terms(acc, (g, chi_bar, ell), coef)
     return ClosedForm(inp, "F", _collect(acc), Fraction(0))
 
@@ -418,21 +419,17 @@ def to_g_form(cf: ClosedForm) -> ClosedForm:
             if mu == 0:
                 continue
             psi_d = psi.value(d)
-            if value_is_zero(psi_d):
+            if not psi_d:
                 continue
-            coef = value_mul(
-                t.coefficient,
-                value_mul(psi_d, Fraction(mu * d ** (t.weight - 1))),
-            )
+            coef, psi_d = coerce_pair(t.coefficient, psi_d)
+            coef = coef * psi_d * Fraction(mu * d ** (t.weight - 1))
             _merge_terms(acc, (t.dilation * d, psi, t.weight), coef)
     terms = _collect(acc)
     constant = Fraction(0)
     for t in terms:
-        constant = value_add(
-            constant,
-            value_mul(Fraction(-1), value_mul(t.coefficient,
-                                              g_constant(t.weight, t.character))),
-        )
+        coef, g_const = coerce_pair(t.coefficient, g_constant(t.weight, t.character))
+        constant, term = coerce_pair(constant, coef * g_const)
+        constant = constant - term
     return ClosedForm(cf.input, "G", terms, constant)
 
 
@@ -445,8 +442,7 @@ def conjugate_relation_violations(inp: AdmissibleInput) -> list[tuple]:
         return []
     bad = []
     for (j, ell), c in p.c.items():
-        expected = value_mul(c, Fraction((-1) ** ell))
-        if not value_eq(p.c_conj[(j, ell)], expected):
+        if p.c_conj[(j, ell)] != c * (-1) ** ell:
             bad.append((j, ell, c, p.c_conj[(j, ell)]))
     return bad
 

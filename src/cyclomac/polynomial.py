@@ -196,18 +196,6 @@ def format_polynomial(p: Polynomial, var: str = "x") -> str:
     return " ".join(parts)
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> Polynomial:
     """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
@@ -216,7 +204,7 @@ def cyclotomic_polynomial(n: int) -> Polynomial:
     if n == 1:
         return Polynomial([-1, 1])
     num = Polynomial.monomial(n, 1) - 1
-    for d in _divisors(n):
-        if d < n:
+    for d in range(1, n):
+        if n % d == 0:
             num = num.exact_div(cyclotomic_polynomial(d))
     return num

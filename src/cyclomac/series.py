@@ -11,16 +11,7 @@ from math import lcm
 
 from .chars import DirichletCharacter
 from .comb import gen_bernoulli
-from .field import (
-    CycNum,
-    maybe_rational,
-    value_add,
-    value_eq,
-    value_inv,
-    value_is_zero,
-    value_mul,
-    value_str,
-)
+from .field import CycNum, maybe_rational, value_str
 from .polynomial import Polynomial
 
 
@@ -35,9 +26,10 @@ class NonUnitError(ValueError):
 class QSeries:
     """A power series in q truncated at a fixed order M (inclusive).
 
-    Coefficients are Fractions or CycNums; mixed levels are lifted on the
-    fly.  Operations on series of different orders truncate to the smaller
-    order and never read beyond it.
+    Coefficients are Fractions or CycNums at one level; the plain operators
+    combine them, and two different levels raise `LevelMismatchError`.
+    Operations on series of different orders truncate to the smaller order
+    and never read beyond it.
     """
 
     __slots__ = ("order", "coeffs")
@@ -84,18 +76,18 @@ class QSeries:
 
     def valuation(self):
         for j, c in enumerate(self.coeffs):
-            if not value_is_zero(c):
+            if c:
                 return j
         return None
 
     def __add__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction, CycNum)):
             out = list(self.coeffs)
-            out[0] = value_add(out[0], other)
+            out[0] = out[0] + other
             return QSeries(out, self.order)
         m = min(self.order, other.order)
         return QSeries(
-            [value_add(a, b) for a, b in zip(self.coeffs, other.coeffs)], m
+            [a + b for a, b in zip(self.coeffs, other.coeffs)], m
         )
 
     __radd__ = __add__
@@ -116,19 +108,18 @@ class QSeries:
         out = [Fraction(0)] * (m + 1)
         for i in range(m + 1):
             a = self.coeffs[i]
-            if value_is_zero(a):
+            if not a:
                 continue
             for j in range(m + 1 - i):
                 b = other.coeffs[j]
-                if value_is_zero(b):
-                    continue
-                out[i + j] = value_add(out[i + j], value_mul(a, b))
+                if b:
+                    out[i + j] = out[i + j] + a * b
         return QSeries(out, m)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "QSeries":
-        return QSeries([value_mul(c, a) for a in self.coeffs], self.order)
+        return QSeries([c * a for a in self.coeffs], self.order)
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
@@ -145,18 +136,17 @@ class QSeries:
     def inverse(self) -> "QSeries":
         """Two-sided inverse up to the order; requires a unit constant term."""
         a0 = self.coeffs[0]
-        if value_is_zero(a0):
+        if not a0:
             raise NonUnitError("series with zero constant term has no inverse")
-        inv0 = value_inv(a0)
+        inv0 = Fraction(1) / a0
         out = [inv0] + [Fraction(0)] * self.order
         for n in range(1, self.order + 1):
             acc = Fraction(0)
             for i in range(1, n + 1):
                 ai = self.coeffs[i]
-                if value_is_zero(ai):
-                    continue
-                acc = value_add(acc, value_mul(ai, out[n - i]))
-            out[n] = value_mul(value_mul(-1, inv0), acc)
+                if ai:
+                    acc = acc + ai * out[n - i]
+            out[n] = -inv0 * acc
         return QSeries(out, self.order)
 
     def map_coefficients(self, fn) -> "QSeries":
@@ -178,7 +168,7 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         return self.order == other.order and all(
-            value_eq(a, b) for a, b in zip(self.coeffs, other.coeffs)
+            a == b for a, b in zip(self.coeffs, other.coeffs)
         )
 
     __hash__ = None
@@ -227,8 +217,8 @@ def substitute_qn(p, n: int, order: int) -> QSeries:
     for i, c in enumerate(src):
         if i * n > order:
             break
-        if not value_is_zero(c):
-            out[i * n] = value_add(out[i * n], c)
+        if c:
+            out[i * n] = out[i * n] + c
     return QSeries(out, order)
 
 
@@ -250,7 +240,7 @@ def f_series(weight: int, chi: DirichletCharacter, dilation: int, order: int) ->
         weighted = Fraction(m) ** (weight - 1) if trivial else v * m ** (weight - 1)
         step = m * dilation
         for e in range(step, order + 1, step):
-            out[e] = value_add(out[e], weighted)
+            out[e] = out[e] + weighted
     return QSeries(out, order)
 
 
@@ -271,7 +261,7 @@ def g_constant(weight: int, chi: DirichletCharacter):
             f"character parity {chi.parity} does not match weight {weight}"
         )
     b = gen_bernoulli(weight, chi)
-    return maybe_rational(value_mul(b, Fraction(-1, 2 * weight)))
+    return maybe_rational(b * Fraction(-1, 2 * weight))
 
 
 @dataclass(frozen=True)
@@ -282,11 +272,6 @@ class EisensteinTerm:
     character: DirichletCharacter
     dilation: int
     coefficient: object  # Fraction or CycNum
-
-    def evaluate(self, order: int) -> QSeries:
-        return f_series(self.weight, self.character, self.dilation, order).scale(
-            self.coefficient
-        )
 
     def to_json(self) -> dict:
         return {

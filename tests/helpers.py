@@ -1,5 +1,8 @@
 """Shared corpus construction and slow oracles for the test suite."""
 
+from fractions import Fraction
+from math import factorial
+
 from cyclomac import (
     AdmissibleInput,
     MacMahonSpec,
@@ -41,3 +44,17 @@ def nested_enumeration(spec: MacMahonSpec, order: int) -> QSeries:
 
     recurse(1, spec.t, order, QSeries.one(order))
     return total
+
+
+def bernoulli_by_generating_function(k: int, chi):
+    """B_{k,chi} read off the exponential generating function
+    sum_a chi(a) t e^(a t) / (e^(f t) - 1), f the modulus, by truncated
+    series division; an oracle independent of the Bernoulli-polynomial sum."""
+    f = chi.modulus
+    # numerator / t = sum_a chi(a) e^(a t); denominator / t = (e^(f t) - 1) / t.
+    num = QSeries.zero(k)
+    for a in range(1, f + 1):
+        exp_at = QSeries([Fraction(a**i, factorial(i)) for i in range(k + 1)])
+        num = num + exp_at.scale(chi.value(a))
+    den = QSeries([Fraction(f ** (i + 1), factorial(i + 1)) for i in range(k + 1)])
+    return (num * den.inverse())[k] * factorial(k)

@@ -36,7 +36,7 @@ from cyclomac import (
     zeta,
     zeta_power_expand,
 )
-from cyclomac.field import maybe_rational, value_add, value_eq, value_mul
+from cyclomac.field import maybe_rational
 from helpers import nested_enumeration, sweep_inputs
 
 X = Polynomial.monomial(1)
@@ -123,14 +123,14 @@ def test_acceptance_2_reference_weight_coefficients():
     assert p2.c[(1, 2)] == Fraction(-1, 6)
     assert p2.c[(1, 4)] == Fraction(1, 6)
     p3 = c_coefficients(pfd_coefficients(AdmissibleInput(3, 2, X2)))
-    assert value_eq(p3.c[(1, 1)], value_mul(root3i, Fraction(1, 9)))
-    assert value_eq(p3.c[(1, 2)], Fraction(-1, 3))
+    assert p3.c[(1, 1)] == root3i * Fraction(1, 9)
+    assert p3.c[(1, 2)] == Fraction(-1, 3)
     p4 = c_coefficients(pfd_coefficients(AdmissibleInput(4, 2, X2)))
-    assert value_eq(p4.c[(1, 1)], 0)
-    assert value_eq(p4.c[(1, 2)], Fraction(-1, 4))
+    assert p4.c[(1, 1)] == 0
+    assert p4.c[(1, 2)] == Fraction(-1, 4)
     p6 = c_coefficients(pfd_coefficients(AdmissibleInput(6, 2, X2)))
-    assert value_eq(p6.c[(1, 1)], value_mul(root3i, Fraction(-1, 9)))
-    assert value_eq(p6.c[(1, 2)], Fraction(-1, 3))
+    assert p6.c[(1, 1)] == root3i * Fraction(-1, 9)
+    assert p6.c[(1, 2)] == Fraction(-1, 3)
     print("ACCEPTANCE 2: PASS (8 reference coefficients exact)")
 
 
@@ -207,8 +207,8 @@ def _check_root_power_expansion():
         for m in range(1, 2 * n + 1):
             total = Fraction(0)
             for v in zeta_power_expand(n, m).values():
-                total = value_add(total, v)
-            assert value_eq(total, zeta(n, m)), (n, m)
+                total = total + v
+            assert total == zeta(n, m), (n, m)
 
 
 def _check_orthogonality():
@@ -219,7 +219,7 @@ def _check_orthogonality():
             for chi in chars:
                 total = total + chi.value(a)
             expected = euler_phi(n) if a % n == 1 % n else 0
-            assert value_eq(total, Fraction(expected)), (n, a)
+            assert total == Fraction(expected), (n, a)
 
 
 def _check_eulerian_reciprocity():
@@ -258,7 +258,7 @@ def _check_odd_weight_vanishing():
             for q_poly in admissible_polynomials(n, k):
                 p = c_coefficients(pfd_coefficients(AdmissibleInput(n, k, q_poly)))
                 for ell in range(1, k + 1, 2):
-                    assert value_eq(p.c[(1, ell)], 0), (n, k, str(q_poly))
+                    assert p.c[(1, ell)] == 0, (n, k, str(q_poly))
 
 
 def _top_product_formula(inp, j):
@@ -266,9 +266,9 @@ def _top_product_formula(inp, j):
     acc = Fraction(1)
     for d in range(1, inp.N):
         if inp.N % d == 0:
-            acc = value_mul(acc, cyclotomic_poly(d)(root))
-    base = value_mul(Fraction(-1, inp.N), acc)
-    return value_mul(base**inp.k, inp.Q(root))
+            acc = acc * cyclotomic_poly(d)(root)
+    base = Fraction(-1, inp.N) * acc
+    return base**inp.k * inp.Q(root)
 
 
 def _check_leading_coefficients(corpus):
@@ -283,9 +283,8 @@ def _check_leading_coefficients(corpus):
             assert p.c[(1, k)] == inp.Q(Fraction(-1)) * fact
         else:
             for j in pole_exponents(inp.N):
-                assert value_eq(p.a[(j, k)], _top_product_formula(inp, j))
-                assert value_eq(p.c[(j, k)],
-                                value_mul(p.a[(j, k)], fact))
+                assert p.a[(j, k)] == _top_product_formula(inp, j)
+                assert p.c[(j, k)] == p.a[(j, k)] * fact
 
 
 def _check_conjugate_relation(corpus):

@@ -16,7 +16,6 @@ from cyclomac import (
     zeta,
     zeta_power_expand,
 )
-from cyclomac.field import value_add, value_eq
 
 
 def units(n):
@@ -119,22 +118,22 @@ def test_gauss_product_for_primitive_characters(n):
             continue
         g = gauss_sum(chi)
         gbar = gauss_sum(chi.conjugate())
-        assert value_eq(g * gbar, Fraction(chi.parity * n)), (n, chi.index)
+        assert g * gbar == Fraction(chi.parity * n), (n, chi.index)
 
 
 def test_power_expansion_single_character_case():
     parts = zeta_power_expand(3, 3)
     assert list(parts) == [0]
-    assert value_eq(parts[0], 1)
+    assert parts[0] == 1
 
 
 def test_power_expansion_at_four_two():
     parts = zeta_power_expand(4, 2)
     total = Fraction(0)
     for v in parts.values():
-        total = value_add(total, v)
-    assert value_eq(total, -1)
-    assert value_eq(total, zeta(4, 2))
+        total = total + v
+    assert total == -1
+    assert total == zeta(4, 2)
 
 
 def test_power_expansion_at_five_two():
@@ -142,8 +141,8 @@ def test_power_expansion_at_five_two():
     assert len(parts) == 4
     total = Fraction(0)
     for v in parts.values():
-        total = value_add(total, v)
-    assert value_eq(total, zeta(5, 2))
+        total = total + v
+    assert total == zeta(5, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -151,8 +150,8 @@ def test_power_expansion_totals(n):
     for m in range(1, 2 * n + 1):
         total = Fraction(0)
         for v in zeta_power_expand(n, m).values():
-            total = value_add(total, v)
-        assert value_eq(total, zeta(n, m)), (n, m)
+            total = total + v
+        assert total == zeta(n, m), (n, m)
 
 
 def test_induced_character_three_to_six():

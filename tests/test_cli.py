@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclomac import cli
 from cyclomac.cli import PolynomialSyntaxError, main, parse_polynomial
 from cyclomac.polynomial import Polynomial, format_polynomial
 
@@ -230,4 +231,38 @@ def test_csv_rejected_for_cyclotomic_payload(capsys):
         "--format", "csv",
     )
     assert code == 2
+    assert "CSV" in err
+
+
+@pytest.mark.parametrize("n, k, t, q, clause", [
+    ("2", "1", "1", "1+x", "constant term: Q(0) = 0"),
+    ("2", "1", "0", "x", "positive parameters"),
+    ("0", "1", "1", "x", "positive parameters"),
+    ("2", "0", "1", "x", "positive parameters"),
+])
+def test_invalid_expand_input_exits_two_with_clause(capsys, n, k, t, q, clause):
+    code, out, err = run_cli(
+        capsys, "expand", "--N", n, "--k", k, "--t", t, "--Q", q,
+        "--order", "5", "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert clause in json.loads(err)["error"]["clause"]
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--N", "4", "--k", "2", "--Q", "x^2"],
+    ["sweep"],
+    ["examples"],
+])
+def test_csv_rejected_before_any_computation(capsys, monkeypatch, command):
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before rejecting the format")
+
+    monkeypatch.setattr(cli, "brute_force", fail)
+    monkeypatch.setattr(cli, "closed_form", fail)
+    code, out, err = run_cli(capsys, *command, "--format", "csv")
+    assert code == 2
+    assert out == ""
     assert "CSV" in err

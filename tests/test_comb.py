@@ -19,6 +19,7 @@ from cyclomac import (
 )
 from cyclomac.field import maybe_rational
 from cyclomac.polynomial import Polynomial
+from helpers import bernoulli_by_generating_function
 
 
 def rising_factorial(n: int) -> Polynomial:
@@ -74,7 +75,7 @@ def test_eulerian_defining_series():
     for k in range(9):
         p = eulerian_poly(k)
         geom = _inverse_one_minus_x_power(k + 1, order)
-        series = _poly_series_mul(list(p.coeffs), geom, order)
+        series = _poly_times_series(list(p.coeffs), geom, order)
         for n in range(1, order + 2):
             assert series[n - 1] == n**k, (k, n)
 
@@ -83,7 +84,7 @@ def _inverse_one_minus_x_power(r: int, order: int) -> list[Fraction]:
     return [Fraction(math.comb(i + r - 1, r - 1)) for i in range(order + 2)]
 
 
-def _poly_series_mul(a, b, order):
+def _poly_times_series(a, b, order):
     out = [Fraction(0)] * (order + 2)
     for i, x in enumerate(a):
         if i > order + 1:
@@ -172,6 +173,14 @@ def test_gen_bernoulli_matches_exponential_oracle():
     for k in range(order + 1):
         expected = series[k] * factorial(k)
         assert maybe_rational(gen_bernoulli(k, trivial_character())) == expected
+
+
+def test_gen_bernoulli_matches_generating_function_for_every_character():
+    for n in range(1, 13):
+        for chi in enumerate_characters(n):
+            for k in range(9):
+                assert gen_bernoulli(k, chi) == bernoulli_by_generating_function(
+                    k, chi), (n, chi.index, k)
 
 
 def test_gen_bernoulli_weight_one_odd_character():

@@ -3,7 +3,9 @@
 Each run's stdout is pinned by its sha256.  The closed-form runs cover
 coefficients at levels 20, 42 and 18; at N = 9 the Gauss sums (level 18) and
 the pole data (level 9) meet with character values at level 6, so the printed
-level is an lcm of levels that do not divide each other.  The recorded
+level is an lcm of levels that do not divide each other.  The sweep run
+covers N = 9, 10, 11 and 12, where several poles per input carry weight
+coefficients, and its per-item `conjugate_relation` field.  The recorded
 digests must only change when the report format is meant to change.
 """
 
@@ -25,6 +27,9 @@ GOLDEN = [
     (["verify", "--N", "5", "--k", "2", "--Q", "x^4", "--t", "2",
       "--order", "30", "--format", "json"],
      "0961dc6dfc882fb1c9929e759927cbe30b36b5051dcdc7ec07d15e8331a05fa2"),
+    (["sweep", "--max-N", "12", "--max-k", "2", "--degree-bound", "10",
+      "--order", "20", "--format", "json"],
+     "6a31fbd08a4bf83ce832078058b39c2dd59088626c1a80b96c6399165f436e01"),
 ]
 
 

@@ -191,8 +191,10 @@ def principal_character(n: int) -> DirichletCharacter:
     return enumerate_characters(n)[0]
 
 
+@lru_cache(maxsize=None)
 def gauss_sum(chi: DirichletCharacter) -> CycNum:
-    """sum over a mod N of chi(a) * zeta_N^a, at level lcm(N, value level)."""
+    """sum over a mod N of chi(a) * zeta_N^a, at level lcm(N, value level);
+    computed once per character."""
     n = chi.modulus
     level = lcm(n, chi.level)
     step = level // n

@@ -39,6 +39,11 @@ from .polynomial import Polynomial, format_polynomial
 
 DEFAULT_ORDER_ENV = "CYCLOMAC_ORDER"
 
+# Input caps, checked before anything of that size is allocated: the largest
+# exponent the polynomial parser accepts and the largest truncation order.
+MAX_EXPONENT = 10_000
+MAX_ORDER = 10_000
+
 # The four reference cases: denominator (1 + a q^n + q^(2n))^2 for
 # a in {2, 1, 0, -1}, i.e. squared cyclotomic denominators at N = 2, 3, 4, 6,
 # with numerator x^2, together with their known exact constants.
@@ -52,6 +57,10 @@ REFERENCE_CASES = [
 
 class CsvFormatError(ValidationError):
     clause = "format: CSV applies to expand only"
+
+
+class OrderBoundError(ValidationError):
+    clause = f"order bound: 1 <= order <= {MAX_ORDER}"
 
 
 class PolynomialSyntaxError(ValueError):
@@ -74,7 +83,11 @@ def _tokenize(src: str) -> list[tuple[str, object, int]]:
             j = i
             while j < len(src) and src[j].isdigit():
                 j += 1
-            tokens.append(("int", int(src[i:j]), i))
+            try:
+                value = int(src[i:j])
+            except ValueError:  # longer than the interpreter's digit limit
+                raise PolynomialSyntaxError("integer literal too long", i) from None
+            tokens.append(("int", value, i))
             i = j
         elif ch in "+-*/^x":
             tokens.append((ch, ch, i))
@@ -119,6 +132,10 @@ def parse_polynomial(src: str) -> Polynomial:
             kind, val, off = peek()
             if kind != "int":
                 raise PolynomialSyntaxError("expected an exponent", off)
+            if val > MAX_EXPONENT:
+                raise PolynomialSyntaxError(
+                    f"exponent {val} exceeds the cap {MAX_EXPONENT}", off
+                )
             advance()
             return val
         return 1
@@ -158,17 +175,23 @@ def parse_polynomial(src: str) -> Polynomial:
 # -- reports -------------------------------------------------------------
 
 
-def _env_order() -> int | None:
+def _resolve_order(args) -> int:
+    """--order, else $CYCLOMAC_ORDER, else the command's default; checked
+    against 1..MAX_ORDER before any command runs."""
+    order = args.order
     raw = os.environ.get(DEFAULT_ORDER_ENV)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"{DEFAULT_ORDER_ENV} must be an integer: {raw!r}") from exc
-    if value < 1:
-        raise SystemExit(f"{DEFAULT_ORDER_ENV} must be positive")
-    return value
+    if order is None and raw is not None:
+        try:
+            order = int(raw)
+        except ValueError:
+            raise OrderBoundError(
+                f"{DEFAULT_ORDER_ENV} must be an integer: {raw!r}"
+            ) from None
+    if order is None:
+        order = getattr(args, "default_order", None) or 60
+    if not 1 <= order <= MAX_ORDER:
+        raise OrderBoundError(f"order {order} is outside 1..{MAX_ORDER}")
+    return order
 
 
 def _series_csv(series_json: dict) -> str:
@@ -444,7 +467,8 @@ def _add_common(sub, with_nk: bool = True) -> None:
         sub.add_argument("--Q", type=str, required=True,
                          help='numerator polynomial, e.g. "x^2" or "1/2*x - x^3"')
     sub.add_argument("--order", type=int, default=None,
-                     help=f"truncation order (default ${DEFAULT_ORDER_ENV} or 60)")
+                     help=f"truncation order, at most {MAX_ORDER} "
+                          f"(default ${DEFAULT_ORDER_ENV} or 60)")
     sub.add_argument("--format", choices=["json", "csv", "text"], default="text")
     sub.add_argument("--output", type=str, default=None)
 
@@ -490,15 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.order is None:
-        env = _env_order()
-        if env is not None:
-            args.order = env
-        else:
-            args.order = getattr(args, "default_order", None) or 60
-    if args.order < 1:
-        parser.error("--order must be positive")
     try:
+        args.order = _resolve_order(args)
         if args.format == "csv" and args.command != "expand":
             raise CsvFormatError(
                 f"CSV output carries a rational series; {args.command} "

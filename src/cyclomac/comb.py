@@ -11,12 +11,10 @@ from functools import lru_cache
 from math import comb as binomial, factorial  # noqa: F401  (re-exported API)
 from typing import TYPE_CHECKING
 
-from .polynomial import Polynomial, cyclotomic_polynomial
+from .polynomial import Polynomial
 
 if TYPE_CHECKING:
     from .chars import DirichletCharacter
-
-cyclotomic_poly = cyclotomic_polynomial
 
 
 def divisors(n: int) -> list[int]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .chars import (
@@ -98,12 +99,14 @@ def pole_exponents(n: int) -> list[int]:
     return [j for j in range(1, (n - 1) // 2 + 1) if gcd(j, n) == 1]
 
 
-def _pole_taylor(n: int, k: int, q_poly: Polynomial, s: int) -> list[CycNum]:
-    """Taylor coefficients b_0..b_{k-1} of (1 - zeta^s x)^k Q(x)/Phi_N(x)^k
-    around the pole x = zeta_N^{-s}, via exact series division in the
-    variable u = 1 - zeta_N^s x.
+@lru_cache(maxsize=None)
+def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
+    """Taylor coefficients b_0..b_{k-1} of (1 - zeta x)^k Q(x)/Phi_N(x)^k
+    around the pole x = zeta_N^{-1}, via exact series division in the
+    variable u = 1 - zeta_N x.  Q is rational, so the data at every other
+    pole zeta_N^{-s} is the Galois image under zeta -> zeta^s.
     """
-    pole = zeta(n, -s)
+    pole = zeta(n, -1)
     x_of_u = QSeries([pole, -pole], k)
     phi_comp = cyclotomic_polynomial(n)(x_of_u)
     if phi_comp.coefficient(0):
@@ -111,10 +114,10 @@ def _pole_taylor(n: int, k: int, q_poly: Polynomial, s: int) -> list[CycNum]:
     h = QSeries(phi_comp.coeffs[1:], k - 1)
     q_comp = q_poly(x_of_u).truncate(k - 1)
     a_series = q_comp * (h**k).inverse()
-    return [
+    return tuple(
         c if isinstance(c, CycNum) else CycNum.from_rational(n, c)
         for c in a_series.coeffs
-    ]
+    )
 
 
 def _derivative_taylor(n: int, k: int, q_poly: Polynomial) -> list[Fraction]:
@@ -178,47 +181,39 @@ def _c_from_taylor(b: list, k: int) -> dict[int, object]:
 
 @dataclass
 class PfdCoefficients:
-    """Pole data for Q(x)/Phi_N(x)^k: a-coefficients per pole order, the
-    derived weight coefficients c, and the conjugate-pole family (N >= 3)."""
+    """Pole data for Q(x)/Phi_N(x)^k at the poles zeta_N^{-j}, j in
+    `pole_exponents(N)` (j = 1 alone for N <= 2): Taylor data, a-coefficients
+    per pole order, and the derived weight coefficients c.  The data at the
+    conjugate pole zeta_N^{j} is the complex conjugate of the data at j."""
 
     input: AdmissibleInput
     a: dict = field(default_factory=dict)           # (j, r) -> value
-    a_conj: dict | None = None                      # (j, r) -> value, N >= 3
     c: dict | None = None                           # (j, ell) -> value
-    c_conj: dict | None = None
     taylor: dict = field(default_factory=dict)      # j -> [b_0..b_{k-1}]
-    taylor_conj: dict | None = None
 
 
 def pfd_coefficients(inp: AdmissibleInput) -> PfdCoefficients:
-    """Compute the pole coefficients a(j, r) (and the conjugate family for
-    N >= 3) from exact Taylor expansions at each pole."""
+    """Compute the pole coefficients a(j, r).  For N >= 3 one Taylor
+    expansion at zeta_N^{-1} gives the data at every pole zeta_N^{-j} as
+    its image under the Galois automorphism zeta -> zeta^j."""
     validate(inp)
     n, k = inp.N, inp.k
     out = PfdCoefficients(input=inp)
     if n <= 2:
-        b = _derivative_taylor(n, k, inp.Q)
-        out.taylor[1] = b
-        for r, v in _partial_sums(b).items():
-            out.a[(1, r)] = v
-        return out
-    out.a_conj = {}
-    out.taylor_conj = {}
-    for j in pole_exponents(n):
-        b = _pole_taylor(n, k, inp.Q, j)
-        out.taylor[j] = b
+        out.taylor[1] = _derivative_taylor(n, k, inp.Q)
+    else:
+        base = _pole_taylor(n, k, inp.Q)
+        for j in pole_exponents(n):
+            out.taylor[j] = [b.galois(j) for b in base]
+    for j, b in out.taylor.items():
         for r, v in _partial_sums(b).items():
             out.a[(j, r)] = v
-        b_conj = _pole_taylor(n, k, inp.Q, n - j)
-        out.taylor_conj[j] = b_conj
-        for r, v in _partial_sums(b_conj).items():
-            out.a_conj[(j, r)] = v
     return out
 
 
 def c_coefficients(p: PfdCoefficients) -> PfdCoefficients:
     """Populate the weight coefficients c(j, ell) by the Stirling sum over
-    a(j, r), cross-checked against the direct Taylor formula."""
+    a(j, r), cross-checked at every pole against the direct Taylor formula."""
     k = p.input.k
     p.c = {}
     for j, b in p.taylor.items():
@@ -232,64 +227,7 @@ def c_coefficients(p: PfdCoefficients) -> PfdCoefficients:
                     f"{value_str(c_def[ell])} vs {value_str(c_alt[ell])}"
                 )
             p.c[(j, ell)] = c_def[ell]
-    if p.taylor_conj is not None:
-        p.c_conj = {}
-        for j, b in p.taylor_conj.items():
-            a_j = {r: p.a_conj[(j, r)] for r in range(1, k + 1)}
-            c_def = _c_from_a(a_j, k)
-            c_alt = _c_from_taylor(b, k)
-            for ell in range(1, k + 1):
-                if c_def[ell] != c_alt[ell]:
-                    raise InternalMismatchError(
-                        f"conjugate weight-coefficient routes disagree at "
-                        f"j={j}, ell={ell}"
-                    )
-                p.c_conj[(j, ell)] = c_def[ell]
     return p
-
-
-def reconstruct_series(p: PfdCoefficients, order: int) -> QSeries:
-    """Re-expand the partial-fraction sum as a power series in x; must equal
-    the direct series of Q(x)/Phi_N(x)^k."""
-    n, k = p.input.N, p.input.k
-    coeffs: list = [Fraction(0)] * (order + 1)
-
-    def add_family(values: dict[int, object], root_exp: int):
-        # Each pole family contributes a(r) * zeta^(root_exp) x / (1 - zeta^(root_exp) x)^r,
-        # whose x^m coefficient is a(r) * binom(m+r-2, r-1) * zeta^(root_exp * m).
-        # At N = 2 the root is -1, giving the alternating sign (-1)^m; at N = 1 it is 1.
-        for r in range(1, k + 1):
-            a_r = values[r]
-            if not a_r:
-                continue
-            for m in range(1, order + 1):
-                w = binomial(m + r - 2, r - 1)
-                if n <= 2:
-                    term = a_r * Fraction(w if n == 1 else w * (-1) ** m)
-                else:
-                    term = a_r * zeta(n, root_exp * m) * Fraction(w)
-                coeffs[m] = coeffs[m] + term
-
-    if n <= 2:
-        add_family({r: p.a[(1, r)] for r in range(1, k + 1)}, 0)
-    else:
-        for j in pole_exponents(n):
-            add_family({r: p.a[(j, r)] for r in range(1, k + 1)}, j)
-            add_family({r: p.a_conj[(j, r)] for r in range(1, k + 1)}, -j)
-    return QSeries(coeffs, order)
-
-
-def rational_function_series(inp: AdmissibleInput, order: int) -> QSeries:
-    """The direct power-series expansion of Q(x)/Phi_N(x)^k."""
-    phi_series = QSeries.from_polynomial(cyclotomic_polynomial(inp.N), order)
-    q_series = QSeries.from_polynomial(inp.Q, order)
-    return q_series * (phi_series.inverse() ** inp.k)
-
-
-def verify_reconstruction(p: PfdCoefficients, order: int | None = None) -> bool:
-    if order is None:
-        order = 4 * p.input.phi_times_k()
-    return reconstruct_series(p, order) == rational_function_series(p.input, order)
 
 
 @dataclass(frozen=True)
@@ -434,16 +372,18 @@ def to_g_form(cf: ClosedForm) -> ClosedForm:
 
 
 def conjugate_relation_violations(inp: AdmissibleInput) -> list[tuple]:
-    """Pairs (j, ell, c, c') where the conjugate-pole weight coefficients
-    break c'(ell) = (-1)^ell c(ell).  The closed form relies on this
-    relation, so violations are surfaced rather than silently absorbed."""
+    """Tuples (j, ell, c, c') where the weight coefficient c' = conj(c) at
+    the conjugate pole zeta_N^{j} breaks c' = (-1)^ell c.  The relation holds
+    only because Q satisfies the reflection rule, and the closed form relies
+    on it, so violations are surfaced rather than silently absorbed."""
     p = c_coefficients(pfd_coefficients(inp))
-    if p.c_conj is None:
+    if inp.N <= 2:
         return []
     bad = []
     for (j, ell), c in p.c.items():
-        if p.c_conj[(j, ell)] != c * (-1) ** ell:
-            bad.append((j, ell, c, p.c_conj[(j, ell)]))
+        c_bar = c.conjugate()
+        if c_bar != c * (-1) ** ell:
+            bad.append((j, ell, c, c_bar))
     return bad
 
 

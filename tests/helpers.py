@@ -1,15 +1,18 @@
 """Shared corpus construction and slow oracles for the test suite."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from cyclomac import (
     AdmissibleInput,
     MacMahonSpec,
     QSeries,
     admissible_polynomials,
+    cyclotomic_polynomial,
     euler_phi,
+    pole_exponents,
     weight_series,
+    zeta,
 )
 
 
@@ -58,3 +61,49 @@ def bernoulli_by_generating_function(k: int, chi):
         num = num + exp_at.scale(chi.value(a))
     den = QSeries([Fraction(f ** (i + 1), factorial(i + 1)) for i in range(k + 1)])
     return (num * den.inverse())[k] * factorial(k)
+
+
+def reconstruct_series(p, order: int) -> QSeries:
+    """Re-expand the partial-fraction sum of pole data `p` (a
+    PfdCoefficients) as a power series in x; must equal the direct series
+    of Q(x)/Phi_N(x)^k."""
+    n, k = p.input.N, p.input.k
+    coeffs: list = [Fraction(0)] * (order + 1)
+
+    def add_family(values: dict[int, object], root_exp: int):
+        # Each pole family contributes a(r) * zeta^(root_exp) x / (1 - zeta^(root_exp) x)^r,
+        # whose x^m coefficient is a(r) * binom(m+r-2, r-1) * zeta^(root_exp * m).
+        # At N = 2 the root is -1, giving the alternating sign (-1)^m; at N = 1 it is 1.
+        for r in range(1, k + 1):
+            a_r = values[r]
+            if not a_r:
+                continue
+            for m in range(1, order + 1):
+                w = comb(m + r - 2, r - 1)
+                if n <= 2:
+                    term = a_r * Fraction(w if n == 1 else w * (-1) ** m)
+                else:
+                    term = a_r * zeta(n, root_exp * m) * Fraction(w)
+                coeffs[m] = coeffs[m] + term
+
+    if n <= 2:
+        add_family({r: p.a[(1, r)] for r in range(1, k + 1)}, 0)
+    else:
+        # The data at the conjugate pole zeta^j is the complex conjugate.
+        for j in pole_exponents(n):
+            add_family({r: p.a[(j, r)] for r in range(1, k + 1)}, j)
+            add_family({r: p.a[(j, r)].conjugate() for r in range(1, k + 1)}, -j)
+    return QSeries(coeffs, order)
+
+
+def rational_function_series(inp: AdmissibleInput, order: int) -> QSeries:
+    """The direct power-series expansion of Q(x)/Phi_N(x)^k."""
+    phi_series = QSeries.from_polynomial(cyclotomic_polynomial(inp.N), order)
+    q_series = QSeries.from_polynomial(inp.Q, order)
+    return q_series * (phi_series.inverse() ** inp.k)
+
+
+def verify_reconstruction(p, order: int | None = None) -> bool:
+    if order is None:
+        order = 4 * p.input.phi_times_k()
+    return reconstruct_series(p, order) == rational_function_series(p.input, order)

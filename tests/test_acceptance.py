@@ -21,7 +21,7 @@ from cyclomac import (
     c_coefficients,
     closed_form,
     conjugate_relation_violations,
-    cyclotomic_poly,
+    cyclotomic_polynomial,
     enumerate_characters,
     euler_phi,
     eulerian_poly,
@@ -233,7 +233,7 @@ def _check_cyclotomic_product():
         prod = Polynomial([1])
         for d in range(1, n + 1):
             if n % d == 0:
-                prod = prod * cyclotomic_poly(d)
+                prod = prod * cyclotomic_polynomial(d)
         assert prod == Polynomial.monomial(n) - 1, n
 
 
@@ -266,7 +266,7 @@ def _top_product_formula(inp, j):
     acc = Fraction(1)
     for d in range(1, inp.N):
         if inp.N % d == 0:
-            acc = acc * cyclotomic_poly(d)(root)
+            acc = acc * cyclotomic_polynomial(d)(root)
     base = Fraction(-1, inp.N) * acc
     return base**inp.k * inp.Q(root)
 

@@ -1,10 +1,17 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from cyclomac import cli
-from cyclomac.cli import PolynomialSyntaxError, main, parse_polynomial
+from cyclomac import cli, pfdform
+from cyclomac.cli import (
+    MAX_EXPONENT,
+    MAX_ORDER,
+    PolynomialSyntaxError,
+    main,
+    parse_polynomial,
+)
 from cyclomac.polynomial import Polynomial, format_polynomial
 
 
@@ -57,6 +64,15 @@ def test_parse_rejects_zero_denominator():
 def test_parse_rejects_trailing_garbage():
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("x 2")
+
+
+def test_parse_caps_the_exponent():
+    assert parse_polynomial(f"x^{MAX_EXPONENT}").degree() == MAX_EXPONENT
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_polynomial(f"x + 2*x^{MAX_EXPONENT + 1}")
+    assert info.value.offset == 8
+    with pytest.raises(PolynomialSyntaxError):
+        parse_polynomial("x^" + "9" * 5000)
 
 
 def run_cli(capsys, *argv):
@@ -266,3 +282,79 @@ def test_csv_rejected_before_any_computation(capsys, monkeypatch, command):
     assert code == 2
     assert out == ""
     assert "CSV" in err
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("computed before rejecting the input")
+
+
+def test_large_exponent_exits_two_before_any_computation(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "closed_form", _fail)
+    code, out, err = run_cli(
+        capsys, "closed-form", "--N", "5", "--k", "1", "--Q", "x^300000",
+        "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "PolynomialSyntaxError"
+    assert "offset 2" in error["message"]
+
+
+@pytest.mark.parametrize("order_argv, env", [
+    (["--order", str(MAX_ORDER + 1)], None),
+    (["--order", "0"], None),
+    ([], str(MAX_ORDER + 1)),
+    ([], "0"),
+    ([], "sixty"),
+])
+def test_order_outside_bounds_exits_two(capsys, monkeypatch, order_argv, env):
+    if env is None:
+        monkeypatch.delenv(cli.DEFAULT_ORDER_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.DEFAULT_ORDER_ENV, env)
+    monkeypatch.setattr(cli, "brute_force", _fail)
+    code, out, err = run_cli(
+        capsys, "expand", "--N", "1", "--k", "2", "--Q", "x", *order_argv,
+        "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["clause"].startswith("order bound")
+
+
+def test_corrupt_closed_form_makes_verify_report_the_mismatch(capsys, monkeypatch):
+    real = cli.closed_form
+
+    def corrupt(inp):
+        cf = real(inp)
+        first, *rest = cf.terms
+        doubled = dataclasses.replace(first, coefficient=first.coefficient * 2)
+        return dataclasses.replace(cf, terms=(doubled, *rest))
+
+    monkeypatch.setattr(cli, "closed_form", corrupt)
+    code, out, _ = run_cli(
+        capsys, "verify", "--N", "4", "--k", "2", "--Q", "x^2",
+        "--order", "20", "--format", "json",
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "mismatch"
+    # F = f(2, 1; q^2) - 4 f(2, 1; q^4); doubling the first term shows at q^2.
+    for cert in report["certificates"]:
+        assert not cert["match"]
+        assert cert["first_mismatch"] == {"exponent": 2, "lhs": "2", "rhs": "1"}
+
+
+def test_sweep_expands_each_input_once(capsys):
+    pfdform._pole_taylor.cache_clear()
+    code, out, _ = run_cli(
+        capsys, "sweep", "--max-N", "6", "--max-k", "2", "--order", "10",
+        "--format", "json",
+    )
+    assert code == 0
+    cyclotomic = [i for i in json.loads(out)["items"] if i["N"] >= 3]
+    info = pfdform._pole_taylor.cache_info()
+    # closed_form and conjugate_relation_violations share one expansion.
+    assert info.misses == len(cyclotomic) > 0
+    assert info.hits == len(cyclotomic)

@@ -6,7 +6,7 @@ import pytest
 from cyclomac import (
     Partition,
     binomial,
-    cyclotomic_poly,
+    cyclotomic_polynomial,
     enumerate_characters,
     euler_phi,
     eulerian_poly,
@@ -95,13 +95,13 @@ def _poly_times_series(a, b, order):
 
 
 def test_cyclotomic_small_cases():
-    assert cyclotomic_poly(1) == Polynomial([-1, 1])
+    assert cyclotomic_polynomial(1) == Polynomial([-1, 1])
     x4 = Polynomial.monomial(4) - 1
-    assert cyclotomic_poly(4) == x4.exact_div(Polynomial([-1, 1])).exact_div(
+    assert cyclotomic_polynomial(4) == x4.exact_div(Polynomial([-1, 1])).exact_div(
         Polynomial([1, 1])
     )
-    assert cyclotomic_poly(4) == Polynomial([1, 0, 1])
-    assert cyclotomic_poly(6) == Polynomial([1, -1, 1])
+    assert cyclotomic_polynomial(4) == Polynomial([1, 0, 1])
+    assert cyclotomic_polynomial(6) == Polynomial([1, -1, 1])
 
 
 def test_cyclotomic_product_identity():
@@ -109,7 +109,7 @@ def test_cyclotomic_product_identity():
         prod = Polynomial([1])
         for d in range(1, n + 1):
             if n % d == 0:
-                prod = prod * cyclotomic_poly(d)
+                prod = prod * cyclotomic_polynomial(d)
         assert prod == Polynomial.monomial(n) - 1, n
 
 

@@ -11,7 +11,7 @@ from cyclomac import (
     admissible_polynomials,
     brute_force,
     certify,
-    cyclotomic_poly,
+    cyclotomic_polynomial,
     evaluate_isobaric,
     evaluate_isobaric_closed,
     f_series,
@@ -62,7 +62,7 @@ def test_weight_series_matches_direct_expansion():
     for n_level, k, q_poly in [(1, 2, X), (4, 2, X2), (6, 3, X)]:
         for n in (1, 2, 3, 5, 7):
             direct = substitute_qn(q_poly, n, order) * (
-                substitute_qn(cyclotomic_poly(n_level), n, order).inverse() ** k
+                substitute_qn(cyclotomic_polynomial(n_level), n, order).inverse() ** k
             )
             assert weight_series(n_level, k, q_poly, n, order) == direct
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclomac import pfdform
 from cyclomac import (
     AdmissibleInput,
     DegreeTooLargeError,
@@ -15,21 +16,23 @@ from cyclomac import (
     closed_form,
     closed_form_series,
     conjugate_relation_violations,
-    cyclotomic_poly,
+    cyclotomic_polynomial,
     euler_phi,
     f_series,
     pfd_coefficients,
     pole_exponents,
-    rational_function_series,
-    reconstruct_series,
     to_g_form,
     trivial_character,
     validate,
-    verify_reconstruction,
     zeta,
 )
 from cyclomac.field import maybe_rational
-from helpers import sweep_inputs
+from helpers import (
+    rational_function_series,
+    reconstruct_series,
+    sweep_inputs,
+    verify_reconstruction,
+)
 
 X = Polynomial.monomial(1)
 X2 = Polynomial.monomial(2)
@@ -74,7 +77,6 @@ def test_pole_coefficients_level_two_weight_four():
     assert p.a[(1, 3)] == -1
     assert p.a[(1, 2)] == 0
     assert p.a[(1, 1)] == 0
-    assert p.a_conj is None
 
 
 def _solve_linear(rows, rhs):
@@ -121,7 +123,7 @@ def test_reconstruction_of_simple_level_one_input():
     assert reconstruct_series(p, order) == rational_function_series(p.input, order)
 
 
-@pytest.mark.parametrize("inp", sweep_inputs(max_n=8, degree_bound=8),
+@pytest.mark.parametrize("inp", sweep_inputs(max_n=12, degree_bound=10),
                          ids=lambda i: f"N{i.N}k{i.k}{i.Q}")
 def test_reconstruction_invariant(inp):
     assert verify_reconstruction(pfd_coefficients(inp))
@@ -135,7 +137,7 @@ def _top_coefficient_product_formula(inp, j):
     acc = None
     for d in range(1, inp.N):
         if inp.N % d == 0:
-            v = cyclotomic_poly(d)(root)
+            v = cyclotomic_polynomial(d)(root)
             acc = v if acc is None else acc * v
     base = prod * acc
     return base**inp.k * inp.Q(root)
@@ -199,6 +201,18 @@ def test_leading_weight_coefficients(inp):
                          ids=lambda i: f"N{i.N}k{i.k}{i.Q}")
 def test_conjugate_weight_relation(inp):
     assert conjugate_relation_violations(inp) == []
+
+
+def test_conjugate_relation_catches_asymmetric_pole_data(monkeypatch):
+    # Pole data expanded from Q = x breaks the reflection rule that the
+    # admissible Q = x^2 (N = 5, k = 1) satisfies.
+    expand = pfdform._pole_taylor
+    monkeypatch.setattr(pfdform, "_pole_taylor", lambda n, k, q: expand(n, k, X))
+    inp = AdmissibleInput(5, 1, X2)
+    bad = conjugate_relation_violations(inp)
+    assert [(j, ell) for j, ell, _, _ in bad] == [(1, 1), (2, 1)]
+    for _, ell, c, c_bar in bad:
+        assert c_bar == c.conjugate() != c * (-1) ** ell
 
 
 def test_closed_form_level_two_weight_four_terms():

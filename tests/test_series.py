@@ -7,7 +7,7 @@ from cyclomac import (
     NonUnitError,
     Polynomial,
     QSeries,
-    cyclotomic_poly,
+    cyclotomic_polynomial,
     enumerate_characters,
     eulerian_poly,
     f_series,
@@ -57,12 +57,12 @@ def test_inverse_geometric():
 
 def test_inverse_of_cyclotomic_one():
     # q - 1 inverts to the negated geometric series
-    inv = QSeries.from_polynomial(cyclotomic_poly(1), 6).inverse()
+    inv = QSeries.from_polynomial(cyclotomic_polynomial(1), 6).inverse()
     assert list(inv.coeffs) == [-1] * 7
 
 
 def test_inverse_of_cyclotomic_six_by_remultiplication():
-    s = QSeries.from_polynomial(cyclotomic_poly(6), 12)
+    s = QSeries.from_polynomial(cyclotomic_polynomial(6), 12)
     assert s * s.inverse() == QSeries.one(12)
 
 
@@ -95,7 +95,7 @@ def test_substitute_geometric():
 
 
 def test_substitute_cyclotomic_polynomial():
-    s = substitute_qn(cyclotomic_poly(3), 2, 10)
+    s = substitute_qn(cyclotomic_polynomial(3), 2, 10)
     assert list(s.coeffs) == [1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0]
 
 

@@ -5,8 +5,10 @@ coefficients at levels 20, 42 and 18; at N = 9 the Gauss sums (level 18) and
 the pole data (level 9) meet with character values at level 6, so the printed
 level is an lcm of levels that do not divide each other.  The sweep run
 covers N = 9, 10, 11 and 12, where several poles per input carry weight
-coefficients, and its per-item `conjugate_relation` field.  The recorded
-digests must only change when the report format is meant to change.
+coefficients, and its per-item `conjugate_relation` field.  The expand runs
+pin the strict and weak nested series at t = 4, and a weak t = 2 run whose
+numerator is neither integral nor admissible, which brute force accepts.  The
+recorded digests must only change when the report format is meant to change.
 """
 
 import hashlib
@@ -30,11 +32,21 @@ GOLDEN = [
     (["sweep", "--max-N", "12", "--max-k", "2", "--degree-bound", "10",
       "--order", "20", "--format", "json"],
      "6a31fbd08a4bf83ce832078058b39c2dd59088626c1a80b96c6399165f436e01"),
+    (["expand", "--N", "5", "--k", "1", "--Q", "x + x^3", "--t", "4",
+      "--order", "60", "--format", "json"],
+     "f05570cffc16fbf34c7babe8eba32d8d97fbf8f254e15f94048000800d9227e0"),
+    (["expand", "--N", "5", "--k", "1", "--Q", "x + x^3", "--t", "4",
+      "--weak", "--order", "60", "--format", "json"],
+     "9731593ac2eec1c1ee2d44a66b581eca2f1e857e071137df1fe29af8502bcc03"),
+    (["expand", "--N", "12", "--k", "3", "--Q", "1/2*x^2 - x", "--t", "2",
+      "--weak", "--order", "50", "--format", "json"],
+     "688c1bc7a620f4ea4cb4a6f8daee51274c8ca2019661b3c11241a839c74eb1a8"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN,
-                         ids=[" ".join(argv[:5]) for argv, _ in GOLDEN])
+                         ids=[" ".join(argv[:5] + ["--weak"] * ("--weak" in argv))
+                              for argv, _ in GOLDEN])
 def test_report_bytes_are_unchanged(argv, digest, capsys, monkeypatch):
     monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
     assert main(argv) == 0

@@ -28,6 +28,7 @@ from .macmahon import (
 )
 from .pfdform import (
     AdmissibleInput,
+    NonPositiveParameterError,
     ValidationError,
     admissible_polynomials,
     closed_form,
@@ -40,9 +41,13 @@ from .polynomial import Polynomial, format_polynomial
 DEFAULT_ORDER_ENV = "CYCLOMAC_ORDER"
 
 # Input caps, checked before anything of that size is allocated: the largest
-# exponent the polynomial parser accepts and the largest truncation order.
+# exponent the polynomial parser accepts, the largest truncation order, the
+# largest N (also for sweep's --max-N) and the largest nesting depth t.  At
+# t = 20 the isobaric route already sums p(20) = 627 monomials.
 MAX_EXPONENT = 10_000
 MAX_ORDER = 10_000
+MAX_N = 10_000
+MAX_T = 20
 
 # The four reference cases: denominator (1 + a q^n + q^(2n))^2 for
 # a in {2, 1, 0, -1}, i.e. squared cyclotomic denominators at N = 2, 3, 4, 6,
@@ -61,6 +66,10 @@ class CsvFormatError(ValidationError):
 
 class OrderBoundError(ValidationError):
     clause = f"order bound: 1 <= order <= {MAX_ORDER}"
+
+
+class ParameterBoundError(ValidationError):
+    clause = f"parameter bound: N, max-N <= {MAX_N}, t <= {MAX_T}"
 
 
 class PolynomialSyntaxError(ValueError):
@@ -194,6 +203,19 @@ def _resolve_order(args) -> int:
     return order
 
 
+def _check_parameters(args) -> None:
+    """--N, --max-N and --t, where the command has them, must lie in
+    1..cap; checked before any command runs."""
+    for name, cap in (("N", MAX_N), ("max_N", MAX_N), ("t", MAX_T)):
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        if value < 1:
+            raise NonPositiveParameterError(f"{name} must be a positive integer")
+        if value > cap:
+            raise ParameterBoundError(f"{name} = {value} exceeds the cap {cap}")
+
+
 def _series_csv(series_json: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -311,15 +333,16 @@ def _cmd_verify(args) -> int:
                 "closed-form-G", "brute-force(t=1)", descriptor=desc),
     ]
     if args.t > 1:
+        nested = {}
         for strict in (True, False):
             tag = "strict" if strict else "weak"
-            nested = brute_force(
+            nested[strict] = brute_force(
                 MacMahonSpec(args.t, args.N, args.k, q_poly, strict), order
             )
             certs.append(
                 certify(
                     evaluate_isobaric(args.N, args.k, q_poly, args.t, strict, order),
-                    nested,
+                    nested[strict],
                     f"isobaric-{tag}(t={args.t})",
                     f"brute-force-{tag}(t={args.t})",
                     descriptor=desc,
@@ -328,7 +351,7 @@ def _cmd_verify(args) -> int:
         certs.append(
             certify(
                 evaluate_isobaric_closed(inp, args.t, True, order),
-                brute_force(MacMahonSpec(args.t, args.N, args.k, q_poly, True), order),
+                nested[True],
                 f"isobaric-closed-form(t={args.t})",
                 f"brute-force-strict(t={args.t})",
                 descriptor=desc,
@@ -516,6 +539,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.order = _resolve_order(args)
+        _check_parameters(args)
         if args.format == "csv" and args.command != "expand":
             raise CsvFormatError(
                 f"CSV output carries a rational series; {args.command} "

@@ -66,27 +66,20 @@ def validate_spec(spec: MacMahonSpec) -> MacMahonSpec:
 
 
 def brute_force(spec: MacMahonSpec, order: int) -> QSeries:
-    """Evaluate the nested series by evolving the product generating function
-    one index at a time, tracking powers of the bookkeeping variable up to t."""
+    """The z^t coefficient of prod_n (1 + z w_n), or of prod_n 1/(1 - z w_n)
+    for weak inequalities, where w_n = r(q^n) and r = Q/Phi_N^k is expanded
+    once.  Both products evolve by f[d] += w_n f[d-1]: strict runs d down and
+    reads the old f[d-1], weak runs d up and reads the new one."""
     validate_spec(spec)
     t = spec.t
+    w1 = weight_series(spec.N, spec.k, spec.Q, 1, order)
+    depths = range(t, 0, -1) if spec.strict else range(1, t + 1)
     f = [QSeries.one(order)] + [QSeries.zero(order) for _ in range(t)]
     for n in range(1, order + 1):
-        w = weight_series(spec.N, spec.k, spec.Q, n, order)
-        if spec.strict:
-            for d in range(t, 0, -1):
-                f[d] = f[d] + f[d - 1] * w
-        else:
-            powers = [None, w]
-            for i in range(2, t + 1):
-                powers.append(powers[-1] * w if n * i <= order else None)
-            for d in range(t, 0, -1):
-                acc = f[d]
-                for i in range(1, d + 1):
-                    if powers[i] is None:
-                        break
-                    acc = acc + f[d - i] * powers[i]
-                f[d] = acc
+        w = substitute_qn(w1, n, order)
+        for d in depths:
+            # w is zero off multiples of n, and `*` skips the left factor's zeros.
+            f[d] = f[d] + w * f[d - 1]
     return f[t]
 
 

@@ -83,11 +83,12 @@ def validate(inp: AdmissibleInput) -> AdmissibleInput:
         )
     if inp.Q.coefficient(0) != 0:
         raise NonzeroConstantTermError("Q must vanish at 0")
-    if inp.N == 1:
-        mirror = Fraction(-1) ** inp.k * inp.Q.reversed_to(inp.k)
-    else:
-        mirror = inp.Q.reversed_to(bound)
-    if mirror != inp.Q:
+    # x^bound Q(1/x) has coefficient Q[bound - i] at x^i; deg Q < bound, so
+    # comparing every coefficient of Q with its mirror checks both sides.
+    sign = (-1) ** inp.k if inp.N == 1 else 1
+    q = inp.Q
+    if any(q.coefficient(i) != sign * q.coefficient(bound - i)
+           for i in range(len(q.coeffs))):
         raise SymmetryViolationError(
             f"Q = {inp.Q} breaks the reflection rule for N = {inp.N}, k = {inp.k}"
         )

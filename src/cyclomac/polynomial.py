@@ -141,12 +141,6 @@ class Polynomial:
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
 
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("polynomial division left a nonzero remainder")
-        return q
-
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -155,8 +149,8 @@ class Polynomial:
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
-        if acc is None:
-            return Fraction(0)
+        if acc is None:  # the zero polynomial: the zero of x's ring
+            return x * 0
         return acc
 
     def reversed_to(self, degree: int) -> "Polynomial":
@@ -198,13 +192,23 @@ def format_polynomial(p: Polynomial, var: str = "x") -> str:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> Polynomial:
-    """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
+    """The n-th cyclotomic polynomial, as the product over d | n of
+    (1 - x^d)^mu(n/d) in integer power series truncated at its degree phi(n).
+    Each factor is a unit, so the truncation is exact."""
+    from .comb import divisors, euler_phi, mobius  # comb imports this module
+
     if n < 1:
         raise ValueError("cyclotomic polynomials are indexed by positive integers")
     if n == 1:
         return Polynomial([-1, 1])
-    num = Polynomial.monomial(n, 1) - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = num.exact_div(cyclotomic_polynomial(d))
-    return num
+    top = euler_phi(n)
+    c = [1] + [0] * top
+    for d in divisors(n):
+        mu = mobius(n // d)
+        if mu == 1:  # times (1 - x^d)
+            for i in range(top, d - 1, -1):
+                c[i] -= c[i - d]
+        elif mu == -1:  # divided by (1 - x^d)
+            for i in range(d, top + 1):
+                c[i] += c[i - d]
+    return Polynomial(c)

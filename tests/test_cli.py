@@ -1,17 +1,25 @@
+import contextlib
 import dataclasses
+import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclomac import cli, pfdform
 from cyclomac.cli import (
     MAX_EXPONENT,
+    MAX_N,
     MAX_ORDER,
+    MAX_T,
     PolynomialSyntaxError,
     main,
     parse_polynomial,
 )
+from cyclomac.comb import euler_phi
 from cyclomac.polynomial import Polynomial, format_polynomial
 
 
@@ -255,6 +263,10 @@ def test_csv_rejected_for_cyclotomic_payload(capsys):
     ("2", "1", "0", "x", "positive parameters"),
     ("0", "1", "1", "x", "positive parameters"),
     ("2", "0", "1", "x", "positive parameters"),
+    ("2", "1", "-7", "x", "positive parameters"),
+    ("2", "1", str(MAX_T + 1), "x", "parameter bound"),
+    ("3", "1", "100000", "x", "parameter bound"),
+    (str(MAX_N + 1), "1", "1", "x", "parameter bound"),
 ])
 def test_invalid_expand_input_exits_two_with_clause(capsys, n, k, t, q, clause):
     code, out, err = run_cli(
@@ -358,3 +370,97 @@ def test_sweep_expands_each_input_once(capsys):
     # closed_form and conjugate_relation_violations share one expansion.
     assert info.misses == len(cyclotomic) > 0
     assert info.hits == len(cyclotomic)
+
+
+@pytest.mark.parametrize("argv, clause", [
+    (["verify", "--N", "3", "--k", "1", "--Q", "x", "--t", "0"],
+     "positive parameters"),
+    (["verify", "--N", "3", "--k", "1", "--Q", "x", "--t", "-7"],
+     "positive parameters"),
+    (["verify", "--N", "3", "--k", "1", "--Q", "x", "--t", str(MAX_T + 1)],
+     "parameter bound"),
+    (["closed-form", "--N", "-2", "--k", "1", "--Q", "x"], "positive parameters"),
+    (["closed-form", "--N", "20000", "--k", "1", "--Q", "x"], "parameter bound"),
+    (["sweep", "--max-N", "0"], "positive parameters"),
+    (["sweep", "--max-N", str(MAX_N + 1)], "parameter bound"),
+    (["closed-form", "--N", "3", "--k", "3000000", "--Q", "x"],
+     "functional equation"),
+])
+def test_bad_parameters_exit_two_before_any_computation(capsys, monkeypatch,
+                                                        argv, clause):
+    monkeypatch.setattr(cli, "brute_force", _fail)
+    monkeypatch.setattr(cli, "closed_form", _fail)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert clause in json.loads(err)["error"]["clause"]
+    # Rejecting a huge k must not build a coefficient list of length phi(N) k.
+    assert peak < 5_000_000
+
+
+@pytest.mark.parametrize("n", ["2", "3", "5"])
+def test_zero_numerator_has_an_empty_closed_form(capsys, n):
+    code, out, _ = run_cli(
+        capsys, "closed-form", "--N", n, "--k", "1", "--Q", "0", "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["closed_form"]["terms"] == report["g_form"]["terms"] == []
+    code, out, _ = run_cli(
+        capsys, "verify", "--N", n, "--k", "1", "--Q", "0", "--t", "2",
+        "--order", "12", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["status"] == "ok"
+
+
+# Out-of-range values per flag; each fuzzed argv breaks at most one flag.
+_BAD_VALUES = {
+    "--N": [0, -7, MAX_N + 1],
+    "--k": [0, -2],
+    "--t": [0, -7, MAX_T + 1],
+    "--order": [0, -1, MAX_ORDER + 1],
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["expand", "closed-form", "verify"]))
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    q = draw(st.sampled_from(["middle", "0"]) | st.sampled_from([
+        "x", "x^2", "x + x^3", "1/2*x^2 - x", "1 + x",
+        "x$", "", "x^", "1/0*x", "2*", f"x^{MAX_EXPONENT + 1}",
+    ]))
+    if q == "middle":  # x^(phi(N) k / 2) is admissible when phi(N) k is even
+        q = f"x^{euler_phi(n) * k // 2}"
+    values = {"--N": n, "--k": k, "--t": draw(st.integers(1, 3)),
+              "--order": draw(st.integers(1, 20))}
+    bad = draw(st.none() | st.sampled_from(list(_BAD_VALUES)))
+    if bad is not None:
+        values[bad] = draw(st.sampled_from(_BAD_VALUES[bad]))
+    if command == "closed-form":
+        del values["--t"]
+    argv = [command, "--Q", q, "--format",
+            draw(st.sampled_from(["json", "text", "csv"]))]
+    for flag, value in values.items():
+        argv += [flag, str(value)]
+    if command == "expand" and draw(st.booleans()):
+        argv.append("--weak")
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_cli_argv())
+def test_any_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())

@@ -97,15 +97,15 @@ def _poly_times_series(a, b, order):
 def test_cyclotomic_small_cases():
     assert cyclotomic_polynomial(1) == Polynomial([-1, 1])
     x4 = Polynomial.monomial(4) - 1
-    assert cyclotomic_polynomial(4) == x4.exact_div(Polynomial([-1, 1])).exact_div(
-        Polynomial([1, 1])
-    )
+    q, r = divmod(x4, Polynomial([-1, 1]) * Polynomial([1, 1]))
+    assert r.is_zero()
+    assert cyclotomic_polynomial(4) == q
     assert cyclotomic_polynomial(4) == Polynomial([1, 0, 1])
     assert cyclotomic_polynomial(6) == Polynomial([1, -1, 1])
 
 
 def test_cyclotomic_product_identity():
-    for n in range(1, 31):
+    for n in [*range(1, 31), 420]:
         prod = Polynomial([1])
         for d in range(1, n + 1):
             if n % d == 0:

@@ -8,7 +8,12 @@ covers N = 9, 10, 11 and 12, where several poles per input carry weight
 coefficients, and its per-item `conjugate_relation` field.  The expand runs
 pin the strict and weak nested series at t = 4, and a weak t = 2 run whose
 numerator is neither integral nor admissible, which brute force accepts.  The
-recorded digests must only change when the report format is meant to change.
+verify runs at N = 15 and 21 print certificates whose closed forms evaluate
+at levels 60 and 42, where the characters of each (dilation, weight) group
+must add up to rational coefficients; the runs at N = 1 and 2 (t = 2 and 3,
+with the isobaric closed form) and the N = 1, k = 4 closed form pin the two
+rational poles.  The recorded digests must only change when the report
+format is meant to change.
 """
 
 import hashlib
@@ -41,6 +46,20 @@ GOLDEN = [
     (["expand", "--N", "12", "--k", "3", "--Q", "1/2*x^2 - x", "--t", "2",
       "--weak", "--order", "50", "--format", "json"],
      "688c1bc7a620f4ea4cb4a6f8daee51274c8ca2019661b3c11241a839c74eb1a8"),
+    (["verify", "--N", "15", "--k", "1", "--Q", "x^4", "--order", "40",
+      "--format", "json"],
+     "458a6f6bcbbf68fffb72b5e6c4078e8477b924dcc604e7c906017f6e81947202"),
+    (["verify", "--N", "21", "--k", "1", "--Q", "x^6", "--order", "60",
+      "--format", "json"],
+     "c8de932719940fb9822761d5f6fb99aea546e9aab32bf879e5dea9ee6f0de5d9"),
+    (["verify", "--N", "1", "--k", "3", "--Q", "x - x^2", "--t", "2",
+      "--order", "30", "--format", "json"],
+     "e1d85c2cd2de49360ba6229d11b0d8b7073f162961b7b46f9c944ace6531cc17"),
+    (["verify", "--N", "2", "--k", "3", "--Q", "x + x^2", "--t", "3",
+      "--order", "30", "--format", "json"],
+     "0e1762b1163b0e441af567552444b0a6a2ccac52f94efd39d6ec566ea7b652ae"),
+    (["closed-form", "--N", "1", "--k", "4", "--Q", "x + x^3", "--format", "json"],
+     "80694c613ffeeddbc665802cb0e6f4c0dc81ffbcaa0213c905be0ca84a8c071b"),
 ]
 
 

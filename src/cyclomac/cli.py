@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .comb import euler_phi
-from .field import value_str
+from .field import NotRationalError, value_str
 from .macmahon import (
     Certificate,
     MacMahonSpec,
@@ -42,12 +42,17 @@ DEFAULT_ORDER_ENV = "CYCLOMAC_ORDER"
 
 # Input caps, checked before anything of that size is allocated: the largest
 # exponent the polynomial parser accepts, the largest truncation order, the
-# largest N (also for sweep's --max-N) and the largest nesting depth t.  At
-# t = 20 the isobaric route already sums p(20) = 627 monomials.
+# largest N (also for sweep's --max-N), the largest k (also for --max-k), the
+# largest nesting depth t and the largest sweep --degree-bound.  At t = 20
+# the isobaric route already sums p(20) = 627 monomials; at k = 100 one
+# closed form at N = 3 takes seconds, and the sweep corpus grows
+# exponentially in its degree bound.
 MAX_EXPONENT = 10_000
 MAX_ORDER = 10_000
 MAX_N = 10_000
+MAX_K = 100
 MAX_T = 20
+MAX_DEGREE_BOUND = 14
 
 # The four reference cases: denominator (1 + a q^n + q^(2n))^2 for
 # a in {2, 1, 0, -1}, i.e. squared cyclotomic denominators at N = 2, 3, 4, 6,
@@ -69,7 +74,8 @@ class OrderBoundError(ValidationError):
 
 
 class ParameterBoundError(ValidationError):
-    clause = f"parameter bound: N, max-N <= {MAX_N}, t <= {MAX_T}"
+    clause = (f"parameter bound: N, max-N <= {MAX_N}, k, max-k <= {MAX_K}, "
+              f"t <= {MAX_T}, degree-bound <= {MAX_DEGREE_BOUND}")
 
 
 class PolynomialSyntaxError(ValueError):
@@ -204,9 +210,11 @@ def _resolve_order(args) -> int:
 
 
 def _check_parameters(args) -> None:
-    """--N, --max-N and --t, where the command has them, must lie in
-    1..cap; checked before any command runs."""
-    for name, cap in (("N", MAX_N), ("max_N", MAX_N), ("t", MAX_T)):
+    """--N, --max-N, --k, --max-k, --t and --degree-bound, where the command
+    has them, must lie in 1..cap; checked before any command runs."""
+    for name, cap in (("N", MAX_N), ("max_N", MAX_N), ("k", MAX_K),
+                      ("max_k", MAX_K), ("t", MAX_T),
+                      ("degree_bound", MAX_DEGREE_BOUND)):
         value = getattr(args, name, None)
         if value is None:
             continue
@@ -327,9 +335,9 @@ def _cmd_verify(args) -> int:
     cf = closed_form(inp)
     gf = to_g_form(cf)
     certs = [
-        certify(cf.evaluate(order).to_rational(), brute1,
+        certify(cf.evaluate(order), brute1,
                 "closed-form-F", "brute-force(t=1)", descriptor=desc),
-        certify(gf.evaluate(order).to_rational(), brute1,
+        certify(gf.evaluate(order), brute1,
                 "closed-form-G", "brute-force(t=1)", descriptor=desc),
     ]
     if args.t > 1:
@@ -379,7 +387,7 @@ def _cmd_examples(args) -> int:
         cf = closed_form(inp)
         gf = to_g_form(cf)
         cert = certify(
-            cf.evaluate(args.order).to_rational(),
+            cf.evaluate(args.order),
             brute1,
             "closed-form-F",
             "brute-force(t=1)",
@@ -424,17 +432,10 @@ def _cmd_sweep(args) -> int:
                 desc = f"N={n} k={k} Q={format_polynomial(q_poly)}"
                 brute1 = brute_force(MacMahonSpec(1, n, k, q_poly), args.order)
                 cf = closed_form(inp)
-                evaluated = cf.evaluate(args.order)
-                rational_ok = evaluated.is_rational()
-                if rational_ok:
-                    cert = certify(
-                        evaluated.to_rational(),
-                        brute1,
-                        "closed-form-F",
-                        "brute-force(t=1)",
-                        descriptor=desc,
-                    )
-                else:
+                try:
+                    evaluated = cf.evaluate(args.order)
+                except NotRationalError:
+                    rational_ok = False
                     cert = Certificate(
                         descriptor=desc,
                         order=args.order,
@@ -442,6 +443,15 @@ def _cmd_sweep(args) -> int:
                         rhs_label="brute-force(t=1)",
                         match=False,
                         first_mismatch=None,
+                    )
+                else:
+                    rational_ok = True
+                    cert = certify(
+                        evaluated,
+                        brute1,
+                        "closed-form-F",
+                        "brute-force(t=1)",
+                        descriptor=desc,
                     )
                 conj_ok = not conjugate_relation_violations(inp)
                 ok = cert.match and rational_ok and conj_ok

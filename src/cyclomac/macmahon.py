@@ -17,7 +17,7 @@ from .pfdform import (
     AdmissibleInput,
     NonPositiveParameterError,
     NonzeroConstantTermError,
-    closed_form_series,
+    closed_form,
 )
 from .polynomial import Polynomial, cyclotomic_polynomial
 from .series import OrderMismatchError, QSeries, substitute_qn
@@ -159,7 +159,7 @@ def evaluate_isobaric_closed(inp: AdmissibleInput, t: int, strict: bool,
     def single_sum(s: int) -> QSeries:
         powered = AdmissibleInput(inp.N, s * inp.k,
                                   power_polynomial(inp.Q, s))
-        return closed_form_series(powered, order)
+        return closed_form(powered).evaluate(order)
 
     return evaluate_isobaric(inp.N, inp.k, inp.Q, t, strict, order, single_sum)
 

@@ -29,7 +29,7 @@ from .comb import (
 )
 from .field import CycNum, coerce_pair, value_str, zeta
 from .polynomial import Polynomial, cyclotomic_polynomial
-from .series import EisensteinTerm, QSeries, f_series, g_constant
+from .series import EisensteinTerm, QSeries, g_constant
 
 
 class ValidationError(ValueError):
@@ -105,7 +105,9 @@ def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
     """Taylor coefficients b_0..b_{k-1} of (1 - zeta x)^k Q(x)/Phi_N(x)^k
     around the pole x = zeta_N^{-1}, via exact series division in the
     variable u = 1 - zeta_N x.  Q is rational, so the data at every other
-    pole zeta_N^{-s} is the Galois image under zeta -> zeta^s.
+    pole zeta_N^{-s} is the Galois image under zeta -> zeta^s.  At N = 1
+    (x = 1 - u, Phi_1 = -u) this gives b_m = (-1)^(m+k) Q^(m)(1)/m!, and at
+    N = 2 (x = -1 + u, Phi_2 = u) it gives b_m = Q^(m)(-1)/m!.
     """
     pole = zeta(n, -1)
     x_of_u = QSeries([pole, -pole], k)
@@ -119,21 +121,6 @@ def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
         c if isinstance(c, CycNum) else CycNum.from_rational(n, c)
         for c in a_series.coeffs
     )
-
-
-def _derivative_taylor(n: int, k: int, q_poly: Polynomial) -> list[Fraction]:
-    """Taylor data for the two rational poles: b_m = (-1)^(m+k) Q^(m)(1)/m!
-    at N = 1 and b_m = Q^(m)(-1)/m! at N = 2."""
-    point = Fraction(1 if n == 1 else -1)
-    out: list[Fraction] = []
-    deriv = q_poly
-    for m in range(k):
-        val = deriv(point) / factorial(m)
-        if n == 1:
-            val *= Fraction(-1) ** (m + k)
-        out.append(val)
-        deriv = deriv.derivative()
-    return out
 
 
 def _partial_sums(b: list) -> dict[int, object]:
@@ -194,18 +181,15 @@ class PfdCoefficients:
 
 
 def pfd_coefficients(inp: AdmissibleInput) -> PfdCoefficients:
-    """Compute the pole coefficients a(j, r).  For N >= 3 one Taylor
-    expansion at zeta_N^{-1} gives the data at every pole zeta_N^{-j} as
-    its image under the Galois automorphism zeta -> zeta^j."""
+    """Compute the pole coefficients a(j, r).  One Taylor expansion at
+    zeta_N^{-1} gives the data at every pole zeta_N^{-j} as its image under
+    the Galois automorphism zeta -> zeta^j."""
     validate(inp)
-    n, k = inp.N, inp.k
+    n = inp.N
     out = PfdCoefficients(input=inp)
-    if n <= 2:
-        out.taylor[1] = _derivative_taylor(n, k, inp.Q)
-    else:
-        base = _pole_taylor(n, k, inp.Q)
-        for j in pole_exponents(n):
-            out.taylor[j] = [b.galois(j) for b in base]
+    base = _pole_taylor(n, inp.k, inp.Q)
+    for j in pole_exponents(n) if n > 2 else [1]:
+        out.taylor[j] = [b.galois(j) for b in base]
     for j, b in out.taylor.items():
         for r, v in _partial_sums(b).items():
             out.a[(j, r)] = v
@@ -248,8 +232,14 @@ class ClosedForm:
     constant: object  # Fraction or CycNum
 
     def evaluate(self, order: int) -> QSeries:
+        """The form's q-series, with Fraction coefficients.  The terms of one
+        (dilation g, weight w) pair add up to the sum over m, n >= 1 of
+        table[m] m^(w-1) q^(mng), where table[m] = sum of coef * chi(m) over
+        the pair's terms depends only on m modulo the lcm of their moduli.
+        Every entry of every table must be rational, else NotRationalError.
+        """
         # Coefficients and character values sit at several levels; lift each
-        # scalar once to their lcm, so the series arithmetic sees one level.
+        # scalar once to their lcm, so the sums see one level.
         scalars = [t.coefficient for t in self.terms] + [self.constant]
         level = lcm(*(t.character.level for t in self.terms),
                     *(v.level for v in scalars if isinstance(v, CycNum)))
@@ -257,15 +247,34 @@ class ClosedForm:
         def lift(v):
             return v.embed(level) if isinstance(v, CycNum) else v
 
-        total = QSeries.zero(order)
-        offset = lift(self.constant)
+        def rational(v) -> Fraction:
+            return v.to_rational() if isinstance(v, CycNum) else Fraction(v)
+
+        groups: dict[tuple[int, int], list[EisensteinTerm]] = {}
         for t in self.terms:
-            c = lift(t.coefficient)
-            series = f_series(t.weight, t.character, t.dilation, order)
-            total = total + series.map_coefficients(lift).scale(c)
-            if self.form == "G":
-                offset = offset + c * lift(g_constant(t.weight, t.character))
-        return total + offset
+            groups.setdefault((t.dilation, t.weight), []).append(t)
+        out = [Fraction(0)] * (order + 1)
+        offset = lift(self.constant)
+        for (g, w), terms in groups.items():
+            period = lcm(*(t.character.modulus for t in terms))
+            table = [Fraction(0)] * period
+            for t in terms:
+                c = lift(t.coefficient)
+                chi = t.character
+                row = [c * lift(v) if v else 0 for v in chi.values]
+                for m in range(period):
+                    table[m] = table[m] + row[m % chi.modulus]
+                if self.form == "G":
+                    offset = offset + c * lift(g_constant(w, chi))
+            table = [rational(v) for v in table]
+            for m in range(1, order // g + 1):
+                v = table[m % period]
+                if v:
+                    v = v * m ** (w - 1)
+                    for e in range(m * g, order + 1, m * g):
+                        out[e] += v
+        out[0] += rational(offset)
+        return QSeries(out, order)
 
     def to_json(self) -> dict:
         return {
@@ -376,22 +385,16 @@ def conjugate_relation_violations(inp: AdmissibleInput) -> list[tuple]:
     """Tuples (j, ell, c, c') where the weight coefficient c' = conj(c) at
     the conjugate pole zeta_N^{j} breaks c' = (-1)^ell c.  The relation holds
     only because Q satisfies the reflection rule, and the closed form relies
-    on it, so violations are surfaced rather than silently absorbed."""
+    on it, so violations are surfaced rather than silently absorbed.  At
+    N <= 2 the one pole is real, so the relation says that the odd-weight
+    coefficients vanish."""
     p = c_coefficients(pfd_coefficients(inp))
-    if inp.N <= 2:
-        return []
     bad = []
     for (j, ell), c in p.c.items():
         c_bar = c.conjugate()
         if c_bar != c * (-1) ** ell:
             bad.append((j, ell, c, c_bar))
     return bad
-
-
-def closed_form_series(inp: AdmissibleInput, order: int) -> QSeries:
-    """Evaluate the closed form; for N >= 3 the cyclotomic parts must cancel,
-    and the result is returned with plain rational coefficients."""
-    return closed_form(inp).evaluate(order).to_rational()
 
 
 def admissible_polynomials(n: int, k: int) -> list[Polynomial]:

@@ -149,21 +149,6 @@ class QSeries:
             out[n] = -inv0 * acc
         return QSeries(out, self.order)
 
-    def map_coefficients(self, fn) -> "QSeries":
-        return QSeries([fn(c) for c in self.coeffs], self.order)
-
-    def to_rational(self) -> "QSeries":
-        """Assert every coefficient is rational and collapse to Fractions."""
-        out = []
-        for c in self.coeffs:
-            out.append(c.to_rational() if isinstance(c, CycNum) else Fraction(c))
-        return QSeries(out, self.order)
-
-    def is_rational(self) -> bool:
-        return all(
-            (not isinstance(c, CycNum)) or c.is_rational() for c in self.coeffs
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented

@@ -1,15 +1,18 @@
 """Shared corpus construction and slow oracles for the test suite."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from cyclomac import (
     AdmissibleInput,
+    CycNum,
     MacMahonSpec,
     QSeries,
     admissible_polynomials,
     cyclotomic_polynomial,
     euler_phi,
+    f_series,
+    g_constant,
     pole_exponents,
     weight_series,
     zeta,
@@ -107,3 +110,26 @@ def verify_reconstruction(p, order: int | None = None) -> bool:
     if order is None:
         order = 4 * p.input.phi_times_k()
     return reconstruct_series(p, order) == rational_function_series(p.input, order)
+
+
+def evaluate_term_by_term(cf, order: int) -> QSeries:
+    """A closed form's series as the sum over its terms of coefficient *
+    f_series, plus the constant and, in the G-form, each term's completing
+    constant; every scalar is lifted to the lcm of all levels first.  The
+    coefficients stay CycNums wherever a term brings one."""
+    scalars = [t.coefficient for t in cf.terms] + [cf.constant]
+    level = lcm(*(t.character.level for t in cf.terms),
+                *(v.level for v in scalars if isinstance(v, CycNum)))
+
+    def lift(v):
+        return v.embed(level) if isinstance(v, CycNum) else v
+
+    total = QSeries.zero(order)
+    offset = lift(cf.constant)
+    for t in cf.terms:
+        c = lift(t.coefficient)
+        series = f_series(t.weight, t.character, t.dilation, order)
+        total = total + QSeries([lift(v) for v in series.coeffs], order).scale(c)
+        if cf.form == "G":
+            offset = offset + c * lift(g_constant(t.weight, t.character))
+    return total + offset

@@ -9,9 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclomac import cli, pfdform
+from cyclomac import (
+    ClosedForm,
+    EisensteinTerm,
+    cli,
+    enumerate_characters,
+    pfdform,
+)
 from cyclomac.cli import (
+    MAX_DEGREE_BOUND,
     MAX_EXPONENT,
+    MAX_K,
     MAX_N,
     MAX_ORDER,
     MAX_T,
@@ -365,11 +373,35 @@ def test_sweep_expands_each_input_once(capsys):
         "--format", "json",
     )
     assert code == 0
-    cyclotomic = [i for i in json.loads(out)["items"] if i["N"] >= 3]
+    items = json.loads(out)["items"]
+    assert {i["N"] for i in items} >= {1, 2, 3}
     info = pfdform._pole_taylor.cache_info()
-    # closed_form and conjugate_relation_violations share one expansion.
-    assert info.misses == len(cyclotomic) > 0
-    assert info.hits == len(cyclotomic)
+    # closed_form and conjugate_relation_violations share one expansion, at
+    # the rational poles N = 1, 2 as at every other level.
+    assert info.misses == len(items) > 0
+    assert info.hits == len(items)
+
+
+def test_sweep_reports_a_closed_form_that_is_not_rational(capsys, monkeypatch):
+    # A lone weight-1 term on a character mod 5 with chi(2) = zeta_4.
+    term = EisensteinTerm(weight=1, character=enumerate_characters(5)[1],
+                          dilation=1, coefficient=Fraction(1))
+    monkeypatch.setattr(
+        cli, "closed_form",
+        lambda inp: ClosedForm(inp, "F", (term,), Fraction(0)),
+    )
+    code, out, _ = run_cli(
+        capsys, "sweep", "--max-N", "4", "--max-k", "1", "--order", "10",
+        "--format", "json",
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "mismatch"
+    assert report["items"]
+    for item in report["items"]:
+        assert item["coefficients_rational"] is False
+        assert item["ok"] is False
+        assert item["certificate"]["match"] is False
 
 
 @pytest.mark.parametrize("argv, clause", [
@@ -383,8 +415,17 @@ def test_sweep_expands_each_input_once(capsys):
     (["closed-form", "--N", "20000", "--k", "1", "--Q", "x"], "parameter bound"),
     (["sweep", "--max-N", "0"], "positive parameters"),
     (["sweep", "--max-N", str(MAX_N + 1)], "parameter bound"),
-    (["closed-form", "--N", "3", "--k", "3000000", "--Q", "x"],
+    (["closed-form", "--N", "3", "--k", str(MAX_K), "--Q", "x"],
      "functional equation"),
+    (["verify", "--N", "3", "--k", "0", "--Q", "x"], "positive parameters"),
+    (["closed-form", "--N", "3", "--k", str(MAX_K + 1), "--Q", "x"],
+     "parameter bound"),
+    (["closed-form", "--N", "3", "--k", "3000000", "--Q", "x"],
+     "parameter bound"),
+    (["sweep", "--max-k", "0"], "positive parameters"),
+    (["sweep", "--max-k", str(MAX_K + 1)], "parameter bound"),
+    (["sweep", "--degree-bound", "0"], "positive parameters"),
+    (["sweep", "--degree-bound", str(MAX_DEGREE_BOUND + 1)], "parameter bound"),
 ])
 def test_bad_parameters_exit_two_before_any_computation(capsys, monkeypatch,
                                                         argv, clause):
@@ -422,7 +463,7 @@ def test_zero_numerator_has_an_empty_closed_form(capsys, n):
 # Out-of-range values per flag; each fuzzed argv breaks at most one flag.
 _BAD_VALUES = {
     "--N": [0, -7, MAX_N + 1],
-    "--k": [0, -2],
+    "--k": [0, -2, MAX_K + 1],
     "--t": [0, -7, MAX_T + 1],
     "--order": [0, -1, MAX_ORDER + 1],
 }

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,17 +7,20 @@ import pytest
 from cyclomac import pfdform
 from cyclomac import (
     AdmissibleInput,
+    ClosedForm,
     DegreeTooLargeError,
+    EisensteinTerm,
     NonzeroConstantTermError,
+    NotRationalError,
     Polynomial,
     QSeries,
     SymmetryViolationError,
     admissible_polynomials,
     c_coefficients,
     closed_form,
-    closed_form_series,
     conjugate_relation_violations,
     cyclotomic_polynomial,
+    enumerate_characters,
     euler_phi,
     f_series,
     pfd_coefficients,
@@ -28,6 +32,7 @@ from cyclomac import (
 )
 from cyclomac.field import maybe_rational
 from helpers import (
+    evaluate_term_by_term,
     rational_function_series,
     reconstruct_series,
     sweep_inputs,
@@ -234,7 +239,7 @@ def test_closed_form_level_one_is_divisor_sum():
     assert len(cf.terms) == 1
     t = cf.terms[0]
     assert (t.weight, t.dilation, t.coefficient) == (2, 1, Fraction(1))
-    series = cf.evaluate(10).to_rational()
+    series = cf.evaluate(10)
     sigma = [0] + [sum(d for d in range(1, n + 1) if n % d == 0)
                    for n in range(1, 11)]
     assert list(series.coeffs) == sigma
@@ -246,7 +251,7 @@ def test_closed_form_level_four_matches_reference_combination():
     manual = f_series(2, trivial_character(), 2, order) - f_series(
         2, trivial_character(), 4, order
     ).scale(Fraction(4))
-    assert cf.evaluate(order).to_rational() == manual
+    assert cf.evaluate(order) == manual
     gf = to_g_form(cf)
     assert maybe_rational(gf.constant) == Fraction(-1, 8)
 
@@ -274,17 +279,54 @@ def test_closed_form_rationality_on_slice(full_sweep):
     for inp in full_sweep:
         if inp.N < 3 or inp.N > 6:
             continue
-        assert closed_form(inp).evaluate(20).is_rational(), (inp.N, inp.k)
+        try:
+            closed_form(inp).evaluate(20)
+        except NotRationalError:
+            pytest.fail(f"not rational at N={inp.N}, k={inp.k}")
 
 
-def test_closed_form_series_matches_brute_on_slice():
+def test_closed_form_evaluation_matches_brute_on_slice():
     from cyclomac import MacMahonSpec, brute_force
 
     for inp in sweep_inputs(max_n=6, degree_bound=6):
         order = 30
-        assert closed_form_series(inp, order) == brute_force(
+        assert closed_form(inp).evaluate(order) == brute_force(
             MacMahonSpec(1, inp.N, inp.k, inp.Q), order
         ), (inp.N, inp.k, str(inp.Q))
+
+
+@pytest.mark.parametrize("inp", sweep_inputs(max_n=12, degree_bound=8),
+                         ids=lambda i: f"N{i.N}k{i.k}{i.Q}")
+def test_evaluate_matches_term_by_term_sum(inp):
+    cf = closed_form(inp)
+    for form in (cf, to_g_form(cf)):
+        series = form.evaluate(12)
+        assert series == evaluate_term_by_term(form, 12), form.form
+        assert all(type(c) is Fraction for c in series.coeffs)
+
+
+def test_evaluate_raises_on_a_group_that_is_not_rational():
+    chi = enumerate_characters(5)[1]
+    assert chi.value(2) == zeta(4)
+    term = EisensteinTerm(weight=1, character=chi, dilation=1,
+                          coefficient=Fraction(1))
+    cf = ClosedForm(AdmissibleInput(5, 1, X2), "F", (term,), Fraction(0))
+    # chi(1) = 1 is rational: the check covers every residue, not only the
+    # ones that reach the truncation order.
+    with pytest.raises(NotRationalError):
+        cf.evaluate(1)
+
+
+def test_huge_k_is_rejected_without_a_dense_mirror():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SymmetryViolationError):
+            validate(AdmissibleInput(3, 3_000_000, X))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A coefficient list of length phi(N) k would take far more.
+    assert peak < 5_000_000
 
 
 def test_admissible_corpus_is_valid_and_sized():

@@ -190,9 +190,3 @@ def test_json_round_trip_cyclotomic():
     assert data["level"] == 12
     restored = QSeries.from_json(data)
     assert restored == s
-
-
-def test_to_rational_collapses_cyclotomic_values():
-    s = QSeries([zeta(3) * 0 + Fraction(2, 3), zeta(5) ** 5], 1)
-    r = s.to_rational()
-    assert list(r.coeffs) == [Fraction(2, 3), Fraction(1)]

@@ -12,8 +12,11 @@ verify runs at N = 15 and 21 print certificates whose closed forms evaluate
 at levels 60 and 42, where the characters of each (dilation, weight) group
 must add up to rational coefficients; the runs at N = 1 and 2 (t = 2 and 3,
 with the isobaric closed form) and the N = 1, k = 4 closed form pin the two
-rational poles.  The recorded digests must only change when the report
-format is meant to change.
+rational poles.  Four more closed forms pin the character tables: N = 13
+(prime level 156 = lcm(13, 12)), N = 16 (the 2-power group {+-1} x <5>, whose
+primitive characters live at smaller moduli with rescaled levels), N = 20
+(mixed conductors) and N = 24 (three generators of order 2).  The recorded
+digests must only change when the report format is meant to change.
 """
 
 import hashlib
@@ -60,6 +63,16 @@ GOLDEN = [
      "0e1762b1163b0e441af567552444b0a6a2ccac52f94efd39d6ec566ea7b652ae"),
     (["closed-form", "--N", "1", "--k", "4", "--Q", "x + x^3", "--format", "json"],
      "80694c613ffeeddbc665802cb0e6f4c0dc81ffbcaa0213c905be0ca84a8c071b"),
+    (["closed-form", "--N", "13", "--k", "1", "--Q", "x^6", "--format", "json"],
+     "e937fae4661e3ea34ed49edc659ceddb7edb8a5bb2c4d3e84b3ed86fa3d61009"),
+    (["closed-form", "--N", "16", "--k", "1", "--Q", "x^4", "--format", "json"],
+     "f0e24f00123f06c8385c1d0c7f06e99b3bee193c3a6da3019fcc14d0e2adb701"),
+    (["closed-form", "--N", "20", "--k", "1", "--Q", "x^2 + x^6", "--format",
+      "json"],
+     "7ada6a6ee0df0c64699713da86526e782936122c6a797f2fdbaff103613909ce"),
+    (["closed-form", "--N", "24", "--k", "1", "--Q", "x + x^7", "--format",
+      "json"],
+     "5f6a35d00f329f54d70db49eb027eaac631d95a1351a8a93327cffb9e3312fb6"),
 ]
 
 

@@ -1,16 +1,16 @@
-"""Dirichlet characters: enumeration, conductors, Gauss sums, and the
-character expansion of powers of roots of unity.
+"""Dirichlet characters: enumeration, conductors, primitive characters and
+Gauss sums.
 
 Characters modulo N are built from the cyclic decomposition of the unit group
 (Z/N)^x: CRT over prime powers, primitive roots at odd prime powers, and
 {-1} x <5> at powers of two.  All values of all characters modulo N live at
-the common cyclotomic level e = exponent of (Z/N)^x, so sums over characters
-never juggle levels.
+the common cyclotomic level e = exponent of (Z/N)^x, and a character stores
+each value as an exponent of zeta_e, so a sum over character values is one
+`CycNum.from_exponents` reduction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -76,33 +76,36 @@ def _unit_group(n: int) -> tuple[tuple[int, ...], tuple[int, ...], dict]:
 
 
 class DirichletCharacter:
-    """A Dirichlet character modulo N with its full value table.
+    """A Dirichlet character modulo N with its table of value exponents.
 
-    `values[a]` is chi(a mod N) as a CycNum at the common level, zero on
-    residues sharing a factor with N.  `exponents` are the images of the
-    group generators, expressed as exponents of a primitive root of unity
-    of each generator's order; they determine the stable enumeration index.
+    `table[a]` is the integer r with chi(a) = zeta_level^r, 0 <= r < level,
+    or None on residues sharing a factor with N; `level` is the exponent of
+    (Z/N)^x.  `exponents` are the images of the group generators, expressed
+    as exponents of a primitive root of unity of each generator's order;
+    they determine the stable enumeration index.
     """
 
     def __init__(self, modulus: int, index: int, exponents: tuple[int, ...],
-                 level: int, values: tuple[CycNum, ...]):
+                 level: int, table: tuple[int | None, ...]):
         self.modulus = modulus
         self.index = index
         self.exponents = exponents
         self.level = level
-        self.values = values
+        self.table = table
         self.conductor = self._conductor()
 
     def value(self, a: int) -> CycNum:
-        return self.values[a % self.modulus]
+        """chi(a) as a CycNum at the character's level."""
+        r = self.table[a % self.modulus]
+        return CycNum.zero(self.level) if r is None else zeta(self.level, r)
 
     @property
     def parity(self) -> int:
         """chi(-1), as a plain integer +1 or -1."""
-        v = self.value(self.modulus - 1)
-        if v == 1:
+        r = self.table[-1]
+        if r == 0:
             return 1
-        if v == -1:
+        if 2 * r == self.level:
             return -1
         raise ArithmeticError("character value at -1 is not a sign")
 
@@ -116,10 +119,9 @@ class DirichletCharacter:
 
     def _conductor(self) -> int:
         n = self.modulus
-        units = [a for a in range(n) if gcd(a, n) == 1]
-        one = CycNum.one(self.level)
         for f in divisors(n):
-            if all(self.values[a] == one for a in units if a % f == 1 % f):
+            if all(r == 0 for a, r in enumerate(self.table)
+                   if r is not None and a % f == 1 % f):
                 return f
         return n
 
@@ -132,7 +134,7 @@ class DirichletCharacter:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
-        return self.modulus == other.modulus and self.values == other.values
+        return self.modulus == other.modulus and self.table == other.table
 
     def __hash__(self):
         return hash((self.modulus, self.index))
@@ -158,17 +160,13 @@ def enumerate_characters(n: int) -> tuple[DirichletCharacter, ...]:
         raise ValueError("modulus must be a positive integer")
     gens, orders, dlog = _unit_group(n)
     level = lcm(*orders) if orders else 1
-    zeta_pow = [zeta(level, r) for r in range(level)]
-    zero = CycNum.zero(level)
 
     def char_for(exponents: tuple[int, ...], index: int) -> DirichletCharacter:
-        values = [zero] * n
+        table: list[int | None] = [None] * n
         for u, exps in dlog.items():
-            r = 0
-            for t, x, d in zip(exponents, exps, orders):
-                r = (r + t * x * (level // d)) % level
-            values[u] = zeta_pow[r]
-        return DirichletCharacter(n, index, exponents, level, tuple(values))
+            table[u] = sum(t * x * (level // d)
+                           for t, x, d in zip(exponents, exps, orders)) % level
+        return DirichletCharacter(n, index, exponents, level, tuple(table))
 
     out: list[DirichletCharacter] = []
 
@@ -193,39 +191,15 @@ def principal_character(n: int) -> DirichletCharacter:
 
 @lru_cache(maxsize=None)
 def gauss_sum(chi: DirichletCharacter) -> CycNum:
-    """sum over a mod N of chi(a) * zeta_N^a, at level lcm(N, value level);
+    """sum over a mod N of chi(a) * zeta_N^a, at level L = lcm(N, value
+    level): one reduction of the exponents r(a) * L/level + a * L/N;
     computed once per character."""
     n = chi.modulus
     level = lcm(n, chi.level)
-    step = level // n
-    total = CycNum.zero(level)
-    for a in range(1, n + 1):
-        v = chi.value(a)
-        if v.is_zero():
-            continue
-        total = total + v.embed(level) * zeta(level, step * a)
-    return total
-
-
-def zeta_power_expand(n: int, m: int) -> dict[int, CycNum]:
-    """Per-character summands whose total is zeta_n^m.
-
-    With g = gcd(n, m), returns {character index mod n/g: G(chi) *
-    conj(chi)(m/g) / phi(n/g)}; the values sum to zeta_n^m exactly.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("arguments must be positive integers")
-    g = gcd(n, m)
-    n_red = n // g
-    m_red = m // g
-    scale = Fraction(1, euler_phi(n_red))
-    out: dict[int, CycNum] = {}
-    for chi in enumerate_characters(n_red):
-        term = gauss_sum(chi) * chi.conjugate().value(m_red).embed(
-            lcm(n_red, chi.level)
-        )
-        out[chi.index] = term * scale
-    return out
+    return CycNum.from_exponents(level, (
+        (r * (level // chi.level) + a * (level // n), 1)
+        for a, r in enumerate(chi.table) if r is not None
+    ))
 
 
 def induced_character(chi: DirichletCharacter, m: int) -> DirichletCharacter:
@@ -235,15 +209,14 @@ def induced_character(chi: DirichletCharacter, m: int) -> DirichletCharacter:
             f"modulus {chi.modulus} does not divide the induction target {m}"
         )
     candidates = enumerate_characters(m)
-    target_level = candidates[0].level
-    wanted = [
-        chi.value(a).embed(lcm(chi.level, target_level)) if gcd(a, m) == 1 else None
+    # The value level of chi divides the exponent of (Z/m)^x.
+    step = candidates[0].level // chi.level
+    wanted = tuple(
+        chi.table[a % chi.modulus] * step if gcd(a, m) == 1 else None
         for a in range(m)
-    ]
+    )
     for cand in candidates:
-        if all(
-            w is None or cand.values[a] == w for a, w in enumerate(wanted)
-        ):
+        if cand.table == wanted:
             return cand
     raise ArithmeticError("induction produced no matching character")
 
@@ -251,8 +224,10 @@ def induced_character(chi: DirichletCharacter, m: int) -> DirichletCharacter:
 def primitive_character(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character that induces chi (modulo chi's conductor)."""
     f = chi.conductor
-    units = [a for a in range(chi.modulus) if gcd(a, chi.modulus) == 1]
     for psi in enumerate_characters(f):
-        if all(psi.value(a) == chi.value(a) for a in units):
+        # psi's value level divides chi's, so compare rescaled exponents.
+        step = chi.level // psi.level
+        if all(r is None or psi.table[a % f] * step == r
+               for a, r in enumerate(chi.table)):
             return psi
     raise ArithmeticError("no primitive character found below the conductor")

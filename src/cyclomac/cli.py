@@ -3,7 +3,7 @@ expansion, closed-form printing, identity verification, the four reference
 reproductions, and the invariant sweep.
 
 Exit codes: 0 when every requested certificate matches, 1 on a mismatch,
-2 on invalid input.
+2 on invalid input, including an --output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -76,6 +76,10 @@ class OrderBoundError(ValidationError):
 class ParameterBoundError(ValidationError):
     clause = (f"parameter bound: N, max-N <= {MAX_N}, k, max-k <= {MAX_K}, "
               f"t <= {MAX_T}, degree-bound <= {MAX_DEGREE_BOUND}")
+
+
+class OutputPathError(ValidationError):
+    clause = "output: --output must name a writable file"
 
 
 class PolynomialSyntaxError(ValueError):
@@ -242,8 +246,14 @@ def _emit(report: dict, args) -> None:
     else:
         text = _text_report(report)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputPathError(
+                f"{OutputPathError.clause}: cannot write {args.output} "
+                f"({exc.strerror})"
+            ) from None
     else:
         sys.stdout.write(text)
 

@@ -11,6 +11,7 @@ from functools import lru_cache
 from math import comb as binomial, factorial  # noqa: F401  (re-exported API)
 from typing import TYPE_CHECKING
 
+from .field import CycNum
 from .polynomial import Polynomial
 
 if TYPE_CHECKING:
@@ -157,12 +158,15 @@ def gen_bernoulli(k: int, chi: "DirichletCharacter"):
     if k < 0:
         raise ValueError("index must be nonnegative")
     f = chi.modulus
-    total = Fraction(0)
-    for a in range(1, f + 1):
-        v = chi.value(a)
-        if v:
-            x = Fraction(a, f)
-            total = total + v * sum(
-                binomial(k, j) * _bernoulli(j) * x ** (k - j) for j in range(k + 1)
-            )
+    table = chi.table
+
+    def bernoulli_poly(x: Fraction) -> Fraction:
+        return sum(binomial(k, j) * _bernoulli(j) * x ** (k - j)
+                   for j in range(k + 1))
+
+    # chi(a) = zeta_level^r(a): the sum is one reduction at the value level.
+    total = CycNum.from_exponents(chi.level, (
+        (table[a % f], bernoulli_poly(Fraction(a, f)))
+        for a in range(1, f + 1) if table[a % f] is not None
+    ))
     return total * Fraction(f) ** (k - 1)

@@ -39,23 +39,31 @@ def _phi(level: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _phi_coeffs(level: int) -> tuple[Fraction, ...]:
-    return cyclotomic_polynomial(level).coeffs
+def _phi_terms(level: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (i, coefficient) pairs of Phi_level below its leading
+    term.  The coefficients are integers, and most are zero when p^2
+    divides the level: then Phi_L(x) = Phi_{L/p}(x^p)."""
+    return tuple((i, int(m)) for i, m in
+                 enumerate(cyclotomic_polynomial(level).coeffs[:-1]) if m)
 
 
-def _reduce(level: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
-    """Remainder of sum(dense[i] x^i) modulo Phi_level, padded to phi(level)."""
+def _reduce(level: int, dense: list) -> tuple[Fraction, ...]:
+    """Remainder of sum(dense[i] x^i) modulo Phi_level, padded to phi(level).
+    Phi_level has integer coefficients, so the division runs on integer
+    numerators over the common denominator of the entries."""
     phi = _phi(level)
-    mod = _phi_coeffs(level)
-    rem = list(dense)
+    terms = _phi_terms(level)
+    den = lcm(*(c.denominator for c in dense))
+    rem = [c.numerator * (den // c.denominator) for c in dense]
     for top in range(len(rem) - 1, phi - 1, -1):
         c = rem[top]
         if c:
-            # Phi is monic: subtract c * x^(top-phi) * Phi.
+            # Phi is monic: subtract c * x^(top-phi) * Phi; rem[top] itself
+            # is dropped below.
             shift = top - phi
-            for i, m in enumerate(mod):
+            for i, m in terms:
                 rem[shift + i] -= c * m
-    rem = rem[:phi]
+    rem = [Fraction(c, den) for c in rem[:phi]]
     rem.extend([Fraction(0)] * (phi - len(rem)))
     return tuple(rem)
 
@@ -79,11 +87,12 @@ class CycNum:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_exponents(cls, level: int, exponent_map: dict) -> "CycNum":
-        """sum(c_e * zeta_level^e) with arbitrary integer exponents e."""
+    def from_exponents(cls, level: int, terms) -> "CycNum":
+        """sum(c * zeta_level^e) over a dict {e: c} or an iterable of (e, c)
+        pairs, with arbitrary integer exponents e; repeated exponents add."""
         dense = [Fraction(0)] * level
-        for e, c in exponent_map.items():
-            dense[e % level] += Fraction(c)
+        for e, c in terms.items() if isinstance(terms, dict) else terms:
+            dense[e % level] += c
         return cls(level, _reduce(level, dense))
 
     @classmethod

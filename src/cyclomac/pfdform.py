@@ -261,7 +261,9 @@ class ClosedForm:
             for t in terms:
                 c = lift(t.coefficient)
                 chi = t.character
-                row = [c * lift(v) if v else 0 for v in chi.values]
+                step = level // chi.level
+                row = [0 if r is None else c * zeta(level, r * step)
+                       for r in chi.table]
                 for m in range(period):
                     table[m] = table[m] + row[m % chi.modulus]
                 if self.form == "G":
@@ -323,31 +325,34 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
     acc: dict = {}
     if n == 1:
         for ell in range(2, k + 1, 2):
-            _merge_terms(acc, (1, one, ell), p.c[(1, ell)])
+            acc[(1, one, ell)] = p.c[(1, ell)]
     elif n == 2:
         for ell in range(2, k + 1, 2):
             c = p.c[(1, ell)]
-            _merge_terms(acc, (2, one, ell), c * 2**ell)
-            _merge_terms(acc, (1, one, ell), -c)
+            acc[(2, one, ell)] = c * 2**ell
+            acc[(1, one, ell)] = -c
     else:
-        for j in pole_exponents(n):
-            for ell in range(1, k + 1):
-                c = p.c[(j, ell)]
-                if not c:
-                    continue
-                want_parity = (-1) ** ell
-                for g in divisors(n):
-                    reduced = n // g
-                    scale = Fraction(2 * g ** (ell - 1), euler_phi(reduced))
-                    for chi in enumerate_characters(reduced):
-                        if chi.parity != want_parity:
-                            continue
-                        chi_bar = chi.conjugate()
-                        # Pole data (level N) meets the Gauss sum (level
-                        # lcm(N/g, chi.level)) and chi_bar(j) (chi.level).
-                        g_sum, pole = coerce_pair(gauss_sum(chi), c * scale)
-                        coef = g_sum * pole * chi_bar.value(j).embed(g_sum.level)
-                        _merge_terms(acc, (g, chi_bar, ell), coef)
+        poles = pole_exponents(n)
+        for ell in range(1, k + 1):
+            cs = [(j, p.c[(j, ell)]) for j in poles]
+            want_parity = (-1) ** ell
+            for g in divisors(n):
+                reduced = n // g
+                scale = Fraction(2 * g ** (ell - 1), euler_phi(reduced))
+                for chi in enumerate_characters(reduced):
+                    if chi.parity != want_parity:
+                        continue
+                    # The pole data (level N) summed against chi_bar(j) =
+                    # zeta_e^(-r(j)) is one reduction at L = lcm(N, e); then
+                    # one product with the Gauss sum, embedded at L.
+                    level = lcm(n, chi.level)
+                    step_n, step_e = level // n, level // chi.level
+                    pole_sum = CycNum.from_exponents(level, (
+                        (i * step_n - chi.table[j % reduced] * step_e, v)
+                        for j, c in cs for i, v in enumerate(c.coeffs) if v
+                    ))
+                    acc[(g, chi.conjugate(), ell)] = (
+                        gauss_sum(chi).embed(level) * (pole_sum * scale))
     return ClosedForm(inp, "F", _collect(acc), Fraction(0))
 
 

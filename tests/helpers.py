@@ -1,7 +1,8 @@
 """Shared corpus construction and slow oracles for the test suite."""
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from functools import lru_cache
+from math import comb, factorial, gcd, lcm
 
 from cyclomac import (
     AdmissibleInput,
@@ -9,14 +10,20 @@ from cyclomac import (
     MacMahonSpec,
     QSeries,
     admissible_polynomials,
+    c_coefficients,
     cyclotomic_polynomial,
+    divisors,
+    enumerate_characters,
     euler_phi,
     f_series,
     g_constant,
+    gauss_sum,
+    pfd_coefficients,
     pole_exponents,
     weight_series,
     zeta,
 )
+from cyclomac.field import coerce_pair
 
 
 def sweep_inputs(max_n: int = 12, max_k: int = 4, degree_bound: int = 12):
@@ -29,6 +36,75 @@ def sweep_inputs(max_n: int = 12, max_k: int = 4, degree_bound: int = 12):
                 continue
             for q in admissible_polynomials(n, k):
                 out.append(AdmissibleInput(n, k, q))
+    return out
+
+
+@lru_cache(maxsize=None)
+def gauss_sum_per_residue(chi) -> CycNum:
+    """sum over a mod N of chi(a) * zeta_N^a at level lcm(N, chi.level),
+    one embedded product per residue; an oracle for the one-reduction
+    `gauss_sum`."""
+    n = chi.modulus
+    level = lcm(n, chi.level)
+    step = level // n
+    total = CycNum.zero(level)
+    for a in range(1, n + 1):
+        v = chi.value(a)
+        if v.is_zero():
+            continue
+        total = total + v.embed(level) * zeta(level, step * a)
+    return total
+
+
+def closed_form_per_pole(inp: AdmissibleInput) -> dict:
+    """The F-form coefficients {(dilation, character, weight): coefficient}
+    for N >= 3 by the per-pole route: for each pole j, the Gauss sum times
+    the scaled weight coefficient c(j, ell) times conj(chi)(j), merged by
+    key; an oracle for `closed_form`, which sums over the poles first."""
+    n, k = inp.N, inp.k
+    p = c_coefficients(pfd_coefficients(inp))
+    acc: dict = {}
+    for j in pole_exponents(n):
+        for ell in range(1, k + 1):
+            c = p.c[(j, ell)]
+            if not c:
+                continue
+            for g in divisors(n):
+                reduced = n // g
+                scale = Fraction(2 * g ** (ell - 1), euler_phi(reduced))
+                for chi in enumerate_characters(reduced):
+                    if chi.parity != (-1) ** ell:
+                        continue
+                    chi_bar = chi.conjugate()
+                    g_sum, pole = coerce_pair(gauss_sum_per_residue(chi),
+                                              c * scale)
+                    coef = g_sum * pole * chi_bar.value(j).embed(g_sum.level)
+                    key = (g, chi_bar, ell)
+                    if key in acc:
+                        old, coef = coerce_pair(acc[key], coef)
+                        coef = old + coef
+                    acc[key] = coef
+    return {key: coef for key, coef in acc.items() if coef}
+
+
+def zeta_power_expand(n: int, m: int) -> dict[int, CycNum]:
+    """Per-character summands whose total is zeta_n^m.
+
+    With g = gcd(n, m), returns {character index mod n/g: G(chi) *
+    conj(chi)(m/g) / phi(n/g)}; the values sum to zeta_n^m exactly.
+    """
+    if n < 1 or m < 1:
+        raise ValueError("arguments must be positive integers")
+    g = gcd(n, m)
+    n_red = n // g
+    m_red = m // g
+    scale = Fraction(1, euler_phi(n_red))
+    out: dict[int, CycNum] = {}
+    for chi in enumerate_characters(n_red):
+        term = gauss_sum(chi) * chi.conjugate().value(m_red).embed(
+            lcm(n_red, chi.level)
+        )
+        out[chi.index] = term * scale
     return out
 
 

@@ -35,10 +35,9 @@ from cyclomac import (
     to_g_form,
     trivial_character,
     zeta,
-    zeta_power_expand,
 )
 from cyclomac.field import maybe_rational
-from helpers import nested_enumeration, sweep_inputs
+from helpers import nested_enumeration, sweep_inputs, zeta_power_expand
 
 X = Polynomial.monomial(1)
 X2 = Polynomial.monomial(2)

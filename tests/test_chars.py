@@ -14,8 +14,8 @@ from cyclomac import (
     principal_character,
     trivial_character,
     zeta,
-    zeta_power_expand,
 )
+from helpers import gauss_sum_per_residue, zeta_power_expand
 
 
 def units(n):
@@ -46,7 +46,7 @@ def test_modulus_eight_characters_all_real():
             v = chi.value(a)
             assert v.is_zero() or v == 1 or v == -1
     # brute-force: the four tables are distinct and multiplicative
-    tables = {tuple(str(v) for v in chi.values) for chi in chars}
+    tables = {tuple(str(chi.value(a)) for a in range(8)) for chi in chars}
     assert len(tables) == 4
 
 
@@ -56,8 +56,9 @@ def test_character_count_and_distinctness(n):
     assert len(chars) == euler_phi(n)
     seen = []
     for chi in chars:
-        assert chi.values not in seen
-        seen.append(chi.values)
+        values = [chi.value(a) for a in range(n)]
+        assert values not in seen
+        seen.append(values)
     assert chars[0].is_principal
 
 
@@ -119,6 +120,22 @@ def test_gauss_product_for_primitive_characters(n):
         g = gauss_sum(chi)
         gbar = gauss_sum(chi.conjugate())
         assert g * gbar == Fraction(chi.parity * n), (n, chi.index)
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 20, 21, 24])
+def test_character_census(n):
+    # The exponent tables against CycNum values: Gauss sums against one
+    # product per residue, parity against chi(-1), and the primitive
+    # character against chi on the units.
+    for chi in enumerate_characters(n):
+        g = gauss_sum(chi)
+        oracle = gauss_sum_per_residue(chi)
+        assert g.level == oracle.level and g == oracle, (n, chi.index)
+        assert chi.value(-1) == chi.parity, (n, chi.index)
+        psi = primitive_character(chi)
+        assert psi.modulus == chi.conductor and psi.is_primitive
+        for a in units(n):
+            assert psi.value(a) == chi.value(a), (n, chi.index, a)
 
 
 def test_power_expansion_single_character_case():

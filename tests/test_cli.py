@@ -257,6 +257,22 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["series"]["coefficients"][2] == "3"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_exits_two_with_clause(tmp_path, capsys, fmt, where):
+    target = tmp_path if where == "directory" else tmp_path / "absent" / "out"
+    code, out, err = run_cli(
+        capsys, "closed-form", "--N", "3", "--k", "1", "--Q", "x",
+        "--format", fmt, "--output", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert cli.OutputPathError.clause in err
+    if fmt == "json":
+        assert json.loads(err)["error"]["clause"] == cli.OutputPathError.clause
+
+
 def test_csv_rejected_for_cyclotomic_payload(capsys):
     code, _, err = run_cli(
         capsys, "closed-form", "--N", "4", "--k", "2", "--Q", "x^2",

@@ -32,6 +32,7 @@ from cyclomac import (
 )
 from cyclomac.field import maybe_rational
 from helpers import (
+    closed_form_per_pole,
     evaluate_term_by_term,
     rational_function_series,
     reconstruct_series,
@@ -303,6 +304,22 @@ def test_evaluate_matches_term_by_term_sum(inp):
         series = form.evaluate(12)
         assert series == evaluate_term_by_term(form, 12), form.form
         assert all(type(c) is Fraction for c in series.coeffs)
+
+
+@pytest.mark.parametrize("inp", [i for i in sweep_inputs(max_n=12, degree_bound=10)
+                                 if i.N >= 3],
+                         ids=lambda i: f"N{i.N}k{i.k}{i.Q}")
+def test_closed_form_matches_per_pole_route(inp):
+    # Summing the pole data against conj(chi)(j) before the one Gauss-sum
+    # product must give the same terms, at the same levels, as one product
+    # per pole.
+    terms = {(t.dilation, t.character, t.weight): t.coefficient
+             for t in closed_form(inp).terms}
+    oracle = closed_form_per_pole(inp)
+    assert set(terms) == set(oracle)
+    for key, coef in terms.items():
+        assert coef.level == oracle[key].level, key
+        assert coef == oracle[key], key
 
 
 def test_evaluate_raises_on_a_group_that_is_not_rational():

@@ -250,10 +250,7 @@ def _emit(report: dict, args) -> None:
             with open(args.output, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise OutputPathError(
-                f"{OutputPathError.clause}: cannot write {args.output} "
-                f"({exc.strerror})"
-            ) from None
+            raise OutputPathError(f"{OutputPathError.clause}: {exc}") from None
     else:
         sys.stdout.write(text)
 

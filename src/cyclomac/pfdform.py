@@ -332,15 +332,13 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
             acc[(2, one, ell)] = c * 2**ell
             acc[(1, one, ell)] = -c
     else:
-        poles = pole_exponents(n)
         for ell in range(1, k + 1):
-            cs = [(j, p.c[(j, ell)]) for j in poles]
-            want_parity = (-1) ** ell
+            cs = [(j, p.c[(j, ell)]) for j in pole_exponents(n)]
             for g in divisors(n):
                 reduced = n // g
                 scale = Fraction(2 * g ** (ell - 1), euler_phi(reduced))
                 for chi in enumerate_characters(reduced):
-                    if chi.parity != want_parity:
+                    if chi.parity != (-1) ** ell:
                         continue
                     # The pole data (level N) summed against chi_bar(j) =
                     # zeta_e^(-r(j)) is one reduction at L = lcm(N, e); then

@@ -15,7 +15,11 @@ with the isobaric closed form) and the N = 1, k = 4 closed form pin the two
 rational poles.  Four more closed forms pin the character tables: N = 13
 (prime level 156 = lcm(13, 12)), N = 16 (the 2-power group {+-1} x <5>, whose
 primitive characters live at smaller moduli with rescaled levels), N = 20
-(mixed conductors) and N = 24 (three generators of order 2).  The recorded
+(mixed conductors) and N = 24 (three generators of order 2).  Three more
+runs pin the scalar boundaries: `verify --N 35` evaluates its character
+tables at level 420, the N = 35 closed form in text format prints every
+coefficient and the constant through `str`, and the N = 7, k = 5 expand
+inverts a high power of Phi_N with a non-integral numerator.  The recorded
 digests must only change when the report format is meant to change.
 """
 
@@ -73,6 +77,15 @@ GOLDEN = [
     (["closed-form", "--N", "24", "--k", "1", "--Q", "x + x^7", "--format",
       "json"],
      "5f6a35d00f329f54d70db49eb027eaac631d95a1351a8a93327cffb9e3312fb6"),
+    (["verify", "--N", "35", "--k", "1", "--Q", "x^12", "--order", "60",
+      "--format", "json"],
+     "2e99a2c6c9c1fac12f6ece5c3d2d4e7003809169729aca95649ec8e816a96a45"),
+    (["closed-form", "--N", "35", "--k", "1", "--Q", "x^12", "--format",
+      "text"],
+     "7efb2a9e3ceadaa134deae5a4079c85152f2d4265a55d50867fd4c03a672903e"),
+    (["expand", "--N", "7", "--k", "5", "--Q", "x - 1/3*x^4", "--t", "2",
+      "--order", "80", "--format", "json"],
+     "693db830bb2b8ad832e7d01c358d6fb80f6748a3e6c5116733567ad2a94c3105"),
 ]
 
 

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .comb import euler_phi
-from .field import NotRationalError, value_str
+from .field import NotRationalError
 from .macmahon import (
     Certificate,
     MacMahonSpec,
@@ -228,6 +228,14 @@ def _check_parameters(args) -> None:
             raise ParameterBoundError(f"{name} = {value} exceeds the cap {cap}")
 
 
+def _check_output(path) -> None:
+    """--output must name a file in an existing directory; checked before
+    any command runs.  `_emit` reports what only the write can reveal."""
+    if path is not None and (os.path.isdir(path) or
+                             not os.path.isdir(os.path.dirname(path) or ".")):
+        raise OutputPathError(f"{path!r} is a directory or lies in none")
+
+
 def _series_csv(series_json: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -250,7 +258,7 @@ def _emit(report: dict, args) -> None:
             with open(args.output, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise OutputPathError(f"{OutputPathError.clause}: {exc}") from None
+            raise OutputPathError(str(exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -261,7 +269,7 @@ def _text_report(report: dict) -> str:
     if params:
         lines.append("params: " + ", ".join(f"{k}={v}" for k, v in params.items()))
     series = report.get("series")
-    if series is not None and "level" not in series:
+    if series is not None:
         for e, c in enumerate(series["coefficients"]):
             lines.append(f"q^{e}: {c}")
     for key in ("closed_form", "g_form"):
@@ -409,7 +417,7 @@ def _cmd_examples(args) -> int:
                 "N": case["N"],
                 "k": case["k"],
                 "Q": format_polynomial(q_poly),
-                "g_constant": value_str(gf.constant),
+                "g_constant": str(gf.constant),
                 "expected_constant": str(case["constant"]),
                 "certificate": cert.to_json(),
                 "ok": ok,
@@ -557,6 +565,7 @@ def main(argv=None) -> int:
     try:
         args.order = _resolve_order(args)
         _check_parameters(args)
+        _check_output(args.output)
         if args.format == "csv" and args.command != "expand":
             raise CsvFormatError(
                 f"CSV output carries a rational series; {args.command} "
@@ -564,18 +573,16 @@ def main(argv=None) -> int:
             )
         return args.fn(args)
     except (ValidationError, PolynomialSyntaxError) as exc:
-        message = {
-            "error": {
-                "type": type(exc).__name__,
-                "clause": getattr(exc, "clause", "syntax"),
-                "message": str(exc),
-            }
+        error = {
+            "type": type(exc).__name__,
+            "clause": getattr(exc, "clause", "syntax"),
+            "message": str(exc),
         }
         if args.format == "json":
-            sys.stderr.write(json.dumps(message, indent=2) + "\n")
+            sys.stderr.write(json.dumps({"error": error}, indent=2) + "\n")
         else:
             sys.stderr.write(
-                f"error [{message['error']['type']}]: {exc}\n"
+                f"error [{error['type']}] {error['clause']}: {exc}\n"
             )
         return 2
 

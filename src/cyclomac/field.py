@@ -4,8 +4,8 @@ Elements are stored in the power basis {zeta_L^i : 0 <= i < phi(L)}, reduced
 modulo the L-th cyclotomic polynomial, so equality at a fixed level is a plain
 coefficient comparison.  Binary operations accept ints, Fractions and
 CycNums at the same level, and raise `LevelMismatchError` on two different
-levels; `coerce_pair` and `common_level` embed a pair into Q(zeta_lcm) where
-a caller means to mix levels.  Values are immutable.
+levels; `coerce_pair` embeds a pair into Q(zeta_lcm) where a caller means to
+mix levels.  Values are immutable.
 """
 
 from __future__ import annotations
@@ -274,7 +274,7 @@ class CycNum:
             return NotImplemented
         if other.level == self.level:
             return self.coeffs == other.coeffs
-        a, b = common_level(self, other)
+        a, b = coerce_pair(self, other)
         return a.coeffs == b.coeffs
 
     # Equal values can live at different levels, so no level-based hash can
@@ -340,43 +340,10 @@ def zeta(level: int, exponent: int = 1) -> CycNum:
     return CycNum.from_exponents(level, {exponent: 1})
 
 
-def common_level(a: CycNum, b: CycNum) -> tuple[CycNum, CycNum]:
-    """Embed both operands into Q(zeta_lcm) so binary operations apply."""
+def coerce_pair(a: CycNum, b: CycNum) -> tuple[CycNum, CycNum]:
+    """Embed both operands into Q(zeta_lcm) so binary operations apply; the
+    one place where two levels meet."""
+    if a.level == b.level:
+        return a, b
     target = lcm(a.level, b.level)
     return a.embed(target), b.embed(target)
-
-
-# -- level lifting and display --------------------------------------
-#
-# Fractions and same-level CycNums mix through the plain operators.  Two
-# different levels meet only where the closed form multiplies pole data by
-# Gauss sums and character values; `coerce_pair` lifts such a pair, or a
-# Fraction and a CycNum, to one level there.
-
-
-def coerce_pair(a, b):
-    """Lift two scalars (Fraction or CycNum) to one representation: CycNums
-    at the lcm of their levels when either is a CycNum, else Fractions."""
-    a_cyc = isinstance(a, CycNum)
-    b_cyc = isinstance(b, CycNum)
-    if a_cyc and b_cyc:
-        if a.level == b.level:
-            return a, b
-        return common_level(a, b)
-    if a_cyc:
-        return a, CycNum.from_rational(a.level, b)
-    if b_cyc:
-        return CycNum.from_rational(b.level, a), b
-    return Fraction(a), Fraction(b)
-
-
-def maybe_rational(a):
-    """Collapse a rational-valued CycNum to a Fraction; pass others through."""
-    if isinstance(a, CycNum) and a.is_rational():
-        return a.coeffs[0]
-    return a
-
-
-def value_str(a) -> str:
-    v = maybe_rational(a)
-    return str(v)

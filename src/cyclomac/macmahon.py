@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .comb import Partition, factorial, partitions
-from .field import value_str
 from .pfdform import (
     AdmissibleInput,
     NonPositiveParameterError,
@@ -35,10 +34,6 @@ class MacMahonSpec:
     Q: Polynomial
     strict: bool = True
 
-    def label(self) -> str:
-        star = "" if self.strict else "*"
-        return f"U{star}(t={self.t}, k={self.k}, N={self.N}; {self.Q})"
-
 
 def weight_series(n_level: int, k: int, q_poly: Polynomial, n: int,
                   order: int) -> QSeries:
@@ -48,8 +43,8 @@ def weight_series(n_level: int, k: int, q_poly: Polynomial, n: int,
     if sub < 1:
         return QSeries.zero(order)
     q_y = QSeries.from_polynomial(q_poly, sub)
-    phi_y = QSeries.from_polynomial(cyclotomic_polynomial(n_level), sub)
-    w_y = q_y * (phi_y.inverse() ** k)
+    phi_k_y = QSeries.from_polynomial(cyclotomic_polynomial(n_level) ** k, sub)
+    w_y = q_y * phi_k_y.inverse()
     return substitute_qn(w_y, n, order)
 
 
@@ -174,28 +169,26 @@ class Certificate:
     rhs_label: str
     match: bool
     first_mismatch: tuple | None  # (exponent, lhs value, rhs value)
-    constant_offset: object = Fraction(0)
 
     def to_json(self) -> dict:
         mismatch = None
         if self.first_mismatch is not None:
             e, lv, rv = self.first_mismatch
-            mismatch = {"exponent": e, "lhs": value_str(lv), "rhs": value_str(rv)}
+            mismatch = {"exponent": e, "lhs": str(lv), "rhs": str(rv)}
         return {
             "descriptor": self.descriptor,
             "order": self.order,
             "lhs": self.lhs_label,
             "rhs": self.rhs_label,
-            "constant_offset": value_str(self.constant_offset),
+            "constant_offset": "0",  # kept in the format; always zero
             "match": self.match,
             "first_mismatch": mismatch,
         }
 
 
 def certify(lhs: QSeries, rhs: QSeries, lhs_label: str, rhs_label: str,
-            descriptor: str = "", constant_offset=Fraction(0)) -> Certificate:
-    """Compare two series coefficient by coefficient.  A declared constant
-    offset is allowed at q^0 (lhs[0] = rhs[0] + offset); everything else must
+            descriptor: str = "") -> Certificate:
+    """Compare two series coefficient by coefficient; every coefficient must
     agree exactly.  Reports the first mismatch."""
     if lhs.order != rhs.order:
         raise OrderMismatchError(
@@ -203,10 +196,7 @@ def certify(lhs: QSeries, rhs: QSeries, lhs_label: str, rhs_label: str,
         )
     first = None
     for j in range(lhs.order + 1):
-        expected = rhs.coeffs[j]
-        if j == 0 and constant_offset:
-            expected = expected + constant_offset
-        if lhs.coeffs[j] != expected:
+        if lhs.coeffs[j] != rhs.coeffs[j]:
             first = (j, lhs.coeffs[j], rhs.coeffs[j])
             break
     return Certificate(
@@ -216,5 +206,4 @@ def certify(lhs: QSeries, rhs: QSeries, lhs_label: str, rhs_label: str,
         rhs_label=rhs_label,
         match=first is None,
         first_mismatch=first,
-        constant_offset=constant_offset,
     )

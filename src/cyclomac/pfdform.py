@@ -27,7 +27,7 @@ from .comb import (
     mobius,
     stirling_first_unsigned,
 )
-from .field import CycNum, coerce_pair, value_str, zeta
+from .field import CycNum, coerce_pair, zeta
 from .polynomial import Polynomial, cyclotomic_polynomial
 from .series import EisensteinTerm, QSeries, g_constant
 
@@ -209,7 +209,7 @@ def c_coefficients(p: PfdCoefficients) -> PfdCoefficients:
             if c_def[ell] != c_alt[ell]:
                 raise InternalMismatchError(
                     f"weight-coefficient routes disagree at j={j}, ell={ell}: "
-                    f"{value_str(c_def[ell])} vs {value_str(c_alt[ell])}"
+                    f"{c_def[ell]} vs {c_alt[ell]}"
                 )
             p.c[(j, ell)] = c_def[ell]
     return p
@@ -229,7 +229,7 @@ class ClosedForm:
     input: AdmissibleInput
     form: str  # "F" or "G"
     terms: tuple[EisensteinTerm, ...]
-    constant: object  # Fraction or CycNum
+    constant: CycNum
 
     def evaluate(self, order: int) -> QSeries:
         """The form's q-series, with Fraction coefficients.  The terms of one
@@ -238,44 +238,42 @@ class ClosedForm:
         the pair's terms depends only on m modulo the lcm of their moduli.
         Every entry of every table must be rational, else NotRationalError.
         """
-        # Coefficients and character values sit at several levels; lift each
-        # scalar once to their lcm, so the sums see one level.
-        scalars = [t.coefficient for t in self.terms] + [self.constant]
-        level = lcm(*(t.character.level for t in self.terms),
-                    *(v.level for v in scalars if isinstance(v, CycNum)))
-
-        def lift(v):
-            return v.embed(level) if isinstance(v, CycNum) else v
-
-        def rational(v) -> Fraction:
-            return v.to_rational() if isinstance(v, CycNum) else Fraction(v)
-
         groups: dict[tuple[int, int], list[EisensteinTerm]] = {}
         for t in self.terms:
             groups.setdefault((t.dilation, t.weight), []).append(t)
         out = [Fraction(0)] * (order + 1)
-        offset = lift(self.constant)
+        offset = self.constant
         for (g, w), terms in groups.items():
             period = lcm(*(t.character.modulus for t in terms))
-            table = [Fraction(0)] * period
+            level = lcm(*(t.coefficient.level for t in terms),
+                        *(t.character.level for t in terms))
+            # coef * chi(m) = sum of c_i zeta_L^(i L/level_c + r(m) L/e), so
+            # each table entry is one reduction at L = level.
+            rows = []
             for t in terms:
-                c = lift(t.coefficient)
-                chi = t.character
-                step = level // chi.level
-                row = [0 if r is None else c * zeta(level, r * step)
-                       for r in chi.table]
-                for m in range(period):
-                    table[m] = table[m] + row[m % chi.modulus]
+                c, chi = t.coefficient, t.character
+                step = level // c.level
+                rows.append(([(i * step, v) for i, v in enumerate(c.coeffs) if v],
+                             chi, level // chi.level))
                 if self.form == "G":
-                    offset = offset + c * lift(g_constant(w, chi))
-            table = [rational(v) for v in table]
+                    c, b = coerce_pair(c, g_constant(w, chi))
+                    offset, term = coerce_pair(offset, c * b)
+                    offset = offset + term
+            table = []
+            for m in range(period):
+                pairs = []
+                for coef, chi, step in rows:
+                    r = chi.table[m % chi.modulus]
+                    if r is not None:
+                        pairs.extend((e + r * step, v) for e, v in coef)
+                table.append(CycNum.from_exponents(level, pairs).to_rational())
             for m in range(1, order // g + 1):
                 v = table[m % period]
                 if v:
                     v = v * m ** (w - 1)
                     for e in range(m * g, order + 1, m * g):
                         out[e] += v
-        out[0] += rational(offset)
+        out[0] += offset.to_rational()
         return QSeries(out, order)
 
     def to_json(self) -> dict:
@@ -285,7 +283,7 @@ class ClosedForm:
             "k": self.input.k,
             "Q": str(self.input.Q),
             "terms": [t.to_json() for t in self.terms],
-            "constant": value_str(self.constant),
+            "constant": str(self.constant),
         }
 
 
@@ -351,7 +349,7 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
                     ))
                     acc[(g, chi.conjugate(), ell)] = (
                         gauss_sum(chi).embed(level) * (pole_sum * scale))
-    return ClosedForm(inp, "F", _collect(acc), Fraction(0))
+    return ClosedForm(inp, "F", _collect(acc), CycNum.zero())
 
 
 def to_g_form(cf: ClosedForm) -> ClosedForm:
@@ -376,7 +374,7 @@ def to_g_form(cf: ClosedForm) -> ClosedForm:
             coef = coef * psi_d * Fraction(mu * d ** (t.weight - 1))
             _merge_terms(acc, (t.dilation * d, psi, t.weight), coef)
     terms = _collect(acc)
-    constant = Fraction(0)
+    constant = CycNum.zero()
     for t in terms:
         coef, g_const = coerce_pair(t.coefficient, g_constant(t.weight, t.character))
         constant, term = coerce_pair(constant, coef * g_const)

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .chars import DirichletCharacter
 from .comb import gen_bernoulli
-from .field import CycNum, maybe_rational, value_str
+from .field import CycNum
 from .polynomial import Polynomial
 
 
@@ -26,9 +25,9 @@ class NonUnitError(ValueError):
 class QSeries:
     """A power series in q truncated at a fixed order M (inclusive).
 
-    Coefficients are Fractions or CycNums at one level; the plain operators
-    combine them, and two different levels raise `LevelMismatchError`.
-    Operations on series of different orders truncate to the smaller order
+    Coefficients are Fractions, or CycNums at one level inside the pole
+    expansion; the plain operators combine them, and two different levels
+    raise `LevelMismatchError`.  Operations on series of different orders truncate to the smaller order
     and never read beyond it.
     """
 
@@ -159,38 +158,14 @@ class QSeries:
     __hash__ = None
 
     def __repr__(self) -> str:
-        head = ", ".join(value_str(c) for c in self.coeffs[:8])
+        head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order > 7 else ""
         return f"QSeries(order={self.order}, [{head}{tail}])"
 
     def to_json(self) -> dict:
-        """Exact JSON form: rational strings, or basis-coefficient arrays at a
-        common cyclotomic level."""
-        coeffs = [maybe_rational(c) for c in self.coeffs]
-        if all(not isinstance(c, CycNum) for c in coeffs):
-            return {
-                "order": self.order,
-                "coefficients": [str(c) for c in coeffs],
-            }
-        level = lcm(*[c.level for c in coeffs if isinstance(c, CycNum)])
-        arrays = []
-        for c in coeffs:
-            c = c if isinstance(c, CycNum) else CycNum.from_rational(1, c)
-            arrays.append([str(x) for x in c.embed(level).coeffs])
-        return {"order": self.order, "level": level, "coefficients": arrays}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QSeries":
-        order = data["order"]
-        if "level" in data:
-            level = data["level"]
-            coeffs = [
-                CycNum(level, [Fraction(x) for x in arr])
-                for arr in data["coefficients"]
-            ]
-        else:
-            coeffs = [Fraction(s) for s in data["coefficients"]]
-        return cls(coeffs, order)
+        """Exact JSON form of a rational series: coefficient strings."""
+        return {"order": self.order,
+                "coefficients": [str(c) for c in self.coeffs]}
 
 
 def substitute_qn(p, n: int, order: int) -> QSeries:
@@ -229,9 +204,10 @@ def f_series(weight: int, chi: DirichletCharacter, dilation: int, order: int) ->
     return QSeries(out, order)
 
 
-def g_constant(weight: int, chi: DirichletCharacter):
+def g_constant(weight: int, chi: DirichletCharacter) -> CycNum:
     """Constant term that completes an F-series to a G-series: -B/(2*weight),
-    with B the generalized Bernoulli number of the character at this weight.
+    with B the generalized Bernoulli number of the character at this weight,
+    a CycNum at the character's value level.
 
     The trivial character requires an even weight >= 2; any other character
     must satisfy the parity condition chi(-1) = (-1)^weight.
@@ -245,8 +221,7 @@ def g_constant(weight: int, chi: DirichletCharacter):
         raise ValueError(
             f"character parity {chi.parity} does not match weight {weight}"
         )
-    b = gen_bernoulli(weight, chi)
-    return maybe_rational(b * Fraction(-1, 2 * weight))
+    return gen_bernoulli(weight, chi) * Fraction(-1, 2 * weight)
 
 
 @dataclass(frozen=True)
@@ -256,7 +231,7 @@ class EisensteinTerm:
     weight: int
     character: DirichletCharacter
     dilation: int
-    coefficient: object  # Fraction or CycNum
+    coefficient: CycNum
 
     def to_json(self) -> dict:
         return {
@@ -266,5 +241,5 @@ class EisensteinTerm:
                 "exponents": list(self.character.exponents),
             },
             "dilation": self.dilation,
-            "coefficient": value_str(self.coefficient),
+            "coefficient": str(self.coefficient),
         }

@@ -36,7 +36,6 @@ from cyclomac import (
     trivial_character,
     zeta,
 )
-from cyclomac.field import maybe_rational
 from helpers import nested_enumeration, sweep_inputs, zeta_power_expand
 
 X = Polynomial.monomial(1)
@@ -67,7 +66,7 @@ def test_acceptance_1a_reference_case_level_two():
     elapsed = time.perf_counter() - started
     assert certify(closed, brute, "closed", "brute").match
     assert certify(manual, brute, "reference combination", "brute").match
-    assert maybe_rational(gf.constant) == Fraction(-1, 32)
+    assert gf.constant == Fraction(-1, 32)
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     print(f"ACCEPTANCE 1a: PASS (order {order}, constant -1/32, {elapsed:.2f}s)")
 
@@ -84,7 +83,7 @@ def test_acceptance_1b_reference_case_level_three():
     assert certify(closed, brute, "closed", "brute").match
     assert certify(manual, brute, "reference combination",
                    "brute").match
-    assert maybe_rational(gf.constant) == Fraction(-1, 18)
+    assert gf.constant == Fraction(-1, 18)
     print(f"ACCEPTANCE 1b: PASS (order {order}, constant -1/18)")
 
 
@@ -94,7 +93,7 @@ def test_acceptance_1c_reference_case_level_four():
     manual = _f(2, 2, order) - _f(2, 4, order).scale(4)
     assert certify(closed, brute, "closed", "brute").match
     assert certify(manual, brute, "reference combination", "brute").match
-    assert maybe_rational(gf.constant) == Fraction(-1, 8)
+    assert gf.constant == Fraction(-1, 8)
     print(f"ACCEPTANCE 1c: PASS (order {order}, constant -1/8)")
 
 
@@ -113,7 +112,7 @@ def test_acceptance_1d_reference_case_level_six():
     assert certify(closed, brute, "closed", "brute").match
     assert certify(manual, brute, "reference combination",
                    "brute").match
-    assert maybe_rational(gf.constant) == Fraction(-1, 2)
+    assert gf.constant == Fraction(-1, 2)
     print(f"ACCEPTANCE 1d: PASS (order {order}, constant -1/2)")
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cyclomac import (
     ClosedForm,
+    CycNum,
     EisensteinTerm,
     cli,
     enumerate_characters,
@@ -210,6 +211,14 @@ def test_syntax_error_exits_two(capsys):
     assert "PolynomialSyntaxError" in err
 
 
+def test_text_error_names_the_clause(capsys):
+    code, out, err = run_cli(capsys, "expand", "--N", "0", "--k", "1", "--Q", "x")
+    assert code == 2
+    assert out == ""
+    assert err == ("error [NonPositiveParameterError] positive parameters: "
+                   "t, N, k >= 1: N must be a positive integer\n")
+
+
 def test_examples_command_reports_reference_constants(capsys):
     code, out, _ = run_cli(
         capsys, "examples", "--order", "25", "--format", "json",
@@ -268,9 +277,43 @@ def test_unwritable_output_exits_two_with_clause(tmp_path, capsys, fmt, where):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
-    assert cli.OutputPathError.clause in err
+    assert err.count(cli.OutputPathError.clause) == 1
     if fmt == "json":
         assert json.loads(err)["error"]["clause"] == cli.OutputPathError.clause
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_is_rejected_before_the_command_runs(
+        tmp_path, capsys, monkeypatch, where):
+    def closed_form(inp):
+        raise AssertionError("the command ran before --output was checked")
+
+    monkeypatch.setattr(cli, "closed_form", closed_form)
+    target = tmp_path if where == "directory" else tmp_path / "absent" / "out"
+    code, out, err = run_cli(
+        capsys, "closed-form", "--N", "31", "--k", "1", "--Q", "x^15",
+        "--output", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert cli.OutputPathError.clause in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_write_failure_exits_two_with_clause(tmp_path, capsys,
+                                                    monkeypatch):
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    code, out, err = run_cli(
+        capsys, "expand", "--N", "1", "--k", "2", "--Q", "x", "--order", "4",
+        "--output", str(tmp_path / "out.txt"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count(cli.OutputPathError.clause) == 1
+    assert "Permission denied" in err
 
 
 def test_csv_rejected_for_cyclotomic_payload(capsys):
@@ -401,10 +444,10 @@ def test_sweep_expands_each_input_once(capsys):
 def test_sweep_reports_a_closed_form_that_is_not_rational(capsys, monkeypatch):
     # A lone weight-1 term on a character mod 5 with chi(2) = zeta_4.
     term = EisensteinTerm(weight=1, character=enumerate_characters(5)[1],
-                          dilation=1, coefficient=Fraction(1))
+                          dilation=1, coefficient=CycNum.one())
     monkeypatch.setattr(
         cli, "closed_form",
-        lambda inp: ClosedForm(inp, "F", (term,), Fraction(0)),
+        lambda inp: ClosedForm(inp, "F", (term,), CycNum.zero()),
     )
     code, out, _ = run_cli(
         capsys, "sweep", "--max-N", "4", "--max-k", "1", "--order", "10",

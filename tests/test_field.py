@@ -10,12 +10,12 @@ from cyclomac import (
     LevelMismatchError,
     NotInSubfieldError,
     NotRationalError,
-    common_level,
     cyclotomic_polynomial,
     enumerate_characters,
     gauss_sum,
     zeta,
 )
+from cyclomac.field import coerce_pair
 
 
 def test_make_basis_element():
@@ -134,8 +134,8 @@ def test_level_mismatch_raises():
         zeta(3) + zeta(4)
 
 
-def test_common_level_helper():
-    a, b = common_level(zeta(3), zeta(4))
+def test_coerce_pair_embeds_at_the_lcm():
+    a, b = coerce_pair(zeta(3), zeta(4))
     assert a.level == b.level == 12
     assert a == zeta(3) and b == zeta(4)
 

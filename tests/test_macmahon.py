@@ -202,11 +202,12 @@ def test_certify_reports_first_mismatch():
     assert cert.first_mismatch[1] == 3 and cert.first_mismatch[2] == 5
 
 
-def test_certify_constant_offset():
+def test_certify_reports_a_mismatch_at_q0():
     a = QSeries([Fraction(1, 8), 1, 2], 2)
     b = QSeries([0, 1, 2], 2)
-    assert certify(a, b, "a", "b", constant_offset=Fraction(1, 8)).match
-    assert not certify(a, b, "a", "b").match
+    cert = certify(a, b, "a", "b")
+    assert not cert.match
+    assert cert.first_mismatch == (0, Fraction(1, 8), 0)
 
 
 def test_certify_order_mismatch_raises():

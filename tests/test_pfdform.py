@@ -8,6 +8,7 @@ from cyclomac import pfdform
 from cyclomac import (
     AdmissibleInput,
     ClosedForm,
+    CycNum,
     DegreeTooLargeError,
     EisensteinTerm,
     NonzeroConstantTermError,
@@ -30,7 +31,6 @@ from cyclomac import (
     validate,
     zeta,
 )
-from cyclomac.field import maybe_rational
 from helpers import (
     closed_form_per_pole,
     evaluate_term_by_term,
@@ -254,7 +254,7 @@ def test_closed_form_level_four_matches_reference_combination():
     ).scale(Fraction(4))
     assert cf.evaluate(order) == manual
     gf = to_g_form(cf)
-    assert maybe_rational(gf.constant) == Fraction(-1, 8)
+    assert gf.constant == Fraction(-1, 8)
 
 
 def test_g_form_evaluates_to_same_series():
@@ -326,8 +326,8 @@ def test_evaluate_raises_on_a_group_that_is_not_rational():
     chi = enumerate_characters(5)[1]
     assert chi.value(2) == zeta(4)
     term = EisensteinTerm(weight=1, character=chi, dilation=1,
-                          coefficient=Fraction(1))
-    cf = ClosedForm(AdmissibleInput(5, 1, X2), "F", (term,), Fraction(0))
+                          coefficient=CycNum.one())
+    cf = ClosedForm(AdmissibleInput(5, 1, X2), "F", (term,), CycNum.zero())
     # chi(1) = 1 is rational: the check covers every residue, not only the
     # ones that reach the truncation order.
     with pytest.raises(NotRationalError):

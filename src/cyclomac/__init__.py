@@ -11,9 +11,7 @@ from .chars import (
     DirichletCharacter,
     enumerate_characters,
     gauss_sum,
-    induced_character,
     primitive_character,
-    principal_character,
     trivial_character,
 )
 from .comb import (
@@ -21,7 +19,6 @@ from .comb import (
     binomial,
     divisors,
     euler_phi,
-    eulerian_poly,
     factorial,
     factorint,
     gen_bernoulli,
@@ -32,9 +29,7 @@ from .comb import (
 from .field import (
     CycNum,
     LevelMismatchError,
-    NotInSubfieldError,
     NotRationalError,
-    common_level,
     zeta,
 )
 from .macmahon import (
@@ -94,7 +89,6 @@ __all__ = [
     "MacMahonSpec",
     "NonUnitError",
     "NonzeroConstantTermError",
-    "NotInSubfieldError",
     "NotRationalError",
     "OrderMismatchError",
     "Partition",
@@ -109,13 +103,11 @@ __all__ = [
     "c_coefficients",
     "certify",
     "closed_form",
-    "common_level",
     "conjugate_relation_violations",
     "cyclotomic_polynomial",
     "divisors",
     "enumerate_characters",
     "euler_phi",
-    "eulerian_poly",
     "evaluate_isobaric",
     "evaluate_isobaric_closed",
     "f_series",
@@ -125,7 +117,6 @@ __all__ = [
     "g_constant",
     "gauss_sum",
     "gen_bernoulli",
-    "induced_character",
     "isobaric_decomposition",
     "mobius",
     "partitions",
@@ -133,7 +124,6 @@ __all__ = [
     "pole_exponents",
     "power_polynomial",
     "primitive_character",
-    "principal_character",
     "stirling_first_unsigned",
     "substitute_qn",
     "to_g_form",

@@ -12,7 +12,7 @@ each value as an exponent of zeta_e, so a sum over character values is one
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .comb import divisors, euler_phi, factorint
 from .field import CycNum, zeta
@@ -185,10 +185,6 @@ def trivial_character() -> DirichletCharacter:
     return enumerate_characters(1)[0]
 
 
-def principal_character(n: int) -> DirichletCharacter:
-    return enumerate_characters(n)[0]
-
-
 @lru_cache(maxsize=None)
 def gauss_sum(chi: DirichletCharacter) -> CycNum:
     """sum over a mod N of chi(a) * zeta_N^a, at level L = lcm(N, value
@@ -200,25 +196,6 @@ def gauss_sum(chi: DirichletCharacter) -> CycNum:
         (r * (level // chi.level) + a * (level // n), 1)
         for a, r in enumerate(chi.table) if r is not None
     ))
-
-
-def induced_character(chi: DirichletCharacter, m: int) -> DirichletCharacter:
-    """The character modulo m agreeing with chi on residues coprime to m."""
-    if m % chi.modulus != 0:
-        raise ValueError(
-            f"modulus {chi.modulus} does not divide the induction target {m}"
-        )
-    candidates = enumerate_characters(m)
-    # The value level of chi divides the exponent of (Z/m)^x.
-    step = candidates[0].level // chi.level
-    wanted = tuple(
-        chi.table[a % chi.modulus] * step if gcd(a, m) == 1 else None
-        for a in range(m)
-    )
-    for cand in candidates:
-        if cand.table == wanted:
-            return cand
-    raise ArithmeticError("induction produced no matching character")
 
 
 def primitive_character(chi: DirichletCharacter) -> DirichletCharacter:

@@ -1,6 +1,5 @@
-"""Integer and rational combinatorics: Stirling numbers, Eulerian polynomials,
-integer partitions, multiplicative arithmetic functions, and (generalized)
-Bernoulli numbers.
+"""Integer and rational combinatorics: Stirling numbers, integer partitions,
+multiplicative arithmetic functions, and (generalized) Bernoulli numbers.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from math import comb as binomial, factorial  # noqa: F401  (re-exported API)
 from typing import TYPE_CHECKING
 
 from .field import CycNum
-from .polynomial import Polynomial
 
 if TYPE_CHECKING:
     from .chars import DirichletCharacter
@@ -75,22 +73,6 @@ def stirling_first_unsigned(n: int, k: int) -> int:
     return stirling_first_unsigned(n - 1, k - 1) + (n - 1) * stirling_first_unsigned(
         n - 1, k
     )
-
-
-@lru_cache(maxsize=None)
-def eulerian_poly(k: int) -> Polynomial:
-    """Numerator of sum(n^k x^(n-1)) over (1-x)^(k+1); degree k-1 for k >= 1.
-
-    Computed by the derivative recurrence
-    P_k = (1 + (k-1) x) P_{k-1} + x (1-x) P_{k-1}'.
-    """
-    if k < 0:
-        raise ValueError("index must be nonnegative")
-    if k == 0:
-        return Polynomial([1])
-    prev = eulerian_poly(k - 1)
-    x = Polynomial.x()
-    return (1 + (k - 1) * x) * prev + x * (1 - x) * prev.derivative()
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ class NotRationalError(ValueError):
         self.value = value
 
 
-class NotInSubfieldError(ValueError):
-    """Raised when projecting a value to a level that cannot represent it."""
-
-
 @lru_cache(maxsize=None)
 def _phi(level: int) -> int:
     return cyclotomic_polynomial(level).degree()
@@ -228,25 +224,6 @@ class CycNum:
             new_level, {i * step: c for i, c in enumerate(self.coeffs) if c}
         )
 
-    def project(self, new_level: int) -> "CycNum":
-        """Represent the value at a divisor level, if it lies in that subfield."""
-        if self.level % new_level != 0:
-            raise LevelMismatchError(
-                f"cannot project level {self.level} onto non-divisor {new_level}"
-            )
-        if new_level == self.level:
-            return self
-        basis = [
-            CycNum.from_exponents(self.level, {i * (self.level // new_level): 1}).coeffs
-            for i in range(_phi(new_level))
-        ]
-        solution = _solve_exact(basis, self.coeffs)
-        if solution is None:
-            raise NotInSubfieldError(
-                f"{self} does not lie in Q(zeta_{new_level})"
-            )
-        return CycNum(new_level, solution)
-
     def galois(self, s: int) -> "CycNum":
         """The automorphism zeta -> zeta^s; s must be coprime to the level."""
         if gcd(s, self.level) != 1:
@@ -302,37 +279,6 @@ class CycNum:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-def _solve_exact(columns, target):
-    """Solve sum(y_i * columns[i]) = target over Q; None when inconsistent."""
-    rows = len(target)
-    ncols = len(columns)
-    mat = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, rows) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if mat[i][ncols] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for row, c in enumerate(pivot_cols):
-        solution[c] = mat[row][ncols]
-    return solution
 
 
 def zeta(level: int, exponent: int = 1) -> CycNum:

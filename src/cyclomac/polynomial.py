@@ -36,10 +36,6 @@ class Polynomial:
     def monomial(cls, degree: int, coeff=1) -> "Polynomial":
         return cls([0] * degree + [coeff])
 
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls([0, 1])
-
     def degree(self):
         """Degree of the polynomial; -inf for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
@@ -141,9 +137,6 @@ class Polynomial:
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be any commutative ring element."""
         acc = None
@@ -152,15 +145,6 @@ class Polynomial:
         if acc is None:  # the zero polynomial: the zero of x's ring
             return x * 0
         return acc
-
-    def reversed_to(self, degree: int) -> "Polynomial":
-        """x^degree * p(1/x), requiring deg p <= degree."""
-        if self.degree() > degree:
-            raise ValueError("reversal degree smaller than polynomial degree")
-        out = [Fraction(0)] * (degree + 1)
-        for i, c in enumerate(self.coeffs):
-            out[degree - i] = c
-        return Polynomial(out)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"

@@ -1,4 +1,5 @@
-"""Shared corpus construction and slow oracles for the test suite."""
+"""Shared corpus construction, slow oracles and test-only algebra for the
+test suite."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -7,7 +8,9 @@ from math import comb, factorial, gcd, lcm
 from cyclomac import (
     AdmissibleInput,
     CycNum,
+    LevelMismatchError,
     MacMahonSpec,
+    Polynomial,
     QSeries,
     admissible_polynomials,
     c_coefficients,
@@ -209,3 +212,111 @@ def evaluate_term_by_term(cf, order: int) -> QSeries:
         if cf.form == "G":
             offset = offset + c * lift(g_constant(t.weight, t.character))
     return total + offset
+
+
+# -- test-only algebra ----------------------------------------------------
+
+
+def reversed_to(p: Polynomial, degree: int) -> Polynomial:
+    """x^degree * p(1/x), requiring deg p <= degree."""
+    if p.degree() > degree:
+        raise ValueError("reversal degree smaller than polynomial degree")
+    out = [Fraction(0)] * (degree + 1)
+    for i, c in enumerate(p.coeffs):
+        out[degree - i] = c
+    return Polynomial(out)
+
+
+def derivative(p: Polynomial) -> Polynomial:
+    return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+@lru_cache(maxsize=None)
+def eulerian_poly(k: int) -> Polynomial:
+    """Numerator of sum(n^k x^(n-1)) over (1-x)^(k+1); degree k-1 for k >= 1.
+
+    Computed by the derivative recurrence
+    P_k = (1 + (k-1) x) P_{k-1} + x (1-x) P_{k-1}'.
+    """
+    if k < 0:
+        raise ValueError("index must be nonnegative")
+    if k == 0:
+        return Polynomial([1])
+    prev = eulerian_poly(k - 1)
+    x = Polynomial([0, 1])
+    return (1 + (k - 1) * x) * prev + x * (1 - x) * derivative(prev)
+
+
+def principal_character(n: int):
+    return enumerate_characters(n)[0]
+
+
+def induced_character(chi, m: int):
+    """The character modulo m agreeing with chi on residues coprime to m."""
+    if m % chi.modulus != 0:
+        raise ValueError(
+            f"modulus {chi.modulus} does not divide the induction target {m}"
+        )
+    candidates = enumerate_characters(m)
+    # The value level of chi divides the exponent of (Z/m)^x.
+    step = candidates[0].level // chi.level
+    wanted = tuple(
+        chi.table[a % chi.modulus] * step if gcd(a, m) == 1 else None
+        for a in range(m)
+    )
+    for cand in candidates:
+        if cand.table == wanted:
+            return cand
+    raise ArithmeticError("induction produced no matching character")
+
+
+class NotInSubfieldError(ValueError):
+    """Raised when projecting a value to a level that cannot represent it."""
+
+
+def project(v: CycNum, new_level: int) -> CycNum:
+    """Represent v at a divisor level, if it lies in that subfield."""
+    if v.level % new_level != 0:
+        raise LevelMismatchError(
+            f"cannot project level {v.level} onto non-divisor {new_level}"
+        )
+    if new_level == v.level:
+        return v
+    step = v.level // new_level
+    basis = [CycNum.from_exponents(v.level, {i * step: 1}).coeffs
+             for i in range(euler_phi(new_level))]
+    solution = _solve_exact(basis, v.coeffs)
+    if solution is None:
+        raise NotInSubfieldError(f"{v} does not lie in Q(zeta_{new_level})")
+    return CycNum(new_level, solution)
+
+
+def _solve_exact(columns, target):
+    """Solve sum(y_i * columns[i]) = target over Q; None when inconsistent."""
+    rows = len(target)
+    ncols = len(columns)
+    mat = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, rows) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(rows):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if mat[i][ncols] != 0:
+            return None
+    solution = [Fraction(0)] * ncols
+    for row, c in enumerate(pivot_cols):
+        solution[c] = mat[row][ncols]
+    return solution

@@ -25,7 +25,6 @@ from cyclomac import (
     cyclotomic_polynomial,
     enumerate_characters,
     euler_phi,
-    eulerian_poly,
     evaluate_isobaric,
     f_series,
     mobius,
@@ -36,7 +35,13 @@ from cyclomac import (
     trivial_character,
     zeta,
 )
-from helpers import nested_enumeration, sweep_inputs, zeta_power_expand
+from helpers import (
+    eulerian_poly,
+    nested_enumeration,
+    reversed_to,
+    sweep_inputs,
+    zeta_power_expand,
+)
 
 X = Polynomial.monomial(1)
 X2 = Polynomial.monomial(2)
@@ -226,7 +231,7 @@ def _check_orthogonality():
 def _check_eulerian_reciprocity():
     for k in range(1, 11):
         p = eulerian_poly(k)
-        assert p.reversed_to(k - 1) == p, k
+        assert reversed_to(p, k - 1) == p, k
 
 
 def _check_cyclotomic_product():

@@ -8,14 +8,17 @@ from cyclomac import (
     enumerate_characters,
     euler_phi,
     gauss_sum,
-    induced_character,
     mobius,
     primitive_character,
-    principal_character,
     trivial_character,
     zeta,
 )
-from helpers import gauss_sum_per_residue, zeta_power_expand
+from helpers import (
+    gauss_sum_per_residue,
+    induced_character,
+    principal_character,
+    zeta_power_expand,
+)
 
 
 def units(n):

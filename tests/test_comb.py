@@ -9,7 +9,6 @@ from cyclomac import (
     cyclotomic_polynomial,
     enumerate_characters,
     euler_phi,
-    eulerian_poly,
     factorial,
     gen_bernoulli,
     mobius,
@@ -18,7 +17,7 @@ from cyclomac import (
     trivial_character,
 )
 from cyclomac.polynomial import Polynomial
-from helpers import bernoulli_by_generating_function
+from helpers import bernoulli_by_generating_function, eulerian_poly, reversed_to
 
 
 def rising_factorial(n: int) -> Polynomial:
@@ -65,7 +64,7 @@ def test_eulerian_degree_and_reciprocity():
     for k in range(1, 11):
         p = eulerian_poly(k)
         assert p.degree() == k - 1
-        assert p.reversed_to(k - 1) == p
+        assert reversed_to(p, k - 1) == p
 
 
 def test_eulerian_defining_series():

@@ -9,14 +9,13 @@ from cyclomac import (
     QSeries,
     cyclotomic_polynomial,
     enumerate_characters,
-    eulerian_poly,
     f_series,
     g_constant,
     mobius,
-    principal_character,
     substitute_qn,
     trivial_character,
 )
+from helpers import eulerian_poly, principal_character
 
 
 def test_mul_binomials():

@@ -233,7 +233,7 @@ def _check_output(path) -> None:
     any command runs.  `_emit` reports what only the write can reveal."""
     if path is not None and (os.path.isdir(path) or
                              not os.path.isdir(os.path.dirname(path) or ".")):
-        raise OutputPathError(f"{path!r} is a directory or lies in none")
+        raise OutputPathError(f"{path!r} is a directory or in a missing directory")
 
 
 def _series_csv(series_json: dict) -> str:

@@ -287,8 +287,7 @@ def zeta(level: int, exponent: int = 1) -> CycNum:
 
 
 def coerce_pair(a: CycNum, b: CycNum) -> tuple[CycNum, CycNum]:
-    """Embed both operands into Q(zeta_lcm) so binary operations apply; the
-    one place where two levels meet."""
+    """Embed both operands into Q(zeta_lcm) so binary operations apply."""
     if a.level == b.level:
         return a, b
     target = lcm(a.level, b.level)

@@ -38,7 +38,8 @@ class MacMahonSpec:
 def weight_series(n_level: int, k: int, q_poly: Polynomial, n: int,
                   order: int) -> QSeries:
     """Q(q^n)/Phi_N(q^n)^k as a q-series.  Computed in the variable y = q^n
-    and spread out, so the cost shrinks with n."""
+    and spread out, so the cost shrinks with n.  Phi_N^k is a small integer
+    polynomial, inverted once as a series."""
     sub = order // n
     if sub < 1:
         return QSeries.zero(order)

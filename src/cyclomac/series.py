@@ -27,8 +27,8 @@ class QSeries:
 
     Coefficients are Fractions, or CycNums at one level inside the pole
     expansion; the plain operators combine them, and two different levels
-    raise `LevelMismatchError`.  Operations on series of different orders truncate to the smaller order
-    and never read beyond it.
+    raise `LevelMismatchError`.  Operations on series of different orders
+    truncate to the smaller order and never read beyond it.
     """
 
     __slots__ = ("order", "coeffs")

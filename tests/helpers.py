@@ -295,7 +295,8 @@ def _solve_exact(columns, target):
     """Solve sum(y_i * columns[i]) = target over Q; None when inconsistent."""
     rows = len(target)
     ncols = len(columns)
-    mat = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
+    mat = [[columns[j][i] for j in range(ncols)] + [target[i]]
+           for i in range(rows)]
     pivot_cols = []
     r = 0
     for c in range(ncols):

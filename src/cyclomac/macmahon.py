@@ -38,13 +38,13 @@ class MacMahonSpec:
 def weight_series(n_level: int, k: int, q_poly: Polynomial, n: int,
                   order: int) -> QSeries:
     """Q(q^n)/Phi_N(q^n)^k as a q-series.  Computed in the variable y = q^n
-    and spread out, so the cost shrinks with n.  Phi_N^k is a small integer
-    polynomial, inverted once as a series."""
+    and spread out, so the cost shrinks with n.  Phi_N is cut at y^sub
+    before the k-th power, which is then inverted once as a series."""
     sub = order // n
     if sub < 1:
         return QSeries.zero(order)
     q_y = QSeries.from_polynomial(q_poly, sub)
-    phi_k_y = QSeries.from_polynomial(cyclotomic_polynomial(n_level) ** k, sub)
+    phi_k_y = QSeries.from_polynomial(cyclotomic_polynomial(n_level), sub) ** k
     w_y = q_y * phi_k_y.inverse()
     return substitute_qn(w_y, n, order)
 

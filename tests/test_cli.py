@@ -2,6 +2,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -121,6 +123,29 @@ def test_expand_json_schema(capsys):
     assert report["params"] == {
         "N": 1, "k": 2, "Q": "x", "order": 5, "t": 1, "strict": True,
     }
+
+
+def test_expand_at_the_largest_prime_level_and_k_costs_only_the_order(capsys):
+    # Phi_N^k has degree phi(N) k = 997,200 here; only its first order + 1
+    # coefficients may be computed.  Below q^N, 1/Phi_N(y) = (1 - y) / (1 - y^N)
+    # is 1 - y, so q^m has coefficient sum over n | m of
+    # (-1)^(m/n - 1) binomial(k, m/n - 1).
+    n_level, k, order = 9973, MAX_K, 5
+    assert n_level <= MAX_N and euler_phi(n_level) == n_level - 1
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "expand", "--N", str(n_level), "--k", str(k), "--Q", "x",
+        "--order", str(order), "--format", "json",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    expected = [0] + [
+        sum((-1) ** (m // n - 1) * math.comb(k, m // n - 1)
+            for n in range(1, m + 1) if m % n == 0)
+        for m in range(1, order + 1)
+    ]
+    assert json.loads(out)["series"]["coefficients"] == [str(c) for c in expected]
+    assert elapsed < 5.0
 
 
 def test_expand_csv_output(capsys):

@@ -19,7 +19,11 @@ primitive characters live at smaller moduli with rescaled levels), N = 20
 runs pin the scalar boundaries: `verify --N 35` evaluates its character
 tables at level 420, the N = 35 closed form in text format prints every
 coefficient and the constant through `str`, and the N = 7, k = 5 expand
-inverts a high power of Phi_N with a non-integral numerator.  The recorded
+inverts a high power of Phi_N with a non-integral numerator.  Two expand runs
+pin the common denominator of the integer brute-force recurrence: at N = 1,
+k = 3 (weak, t = 3) the k-th power of Phi_1 = x - 1 has constant term -1, and
+at N = 2 (strict, t = 4) the numerator 3/4*x + x^3 puts 4^4 into the
+denominators of the nested series.  The recorded
 digests must only change when the report format is meant to change.
 """
 
@@ -86,6 +90,12 @@ GOLDEN = [
     (["expand", "--N", "7", "--k", "5", "--Q", "x - 1/3*x^4", "--t", "2",
       "--order", "80", "--format", "json"],
      "693db830bb2b8ad832e7d01c358d6fb80f6748a3e6c5116733567ad2a94c3105"),
+    (["expand", "--N", "1", "--k", "3", "--Q", "1/2*x - 2/3*x^2", "--t", "3",
+      "--weak", "--order", "60", "--format", "json"],
+     "38de1947f164aa7562e906a21083ef5174ffaada2e078c161824fa60c9a76fa0"),
+    (["expand", "--N", "2", "--k", "1", "--Q", "3/4*x + x^3", "--t", "4",
+      "--order", "60", "--format", "json"],
+     "9d88d2ccfcaf99e77d6e48e1b32c6c248d97c263017c2ace32475a089a7815de"),
 ]
 
 

@@ -70,7 +70,6 @@ from .series import (
     QSeries,
     f_series,
     g_constant,
-    substitute_qn,
 )
 
 __version__ = "0.1.0"
@@ -125,7 +124,6 @@ __all__ = [
     "power_polynomial",
     "primitive_character",
     "stirling_first_unsigned",
-    "substitute_qn",
     "to_g_form",
     "trivial_character",
     "validate",

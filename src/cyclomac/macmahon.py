@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .comb import Partition, factorial, partitions
 from .pfdform import (
@@ -19,7 +20,7 @@ from .pfdform import (
     closed_form,
 )
 from .polynomial import Polynomial, cyclotomic_polynomial
-from .series import OrderMismatchError, QSeries, substitute_qn
+from .series import OrderMismatchError, QSeries
 
 
 @dataclass(frozen=True)
@@ -35,18 +36,26 @@ class MacMahonSpec:
     strict: bool = True
 
 
-def weight_series(n_level: int, k: int, q_poly: Polynomial, n: int,
+def weight_series(n_level: int, k: int, q_poly: Polynomial,
                   order: int) -> QSeries:
-    """Q(q^n)/Phi_N(q^n)^k as a q-series.  Computed in the variable y = q^n
-    and spread out, so the cost shrinks with n.  Phi_N is cut at y^sub
-    before the k-th power, which is then inverted once as a series."""
-    sub = order // n
-    if sub < 1:
-        return QSeries.zero(order)
-    q_y = QSeries.from_polynomial(q_poly, sub)
-    phi_k_y = QSeries.from_polynomial(cyclotomic_polynomial(n_level), sub) ** k
-    w_y = q_y * phi_k_y.inverse()
-    return substitute_qn(w_y, n, order)
+    """Q/Phi_N^k as a series, on integers.  Phi_N cut at the order is
+    integral with constant term u = +-1, so g = Phi_N^-k is integral too; it
+    follows from Phi_N g' = -k Phi_N' g (J. C. P. Miller's recurrence), whose
+    m-th step divides exactly by u m.  D Q is integral for D the lcm of Q's
+    denominators; the result is D Q g scaled back by 1/D."""
+    phi = cyclotomic_polynomial(n_level).coeffs[: order + 1]
+    unit = int(phi[0])
+    terms = [(i, int(c)) for i, c in enumerate(phi) if c and i]
+    g = [unit**k] + [0] * order
+    for m in range(1, order + 1):
+        g[m] = unit * sum(((1 - k) * i - m) * c * g[m - i]
+                          for i, c in terms if i <= m) // m
+    scale = lcm(*(c.denominator for c in q_poly.coeffs))
+    w = [0] * (order + 1)
+    for i, c in enumerate(q_poly.coeffs[: order + 1]):
+        if c:
+            w[i:] = [a + int(c * scale) * b for a, b in zip(w[i:], g)]
+    return QSeries([Fraction(c, scale) for c in w], order)
 
 
 def validate_spec(spec: MacMahonSpec) -> MacMahonSpec:
@@ -65,18 +74,27 @@ def brute_force(spec: MacMahonSpec, order: int) -> QSeries:
     """The z^t coefficient of prod_n (1 + z w_n), or of prod_n 1/(1 - z w_n)
     for weak inequalities, where w_n = r(q^n) and r = Q/Phi_N^k is expanded
     once.  Both products evolve by f[d] += w_n f[d-1]: strict runs d down and
-    reads the old f[d-1], weak runs d up and reads the new one."""
+    reads the old f[d-1], weak runs d up and reads the new one.  f[d] holds
+    integers, D^d times the depth-d series for D the lcm of r's denominators,
+    and w_n adds only at the multiples of n."""
     validate_spec(spec)
     t = spec.t
-    w1 = weight_series(spec.N, spec.k, spec.Q, 1, order)
+    w1 = weight_series(spec.N, spec.k, spec.Q, order).coeffs
+    scale = lcm(*(c.denominator for c in w1))
+    w = [(j, int(c * scale)) for j, c in enumerate(w1) if c]
     depths = range(t, 0, -1) if spec.strict else range(1, t + 1)
-    f = [QSeries.one(order)] + [QSeries.zero(order) for _ in range(t)]
+    f = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(t)]
+    top = [0] * (t + 1)  # f[d] vanishes above q^top[d]
     for n in range(1, order + 1):
-        w = substitute_qn(w1, n, order)
         for d in depths:
-            # w is zero off multiples of n, and `*` skips the left factor's zeros.
-            f[d] = f[d] + w * f[d - 1]
-    return f[t]
+            src, dst, span = f[d - 1], f[d], top[d - 1] + 1
+            for j, c in w:
+                s = j * n
+                if s > order:
+                    break
+                dst[s:s + span] = [a + c * b for a, b in zip(dst[s:s + span], src)]
+                top[d] = max(top[d], min(order, s + span - 1))
+    return QSeries([Fraction(c, scale**t) for c in f[t]], order)
 
 
 def power_polynomial(q_poly: Polynomial, s: int) -> Polynomial:

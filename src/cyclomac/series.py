@@ -11,7 +11,6 @@ from fractions import Fraction
 from .chars import DirichletCharacter
 from .comb import gen_bernoulli
 from .field import CycNum
-from .polynomial import Polynomial
 
 
 class OrderMismatchError(ValueError):
@@ -55,10 +54,6 @@ class QSeries:
     @classmethod
     def one(cls, order: int) -> "QSeries":
         return cls([Fraction(1)], order)
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, order: int) -> "QSeries":
-        return cls(list(p.coeffs), order)
 
     def coefficient(self, j: int):
         if not 0 <= j <= self.order:
@@ -167,20 +162,6 @@ class QSeries:
         """Exact JSON form of a rational series: coefficient strings."""
         return {"order": self.order,
                 "coefficients": [str(c) for c in self.coeffs]}
-
-
-def substitute_qn(p, n: int, order: int) -> QSeries:
-    """Compose a polynomial or series with q^n, truncated at the order."""
-    if n < 1:
-        raise ValueError("the substitution exponent must be positive")
-    src = p.coeffs if isinstance(p, (Polynomial, QSeries)) else tuple(p)
-    out = [Fraction(0)] * (order + 1)
-    for i, c in enumerate(src):
-        if i * n > order:
-            break
-        if c:
-            out[i * n] = out[i * n] + c
-    return QSeries(out, order)
 
 
 def f_series(weight: int, chi: DirichletCharacter, dilation: int, order: int) -> QSeries:

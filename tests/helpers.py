@@ -111,11 +111,25 @@ def zeta_power_expand(n: int, m: int) -> dict[int, CycNum]:
     return out
 
 
+def substitute_qn(p, n: int, order: int) -> QSeries:
+    """Compose a polynomial or series with q^n, truncated at the order."""
+    if n < 1:
+        raise ValueError("the substitution exponent must be positive")
+    src = p.coeffs if isinstance(p, (Polynomial, QSeries)) else tuple(p)
+    out = [Fraction(0)] * (order + 1)
+    for i, c in enumerate(src):
+        if i * n > order:
+            break
+        if c:
+            out[i * n] = out[i * n] + c
+    return QSeries(out, order)
+
+
 def nested_enumeration(spec: MacMahonSpec, order: int) -> QSeries:
     """Direct sum over index tuples; exponential in t, test oracle only.
     Tuples with index sum beyond the order cannot contribute."""
-    weights = {n: weight_series(spec.N, spec.k, spec.Q, n, order)
-               for n in range(1, order + 1)}
+    w1 = weight_series(spec.N, spec.k, spec.Q, order)
+    weights = {n: substitute_qn(w1, n, order) for n in range(1, order + 1)}
     total = QSeries.zero(order)
 
     def recurse(start: int, depth: int, budget: int, prod: QSeries):
@@ -180,8 +194,8 @@ def reconstruct_series(p, order: int) -> QSeries:
 
 def rational_function_series(inp: AdmissibleInput, order: int) -> QSeries:
     """The direct power-series expansion of Q(x)/Phi_N(x)^k."""
-    phi_series = QSeries.from_polynomial(cyclotomic_polynomial(inp.N), order)
-    q_series = QSeries.from_polynomial(inp.Q, order)
+    phi_series = QSeries(cyclotomic_polynomial(inp.N).coeffs, order)
+    q_series = QSeries(inp.Q.coeffs, order)
     return q_series * (phi_series.inverse() ** inp.k)
 
 

@@ -200,7 +200,7 @@ def _check_stirling_eulerian_expansion():
             st = stirling_first_unsigned(r - 1, ell - 1)
             if not st:
                 continue
-            kernel = QSeries.from_polynomial(eulerian_poly(ell - 1), order) * (
+            kernel = QSeries(eulerian_poly(ell - 1).coeffs, order) * (
                 geom_powers[ell]
             )
             acc = acc + kernel.scale(Fraction(st))

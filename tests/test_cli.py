@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -145,6 +146,21 @@ def test_expand_at_the_largest_prime_level_and_k_costs_only_the_order(capsys):
         for m in range(1, order + 1)
     ]
     assert json.loads(out)["series"]["coefficients"] == [str(c) for c in expected]
+    assert elapsed < 5.0
+
+
+def test_expand_at_high_order_with_three_indices_stays_fast(capsys):
+    # The nested brute force at order 1000 and t = 3; its text report is
+    # pinned by sha256, as recorded before the integer recurrence.
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "expand", "--N", "4", "--k", "2", "--Q", "x^2", "--t", "3",
+        "--order", "1000",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d90fd56faae8c244394ec5db1793154d36247936ae5b626448051b159280c7e4")
     assert elapsed < 5.0
 
 

@@ -17,7 +17,6 @@ from cyclomac import (
     f_series,
     isobaric_decomposition,
     power_polynomial,
-    substitute_qn,
     trivial_character,
     weight_series,
 )
@@ -35,11 +34,25 @@ def test_brute_force_single_sum_is_divisor_sum():
 
 
 def test_brute_force_matches_nested_enumeration_small():
+    # Rational numerators at N = 1, 2, 3, 12, odd and even k: brute force
+    # scales them to integers, and Phi_1^k has constant term (-1)^k.
+    half_x = Polynomial([0, Fraction(1, 2), Fraction(-2, 3)])
+    three_quarters = Polynomial([0, Fraction(3, 4), 0, 1])
+    third = Polynomial([0, 1, Fraction(-1, 3)])
+    two_fifths = Polynomial([0, 0, Fraction(2, 5), 0, 1])
     for spec in [
         MacMahonSpec(2, 1, 2, X, strict=True),
         MacMahonSpec(2, 1, 2, X, strict=False),
         MacMahonSpec(2, 4, 2, X2, strict=True),
         MacMahonSpec(3, 3, 1, X, strict=False),
+        MacMahonSpec(3, 1, 3, half_x, strict=False),
+        MacMahonSpec(4, 1, 2, half_x, strict=True),
+        MacMahonSpec(4, 2, 1, three_quarters, strict=True),
+        MacMahonSpec(2, 2, 2, three_quarters, strict=False),
+        MacMahonSpec(3, 3, 1, third, strict=True),
+        MacMahonSpec(4, 3, 2, third, strict=False),
+        MacMahonSpec(2, 12, 3, two_fifths, strict=False),
+        MacMahonSpec(3, 12, 4, two_fifths, strict=True),
     ]:
         order = 14
         assert brute_force(spec, order) == nested_enumeration(spec, order)
@@ -58,13 +71,16 @@ def test_brute_force_requires_vanishing_numerator_at_zero():
 
 
 def test_weight_series_matches_direct_expansion():
-    order = 24
-    for n_level, k, q_poly in [(1, 2, X), (4, 2, X2), (6, 3, X)]:
-        for n in (1, 2, 3, 5, 7):
-            direct = substitute_qn(q_poly, n, order) * (
-                substitute_qn(cyclotomic_polynomial(n_level), n, order).inverse() ** k
-            )
-            assert weight_series(n_level, k, q_poly, n, order) == direct
+    rational = Polynomial([0, Fraction(3, 4), Fraction(-2, 3), 0, 0, 5])
+    for n_level in (1, 2, 3, 4, 6, 12):
+        for k in (1, 2, 3, 4, 9):
+            for q_poly in (X, X2, rational):
+                for order in (1, 3, 24):
+                    direct = QSeries(q_poly.coeffs, order) * (
+                        QSeries(cyclotomic_polynomial(n_level).coeffs,
+                                order).inverse() ** k
+                    )
+                    assert weight_series(n_level, k, q_poly, order) == direct
 
 
 def test_power_polynomial():

@@ -110,7 +110,7 @@ def test_pole_coefficients_match_linear_solve_oracle():
         order = k - 1
         q_over_x = Polynomial(list(q_poly.coeffs)[1:])
         inv = QSeries([1, -1], order).inverse() ** k
-        lhs = QSeries.from_polynomial(q_over_x, order) * inv
+        lhs = QSeries(q_over_x.coeffs, order) * inv
         lhs = lhs.scale(Fraction((-1) ** k))
         rows = [
             [math.comb(m + r - 1, r - 1) for r in range(1, k + 1)]

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
-from .comb import Partition, factorial, partitions
+from .comb import Partition, divisors, factorial, mobius, partitions
 from .pfdform import (
     AdmissibleInput,
     NonPositiveParameterError,
     NonzeroConstantTermError,
     closed_form,
 )
-from .polynomial import Polynomial, cyclotomic_polynomial
+from .polynomial import Polynomial
 from .series import OrderMismatchError, QSeries
 
 
@@ -38,23 +39,27 @@ class MacMahonSpec:
 
 def weight_series(n_level: int, k: int, q_poly: Polynomial,
                   order: int) -> QSeries:
-    """Q/Phi_N^k as a series, on integers.  Phi_N cut at the order is
-    integral with constant term u = +-1, so g = Phi_N^-k is integral too; it
-    follows from Phi_N g' = -k Phi_N' g (J. C. P. Miller's recurrence), whose
-    m-th step divides exactly by u m.  D Q is integral for D the lcm of Q's
-    denominators; the result is D Q g scaled back by 1/D."""
-    phi = cyclotomic_polynomial(n_level).coeffs[: order + 1]
-    unit = int(phi[0])
-    terms = [(i, int(c)) for i, c in enumerate(phi) if c and i]
-    g = [unit**k] + [0] * order
-    for m in range(1, order + 1):
-        g[m] = unit * sum(((1 - k) * i - m) * c * g[m - i]
-                          for i, c in terms if i <= m) // m
+    """Q/Phi_N^k as a series, on integers.  Phi_N is the product over d | N
+    of (1 - x^d)^mu(N/d), times -1 at N = 1, so Phi_N^-k is integral: k
+    prefix sums along each residue class mod d per division by 1 - x^d, and k
+    differences per product; factors with d beyond the order are 1.  D Q is
+    integral for D the lcm of Q's denominators, and the result is D Q Phi_N^-k
+    scaled back by 1/D."""
+    g = [(-1) ** k if n_level == 1 else 1] + [0] * order
+    for d in divisors(n_level):
+        mu = mobius(n_level // d)
+        for _ in range(k * abs(mu) if d <= order else 0):
+            if mu == 1:
+                for r in range(d):
+                    g[r::d] = accumulate(g[r::d])
+            else:
+                g[d:] = [a - b for a, b in zip(g[d:], g)]
     scale = lcm(*(c.denominator for c in q_poly.coeffs))
     w = [0] * (order + 1)
     for i, c in enumerate(q_poly.coeffs[: order + 1]):
         if c:
-            w[i:] = [a + int(c * scale) * b for a, b in zip(w[i:], g)]
+            c = int(c * scale)
+            w[i:] = [a + c * b for a, b in zip(w[i:], g)]
     return QSeries([Fraction(c, scale) for c in w], order)
 
 

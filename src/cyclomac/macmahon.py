@@ -39,12 +39,10 @@ class MacMahonSpec:
 
 def weight_series(n_level: int, k: int, q_poly: Polynomial,
                   order: int) -> QSeries:
-    """Q/Phi_N^k as a series, on integers.  Phi_N is the product over d | N
-    of (1 - x^d)^mu(N/d), times -1 at N = 1, so Phi_N^-k is integral: k
-    prefix sums along each residue class mod d per division by 1 - x^d, and k
-    differences per product; factors with d beyond the order are 1.  D Q is
-    integral for D the lcm of Q's denominators, and the result is D Q Phi_N^-k
-    scaled back by 1/D."""
+    """Q/Phi_N^k on integers.  Phi_N = prod_{d | N} (1 - x^d)^mu(N/d), negated
+    at N = 1, so Phi_N^-k is k prefix sums per residue class mod d, or k
+    differences, per factor with d within the order; times D Q, integral for
+    D the lcm of Q's denominators, and scaled back by 1/D."""
     g = [(-1) ** k if n_level == 1 else 1] + [0] * order
     for d in divisors(n_level):
         mu = mobius(n_level // d)

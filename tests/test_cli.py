@@ -151,7 +151,7 @@ def test_expand_at_the_largest_prime_level_and_k_costs_only_the_order(capsys):
 
 def test_expand_at_high_order_with_three_indices_stays_fast(capsys):
     # The nested brute force at order 1000 and t = 3; its text report is
-    # pinned by sha256, as recorded before the integer recurrence.
+    # pinned by sha256.
     start = time.perf_counter()
     code, out, _ = run_cli(
         capsys, "expand", "--N", "4", "--k", "2", "--Q", "x^2", "--t", "3",

@@ -23,8 +23,12 @@ inverts a high power of Phi_N with a non-integral numerator.  Two expand runs
 pin the common denominator of the integer brute-force recurrence: at N = 1,
 k = 3 (weak, t = 3) the k-th power of Phi_1 = x - 1 has constant term -1, and
 at N = 2 (strict, t = 4) the numerator 3/4*x + x^3 puts 4^4 into the
-denominators of the nested series.  The recorded
-digests must only change when the report format is meant to change.
+denominators of the nested series.  Three runs pin rational numerators
+flowing through the pole data into lowest-terms cyclotomic coefficients: the
+N = 7, k = 2 closed form with numerator 1/3*x + 5/7*x^6 + 1/3*x^11, the
+N = 10, k = 3 closed form with 2/9*x^6, and the N = 12, k = 2, t = 2 verify
+with 1/2*x^2 + 1/2*x^6.  The recorded digests must only change when the
+report format is meant to change.
 """
 
 import hashlib
@@ -96,6 +100,15 @@ GOLDEN = [
     (["expand", "--N", "2", "--k", "1", "--Q", "3/4*x + x^3", "--t", "4",
       "--order", "60", "--format", "json"],
      "9d88d2ccfcaf99e77d6e48e1b32c6c248d97c263017c2ace32475a089a7815de"),
+    (["closed-form", "--N", "7", "--k", "2", "--Q",
+      "1/3*x + 5/7*x^6 + 1/3*x^11", "--format", "json"],
+     "16f80bbf079d07b968a88ba1146ed7b2abfb053d53606f6832920be6d423934c"),
+    (["closed-form", "--N", "10", "--k", "3", "--Q", "2/9*x^6", "--format",
+      "json"],
+     "b1df3957287cea16b1d1758ce70f25499fec69b11b6ad116592ad6a69449b1ee"),
+    (["verify", "--N", "12", "--k", "2", "--Q", "1/2*x^2 + 1/2*x^6", "--t",
+      "2", "--order", "40", "--format", "json"],
+     "6996d024a553ca89a665083249bf5768cf906feafbe93774efc1088587e9f36c"),
 ]
 
 

@@ -1,8 +1,9 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_L).
 
 Elements are stored in the power basis {zeta_L^i : 0 <= i < phi(L)}, reduced
-modulo the L-th cyclotomic polynomial, so equality at a fixed level is a plain
-coefficient comparison.  Binary operations accept ints, Fractions and
+modulo the L-th cyclotomic polynomial, as integer numerators over one positive
+denominator in lowest terms, so equality at a fixed level is a plain tuple
+comparison.  Binary operations accept ints, Fractions and
 CycNums at the same level, and raise `LevelMismatchError` on two different
 levels; `coerce_pair` embeds a pair into Q(zeta_lcm) where a caller means to
 mix levels.  Values are immutable.
@@ -43,14 +44,11 @@ def _phi_terms(level: int) -> tuple[tuple[int, int], ...]:
                  enumerate(cyclotomic_polynomial(level).coeffs[:-1]) if m)
 
 
-def _reduce(level: int, dense: list) -> tuple[Fraction, ...]:
-    """Remainder of sum(dense[i] x^i) modulo Phi_level, padded to phi(level).
-    Phi_level has integer coefficients, so the division runs on integer
-    numerators over the common denominator of the entries."""
+def _reduce(level: int, rem: list[int]) -> list[int]:
+    """Remainder of sum(rem[i] x^i) modulo Phi_level, padded to phi(level),
+    in place: Phi_level is monic and integral, so the integers stay integers."""
     phi = _phi(level)
     terms = _phi_terms(level)
-    den = lcm(*(c.denominator for c in dense))
-    rem = [c.numerator * (den // c.denominator) for c in dense]
     for top in range(len(rem) - 1, phi - 1, -1):
         c = rem[top]
         if c:
@@ -59,43 +57,62 @@ def _reduce(level: int, dense: list) -> tuple[Fraction, ...]:
             shift = top - phi
             for i, m in terms:
                 rem[shift + i] -= c * m
-    rem = [Fraction(c, den) for c in rem[:phi]]
-    rem.extend([Fraction(0)] * (phi - len(rem)))
-    return tuple(rem)
+    del rem[phi:]
+    rem.extend([0] * (phi - len(rem)))
+    return rem
+
+
+def _canonical(level: int, nums, den: int) -> "CycNum":
+    """sum(nums[i] zeta^i) / den, den > 0, divided through by the gcd."""
+    g = gcd(den, *nums)
+    v = object.__new__(CycNum)
+    v.level, v.nums, v.den = level, tuple(c // g for c in nums), den // g
+    return v
 
 
 class CycNum:
-    """An element of Q(zeta_L) in reduced power-basis form."""
+    """An element of Q(zeta_L) in reduced power-basis form: the integers
+    `nums` over the positive integer `den`, with gcd(den, *nums) = 1."""
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level", "nums", "den")
 
     def __init__(self, level: int, coeffs):
         if level < 1:
             raise ValueError("level must be a positive integer")
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != _phi(level):
             raise ValueError(
                 f"level {level} needs exactly {_phi(level)} basis coefficients"
             )
-        self.level = level
-        self.coeffs = coeffs
+        # The lcm of reduced denominators leaves the numerators coprime to it.
+        den = lcm(*(c.denominator for c in coeffs))
+        self.level, self.den = level, den
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_exponents(cls, level: int, terms) -> "CycNum":
-        """sum(c * zeta_level^e) over a dict {e: c} or an iterable of (e, c)
-        pairs, with arbitrary integer exponents e; repeated exponents add."""
-        dense = [Fraction(0)] * level
+    def from_exponents(cls, level: int, terms, den: int = 1) -> "CycNum":
+        """sum(c * zeta_level^e) / den over a dict {e: c} or an iterable of
+        (e, c) pairs, with arbitrary integer exponents e and rational c;
+        repeated exponents add.  den is a positive integer."""
+        dense = [0] * level
         for e, c in terms.items() if isinstance(terms, dict) else terms:
             dense[e % level] += c
-        return cls(level, _reduce(level, dense))
+        scale = lcm(*(c.denominator for c in dense))
+        dense = [c.numerator * (scale // c.denominator) for c in dense]
+        return _canonical(level, _reduce(level, dense), den * scale)
 
     @classmethod
     def from_rational(cls, level: int, value) -> "CycNum":
-        coeffs = [Fraction(0)] * _phi(level)
-        coeffs[0] = Fraction(value)
-        return cls(level, coeffs)
+        value = Fraction(value)
+        return _canonical(level, [value.numerator] + [0] * (_phi(level) - 1),
+                          value.denominator)
 
     @classmethod
     def zero(cls, level: int = 1) -> "CycNum":
@@ -108,10 +125,10 @@ class CycNum:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -133,37 +150,42 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(self.level, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        den = lcm(self.den, o.den)
+        fa, fb = den // self.den, den // o.den
+        return _canonical(self.level,
+                          [a * fa + b * fb for a, b in zip(self.nums, o.nums)],
+                          den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.level, [-a for a in self.coeffs])
+        return _canonical(self.level, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(self.level, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self + -o
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycNum(self.level, [a * other for a in self.coeffs])
+            return _canonical(self.level,
+                              [a * other.numerator for a in self.nums],
+                              self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = len(self.coeffs)
-        dense = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
+        dense = [0] * (2 * len(self.nums) - 1)
+        bs = [(j, b) for j, b in enumerate(o.nums) if b]
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in bs:
                     dense[i + j] += a * b
-        return CycNum(self.level, _reduce(self.level, dense))
+        return _canonical(self.level, _reduce(self.level, dense),
+                          self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -171,7 +193,7 @@ class CycNum:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return CycNum(self.level, [a / other for a in self.coeffs])
+            return self * (1 / Fraction(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -207,7 +229,7 @@ class CycNum:
         # Phi_L is irreducible over Q, so the gcd is a nonzero constant.
         g = old_r.coefficient(0)
         inv_poly = old_s * (Fraction(1) / g)
-        return CycNum(self.level, _reduce(self.level, list(inv_poly.coeffs)))
+        return CycNum.from_exponents(self.level, enumerate(inv_poly.coeffs))
 
     # -- structure maps -----------------------------------------------
 
@@ -221,16 +243,16 @@ class CycNum:
             return self
         step = new_level // self.level
         return CycNum.from_exponents(
-            new_level, {i * step: c for i, c in enumerate(self.coeffs) if c}
-        )
+            new_level, ((i * step, c) for i, c in enumerate(self.nums) if c),
+            self.den)
 
     def galois(self, s: int) -> "CycNum":
         """The automorphism zeta -> zeta^s; s must be coprime to the level."""
         if gcd(s, self.level) != 1:
             raise ValueError(f"{s} is not coprime to the level {self.level}")
         return CycNum.from_exponents(
-            self.level, {i * s: c for i, c in enumerate(self.coeffs) if c}
-        )
+            self.level, ((i * s, c) for i, c in enumerate(self.nums) if c),
+            self.den)
 
     def conjugate(self) -> "CycNum":
         if self.level <= 2:
@@ -240,19 +262,17 @@ class CycNum:
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise NotRationalError(self)
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- comparison and display ----------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self.nums[0] == other * self.den
         if not isinstance(other, CycNum):
             return NotImplemented
-        if other.level == self.level:
-            return self.coeffs == other.coeffs
-        a, b = coerce_pair(self, other)
-        return a.coeffs == b.coeffs
+        a, b = (self, other) if other.level == self.level else coerce_pair(self, other)
+        return a.nums == b.nums and a.den == b.den
 
     # Equal values can live at different levels, so no level-based hash can
     # satisfy the hash contract; field elements are not dict keys here.

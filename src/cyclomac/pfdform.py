@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
 
 from .chars import (
@@ -27,7 +28,7 @@ from .comb import (
     mobius,
     stirling_first_unsigned,
 )
-from .field import CycNum, coerce_pair, zeta
+from .field import CycNum, coerce_pair
 from .polynomial import Polynomial, cyclotomic_polynomial
 from .series import EisensteinTerm, QSeries, g_constant
 
@@ -107,15 +108,21 @@ def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
     variable u = 1 - zeta_N x.  Q is rational, so the data at every other
     pole zeta_N^{-s} is the Galois image under zeta -> zeta^s.  At N = 1
     (x = 1 - u, Phi_1 = -u) this gives b_m = (-1)^(m+k) Q^(m)(1)/m!, and at
-    N = 2 (x = -1 + u, Phi_2 = u) it gives b_m = Q^(m)(-1)/m!.
+    N = 2 (x = -1 + u, Phi_2 = u) it gives b_m = Q^(m)(-1)/m!.  As x^i =
+    zeta_N^{-i} (1 - u)^i, the u^m coefficient of P = Phi_N or Q at the pole
+    is (-1)^m sum_i p_i binomial(i, m) zeta_N^{-i}: one reduction per m.
     """
-    pole = zeta(n, -1)
-    x_of_u = QSeries([pole, -pole], k)
-    phi_comp = cyclotomic_polynomial(n)(x_of_u)
-    if phi_comp.coefficient(0):
+    def at_pole(p: Polynomial, top: int) -> list[CycNum]:
+        return [CycNum.from_exponents(n, (
+            (-i, (-1) ** m * binomial(i, m) * c)
+            for i, c in enumerate(p.coeffs[m:], m) if c
+        )) for m in range(top + 1)]
+
+    phi_comp = at_pole(cyclotomic_polynomial(n), k)
+    if phi_comp[0]:
         raise ArithmeticError("expansion point is not a root of the denominator")
-    h = QSeries(phi_comp.coeffs[1:], k - 1)
-    q_comp = q_poly(x_of_u).truncate(k - 1)
+    h = QSeries(phi_comp[1:], k - 1)
+    q_comp = QSeries(at_pole(q_poly, k - 1), k - 1)
     a_series = q_comp * (h**k).inverse()
     return tuple(
         c if isinstance(c, CycNum) else CycNum.from_rational(n, c)
@@ -125,16 +132,8 @@ def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
 
 def _partial_sums(b: list) -> dict[int, object]:
     """a(r) = sum of b_m for m <= k - r, for r = 1..k."""
-    k = len(b)
-    out = {}
-    acc = Fraction(0)
-    sums = []
-    for m in range(k):
-        acc = acc + b[m]
-        sums.append(acc)
-    for r in range(1, k + 1):
-        out[r] = sums[k - r]
-    return out
+    sums = list(accumulate(b))
+    return {r: sums[len(b) - r] for r in range(1, len(b) + 1)}
 
 
 def _c_from_a(a: dict[int, object], k: int) -> dict[int, object]:
@@ -236,24 +235,27 @@ class ClosedForm:
         (dilation g, weight w) pair add up to the sum over m, n >= 1 of
         table[m] m^(w-1) q^(mng), where table[m] = sum of coef * chi(m) over
         the pair's terms depends only on m modulo the lcm of their moduli.
-        Every entry of every table must be rational, else NotRationalError.
+        Every entry of every table must be rational, else NotRationalError;
+        the divisor sums then run on integers over one common denominator.
         """
         groups: dict[tuple[int, int], list[EisensteinTerm]] = {}
         for t in self.terms:
             groups.setdefault((t.dilation, t.weight), []).append(t)
-        out = [Fraction(0)] * (order + 1)
         offset = self.constant
+        tables = []
         for (g, w), terms in groups.items():
             period = lcm(*(t.character.modulus for t in terms))
             level = lcm(*(t.coefficient.level for t in terms),
                         *(t.character.level for t in terms))
+            den = lcm(*(t.coefficient.den for t in terms))
             # coef * chi(m) = sum of c_i zeta_L^(i L/level_c + r(m) L/e), so
             # each table entry is one reduction at L = level.
             rows = []
             for t in terms:
                 c, chi = t.coefficient, t.character
-                step = level // c.level
-                rows.append(([(i * step, v) for i, v in enumerate(c.coeffs) if v],
+                step, scale = level // c.level, den // c.den
+                rows.append(([(i * step, v * scale)
+                              for i, v in enumerate(c.nums) if v],
                              chi, level // chi.level))
                 if self.form == "G":
                     c, b = coerce_pair(c, g_constant(w, chi))
@@ -266,15 +268,22 @@ class ClosedForm:
                     r = chi.table[m % chi.modulus]
                     if r is not None:
                         pairs.extend((e + r * step, v) for e, v in coef)
-                table.append(CycNum.from_exponents(level, pairs).to_rational())
+                table.append(
+                    CycNum.from_exponents(level, pairs, den).to_rational())
+            tables.append((g, w, table))
+        offset = offset.to_rational()
+        den = lcm(offset.denominator,
+                  *(v.denominator for _, _, table in tables for v in table))
+        out = [offset.numerator * (den // offset.denominator)] + [0] * order
+        for g, w, table in tables:
+            table = [v.numerator * (den // v.denominator) for v in table]
             for m in range(1, order // g + 1):
-                v = table[m % period]
+                v = table[m % len(table)]
                 if v:
-                    v = v * m ** (w - 1)
+                    v *= m ** (w - 1)
                     for e in range(m * g, order + 1, m * g):
                         out[e] += v
-        out[0] += offset.to_rational()
-        return QSeries(out, order)
+        return QSeries([Fraction(c, den) for c in out], order)
 
     def to_json(self) -> dict:
         return {
@@ -332,6 +341,7 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
     else:
         for ell in range(1, k + 1):
             cs = [(j, p.c[(j, ell)]) for j in pole_exponents(n)]
+            den = lcm(*(c.den for _, c in cs))
             for g in divisors(n):
                 reduced = n // g
                 scale = Fraction(2 * g ** (ell - 1), euler_phi(reduced))
@@ -344,9 +354,10 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
                     level = lcm(n, chi.level)
                     step_n, step_e = level // n, level // chi.level
                     pole_sum = CycNum.from_exponents(level, (
-                        (i * step_n - chi.table[j % reduced] * step_e, v)
-                        for j, c in cs for i, v in enumerate(c.coeffs) if v
-                    ))
+                        (i * step_n - chi.table[j % reduced] * step_e,
+                         v * (den // c.den))
+                        for j, c in cs for i, v in enumerate(c.nums) if v
+                    ), den)
                     acc[(g, chi.conjugate(), ell)] = (
                         gauss_sum(chi).embed(level) * (pole_sum * scale))
     return ClosedForm(inp, "F", _collect(acc), CycNum.zero())

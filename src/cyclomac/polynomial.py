@@ -131,9 +131,6 @@ class Polynomial:
                 rem[shift + i] -= factor * c
         return Polynomial(q), Polynomial(rem)
 
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
 

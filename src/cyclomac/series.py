@@ -63,17 +63,6 @@ class QSeries:
     def __getitem__(self, j: int):
         return self.coefficient(j)
 
-    def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise OrderMismatchError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: order + 1], order)
-
-    def valuation(self):
-        for j, c in enumerate(self.coeffs):
-            if c:
-                return j
-        return None
-
     def __add__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction, CycNum)):
             out = list(self.coeffs)

@@ -90,6 +90,25 @@ def closed_form_per_pole(inp: AdmissibleInput) -> dict:
     return {key: coef for key, coef in acc.items() if coef}
 
 
+def pole_taylor_by_horner(n: int, k: int, q_poly: Polynomial) -> tuple:
+    """Taylor coefficients b_0..b_{k-1} of (1 - zeta x)^k Q(x)/Phi_N(x)^k
+    at x = zeta_N^{-1}, with Phi_N and Q evaluated at x = zeta_N^{-1}(1 - u)
+    by Horner's rule on series in u; an oracle for the binomial sums of
+    `pfdform._pole_taylor`."""
+    pole = zeta(n, -1)
+    x_of_u = QSeries([pole, -pole], k)
+    phi_comp = cyclotomic_polynomial(n)(x_of_u)
+    if phi_comp.coefficient(0):
+        raise ArithmeticError("expansion point is not a root of the denominator")
+    h = QSeries(phi_comp.coeffs[1:], k - 1)
+    q_comp = QSeries(q_poly(x_of_u).coeffs, k - 1)
+    a_series = q_comp * (h**k).inverse()
+    return tuple(
+        c if isinstance(c, CycNum) else CycNum.from_rational(n, c)
+        for c in a_series.coeffs
+    )
+
+
 def zeta_power_expand(n: int, m: int) -> dict[int, CycNum]:
     """Per-character summands whose total is zeta_n^m.
 

@@ -164,6 +164,21 @@ def test_expand_at_high_order_with_three_indices_stays_fast(capsys):
     assert elapsed < 5.0
 
 
+def test_closed_form_at_prime_level_43_stays_fast(capsys):
+    # Character values at level 42 meet pole data at level 43, so the
+    # coefficients live at level 1806; the report is pinned by sha256.
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "closed-form", "--N", "43", "--k", "1", "--Q", "x^21",
+        "--format", "json",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e553a6d7b63fc0e0f49a73fb607ff8e64563683d1b86ec95a35f873fdc6203a6")
+    assert elapsed < 5.0
+
+
 def test_expand_csv_output(capsys):
     code, out, _ = run_cli(
         capsys, "expand", "--N", "1", "--k", "2", "--Q", "x",

@@ -15,6 +15,7 @@ from cyclomac import (
     zeta,
 )
 from cyclomac.field import coerce_pair
+from cyclomac.polynomial import Polynomial
 from helpers import NotInSubfieldError, project
 
 
@@ -212,3 +213,47 @@ def test_embed_is_ring_homomorphism(data):
     b = data.draw(_cyc_numbers(level))
     assert (a * b).embed(target) == a.embed(target) * b.embed(target)
     assert (a + b).embed(target) == a.embed(target) + b.embed(target)
+
+
+def _is_canonical(v):
+    return (v.den > 0 and math.gcd(v.den, *v.nums) == 1
+            and (any(v.nums) or v.den == 1))
+
+
+def _from_exponents(level, terms):
+    """The Fraction-coefficient definition of sum(c x^e) over (e, c) pairs,
+    reduced modulo Phi_level and padded to phi(level) coefficients."""
+    dense = [Fraction(0)] * (max((e for e, _ in terms), default=0) + 1)
+    for e, c in terms:
+        dense[e] += c
+    rem = Polynomial(dense) % cyclotomic_polynomial(level)
+    phi = len(CycNum.one(level).coeffs)
+    return CycNum(level, list(rem.coeffs) + [0] * (phi - len(rem.coeffs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([1, 2, 12, 15, 42]))
+def test_integer_form_matches_fraction_definitions(data, level):
+    a = data.draw(_cyc_numbers(level))
+    b = data.draw(_cyc_numbers(level))
+    r = data.draw(_small_fractions())
+    results = [a + b, a - b, a * b, a - a, a * 0, a * r, -a]
+    if r:
+        results.append(a / r)
+    assert all(_is_canonical(v) for v in results)
+    assert (a - a).nums == (0,) * len(a.nums) and (a - a).den == 1
+    assert a + b == CycNum(level, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+    product = Polynomial(a.coeffs) * Polynomial(b.coeffs)
+    assert a * b == _from_exponents(level, list(enumerate(product.coeffs)))
+    assert a * r == CycNum(level, [x * r for x in a.coeffs])
+    units = [s for s in range(1, level + 1) if math.gcd(s, level) == 1]
+    s = data.draw(st.sampled_from(units))
+    image = a.galois(s)
+    assert _is_canonical(image)
+    assert image == _from_exponents(
+        level, [(i * s % level, c) for i, c in enumerate(a.coeffs)])
+    target = level * data.draw(st.sampled_from([2, 3, 5]))
+    lifted = a.embed(target)
+    assert _is_canonical(lifted)
+    assert lifted == _from_exponents(
+        target, [(i * (target // level), c) for i, c in enumerate(a.coeffs)])

@@ -34,6 +34,7 @@ from cyclomac import (
 from helpers import (
     closed_form_per_pole,
     evaluate_term_by_term,
+    pole_taylor_by_horner,
     rational_function_series,
     reconstruct_series,
     sweep_inputs,
@@ -133,6 +134,19 @@ def test_reconstruction_of_simple_level_one_input():
                          ids=lambda i: f"N{i.N}k{i.k}{i.Q}")
 def test_reconstruction_invariant(inp):
     assert verify_reconstruction(pfd_coefficients(inp))
+
+
+@pytest.mark.parametrize("inp", [
+    *sweep_inputs(max_n=24, max_k=12, degree_bound=12),
+    AdmissibleInput(7, 2, Polynomial([0, Fraction(1, 3), 0, 0, 0, 0,
+                                      Fraction(5, 7), 0, 0, 0, 0,
+                                      Fraction(1, 3)])),
+    AdmissibleInput(10, 3, Polynomial([0] * 6 + [Fraction(2, 9)])),
+], ids=lambda i: f"N{i.N}k{i.k}{i.Q}")
+def test_pole_taylor_matches_horner_expansion(inp):
+    validate(inp)
+    assert pfdform._pole_taylor(inp.N, inp.k, inp.Q) == pole_taylor_by_horner(
+        inp.N, inp.k, inp.Q)
 
 
 def _top_coefficient_product_formula(inp, j):

@@ -66,7 +66,8 @@ def _canonical(level: int, nums, den: int) -> "CycNum":
     """sum(nums[i] zeta^i) / den, den > 0, divided through by the gcd."""
     g = gcd(den, *nums)
     v = object.__new__(CycNum)
-    v.level, v.nums, v.den = level, tuple(c // g for c in nums), den // g
+    v.level, v.den = level, den // g
+    v.nums = tuple(nums) if g == 1 else tuple(c // g for c in nums)
     return v
 
 

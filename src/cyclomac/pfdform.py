@@ -341,7 +341,8 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
     else:
         for ell in range(1, k + 1):
             cs = [(j, p.c[(j, ell)]) for j in pole_exponents(n)]
-            den = lcm(*(c.den for _, c in cs))
+            # Each c(j, ell) is a Galois image of c(1, ell): one denominator.
+            den = cs[0][1].den
             for g in divisors(n):
                 reduced = n // g
                 scale = Fraction(2 * g ** (ell - 1), euler_phi(reduced))
@@ -354,8 +355,7 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
                     level = lcm(n, chi.level)
                     step_n, step_e = level // n, level // chi.level
                     pole_sum = CycNum.from_exponents(level, (
-                        (i * step_n - chi.table[j % reduced] * step_e,
-                         v * (den // c.den))
+                        (i * step_n - chi.table[j % reduced] * step_e, v)
                         for j, c in cs for i, v in enumerate(c.nums) if v
                     ), den)
                     acc[(g, chi.conjugate(), ell)] = (

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import string
 import sys
 from fractions import Fraction
 
@@ -95,12 +96,12 @@ def _tokenize(src: str) -> list[tuple[str, object, int]]:
     i = 0
     while i < len(src):
         ch = src[i]
-        if ch.isspace():
+        if ch in string.whitespace:
             i += 1
             continue
-        if ch.isdigit():
+        if ch in string.digits:
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j] in string.digits:
                 j += 1
             try:
                 value = int(src[i:j])
@@ -231,6 +232,8 @@ def _check_parameters(args) -> None:
 def _check_output(path) -> None:
     """--output must name a file in an existing directory; checked before
     any command runs.  `_emit` reports what only the write can reveal."""
+    if path == "":
+        raise OutputPathError("the path is empty")
     if path is not None and (os.path.isdir(path) or
                              not os.path.isdir(os.path.dirname(path) or ".")):
         raise OutputPathError(f"{path!r} is a directory or in a missing directory")
@@ -253,7 +256,7 @@ def _emit(report: dict, args) -> None:
         text = _series_csv(report["series"])
     else:
         text = _text_report(report)
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w") as fh:
                 fh.write(text)

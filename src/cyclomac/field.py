@@ -105,9 +105,12 @@ class CycNum:
         dense = [0] * level
         for e, c in terms.items() if isinstance(terms, dict) else terms:
             dense[e % level] += c
-        scale = lcm(*(c.denominator for c in dense))
-        dense = [c.numerator * (scale // c.denominator) for c in dense]
-        return _canonical(level, _reduce(level, dense), den * scale)
+        # A Fraction entry, even one with denominator 1, must become an int.
+        if not all(type(c) is int for c in dense):
+            scale = lcm(*(c.denominator for c in dense))
+            dense = [c.numerator * (scale // c.denominator) for c in dense]
+            den *= scale
+        return _canonical(level, _reduce(level, dense), den)
 
     @classmethod
     def from_rational(cls, level: int, value) -> "CycNum":
@@ -286,15 +289,17 @@ class CycNum:
         if self.is_zero():
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.nums):
             if c == 0:
                 continue
-            mag = abs(c)
+            g = gcd(c, self.den)
+            top, bottom = abs(c) // g, self.den // g
+            mag = str(top) if bottom == 1 else f"{top}/{bottom}"
             if i == 0:
-                body = str(mag)
+                body = mag
             else:
                 z = f"z{self.level}" if i == 1 else f"z{self.level}^{i}"
-                body = z if mag == 1 else f"{mag}*{z}"
+                body = z if mag == "1" else f"{mag}*{z}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:

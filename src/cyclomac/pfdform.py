@@ -1,9 +1,10 @@
 """Partial-fraction data for Q(x)/Phi_N(x)^k and the resulting closed-form
 Eisenstein representations of the single-sum series sum_n Q(q^n)/Phi_N(q^n)^k.
 
-The pipeline: admissibility validation, exact Taylor data at each primitive
-pole, the two independent routes to the weight coefficients (cross-asserted),
-and the assembled F-form / G-form term lists.
+The pipeline: admissibility validation, exact Taylor data at the primitive
+pole zeta_N^{-1} (every other pole is a Galois image), the two independent
+routes to the weight coefficients (cross-asserted), and the assembled F-form /
+G-form term lists.
 """
 
 from __future__ import annotations
@@ -168,49 +169,40 @@ def _c_from_taylor(b: list, k: int) -> dict[int, object]:
 
 @dataclass
 class PfdCoefficients:
-    """Pole data for Q(x)/Phi_N(x)^k at the poles zeta_N^{-j}, j in
-    `pole_exponents(N)` (j = 1 alone for N <= 2): Taylor data, a-coefficients
-    per pole order, and the derived weight coefficients c.  The data at the
-    conjugate pole zeta_N^{j} is the complex conjugate of the data at j."""
+    """Pole data for Q(x)/Phi_N(x)^k at the pole zeta_N^{-1}: Taylor data,
+    a-coefficients per pole order, and the derived weight coefficients c.
+    Q is rational, so the data at the pole zeta_N^{-j} is the image under
+    sigma_j: zeta -> zeta^j, and the data at zeta_N^{j} is its complex
+    conjugate."""
 
     input: AdmissibleInput
-    a: dict = field(default_factory=dict)           # (j, r) -> value
-    c: dict | None = None                           # (j, ell) -> value
-    taylor: dict = field(default_factory=dict)      # j -> [b_0..b_{k-1}]
+    taylor: tuple = ()                              # b_0..b_{k-1}
+    a: dict = field(default_factory=dict)           # r -> value
+    c: dict | None = None                           # ell -> value
 
 
 def pfd_coefficients(inp: AdmissibleInput) -> PfdCoefficients:
-    """Compute the pole coefficients a(j, r).  One Taylor expansion at
-    zeta_N^{-1} gives the data at every pole zeta_N^{-j} as its image under
-    the Galois automorphism zeta -> zeta^j."""
+    """Compute the pole coefficients a(r) at zeta_N^{-1} from one Taylor
+    expansion."""
     validate(inp)
-    n = inp.N
-    out = PfdCoefficients(input=inp)
-    base = _pole_taylor(n, inp.k, inp.Q)
-    for j in pole_exponents(n) if n > 2 else [1]:
-        out.taylor[j] = [b.galois(j) for b in base]
-    for j, b in out.taylor.items():
-        for r, v in _partial_sums(b).items():
-            out.a[(j, r)] = v
-    return out
+    b = _pole_taylor(inp.N, inp.k, inp.Q)
+    return PfdCoefficients(inp, b, _partial_sums(b))
 
 
 def c_coefficients(p: PfdCoefficients) -> PfdCoefficients:
-    """Populate the weight coefficients c(j, ell) by the Stirling sum over
-    a(j, r), cross-checked at every pole against the direct Taylor formula."""
+    """Populate the weight coefficients c(ell) by the Stirling sum over a(r),
+    cross-checked against the direct Taylor formula.  Both routes are
+    Q-linear in the Taylor data and every sigma_j fixes Q, so agreement at
+    zeta_N^{-1} is agreement at every pole."""
     k = p.input.k
-    p.c = {}
-    for j, b in p.taylor.items():
-        a_j = {r: p.a[(j, r)] for r in range(1, k + 1)}
-        c_def = _c_from_a(a_j, k)
-        c_alt = _c_from_taylor(b, k)
-        for ell in range(1, k + 1):
-            if c_def[ell] != c_alt[ell]:
-                raise InternalMismatchError(
-                    f"weight-coefficient routes disagree at j={j}, ell={ell}: "
-                    f"{c_def[ell]} vs {c_alt[ell]}"
-                )
-            p.c[(j, ell)] = c_def[ell]
+    c_def, c_alt = _c_from_a(p.a, k), _c_from_taylor(p.taylor, k)
+    for ell in range(1, k + 1):
+        if c_def[ell] != c_alt[ell]:
+            raise InternalMismatchError(
+                f"weight-coefficient routes disagree at ell={ell}: "
+                f"{c_def[ell]} vs {c_alt[ell]}"
+            )
+    p.c = c_def
     return p
 
 
@@ -325,24 +317,24 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
     N/g of parity (-1)^ell; their scalar weights combine the pole data with
     Gauss sums.  For N <= 2 only the trivial character appears.
     """
-    validate(inp)
     n, k = inp.N, inp.k
     p = c_coefficients(pfd_coefficients(inp))
     one = trivial_character()
     acc: dict = {}
     if n == 1:
         for ell in range(2, k + 1, 2):
-            acc[(1, one, ell)] = p.c[(1, ell)]
+            acc[(1, one, ell)] = p.c[ell]
     elif n == 2:
         for ell in range(2, k + 1, 2):
-            c = p.c[(1, ell)]
+            c = p.c[ell]
             acc[(2, one, ell)] = c * 2**ell
             acc[(1, one, ell)] = -c
     else:
+        poles = pole_exponents(n)
         for ell in range(1, k + 1):
-            cs = [(j, p.c[(j, ell)]) for j in pole_exponents(n)]
-            # Each c(j, ell) is a Galois image of c(1, ell): one denominator.
-            den = cs[0][1].den
+            c = p.c[ell]
+            # c(j, ell) = sigma_j(c(1, ell)) = sum of v_i zeta_N^(i j) / den.
+            nums = [(i, v) for i, v in enumerate(c.nums) if v]
             for g in divisors(n):
                 reduced = n // g
                 scale = Fraction(2 * g ** (ell - 1), euler_phi(reduced))
@@ -355,9 +347,9 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
                     level = lcm(n, chi.level)
                     step_n, step_e = level // n, level // chi.level
                     pole_sum = CycNum.from_exponents(level, (
-                        (i * step_n - chi.table[j % reduced] * step_e, v)
-                        for j, c in cs for i, v in enumerate(c.nums) if v
-                    ), den)
+                        (i * j * step_n - chi.table[j % reduced] * step_e, v)
+                        for j in poles for i, v in nums
+                    ), c.den)
                     acc[(g, chi.conjugate(), ell)] = (
                         gauss_sum(chi).embed(level) * (pole_sum * scale))
     return ClosedForm(inp, "F", _collect(acc), CycNum.zero())
@@ -394,19 +386,16 @@ def to_g_form(cf: ClosedForm) -> ClosedForm:
 
 
 def conjugate_relation_violations(inp: AdmissibleInput) -> list[tuple]:
-    """Tuples (j, ell, c, c') where the weight coefficient c' = conj(c) at
-    the conjugate pole zeta_N^{j} breaks c' = (-1)^ell c.  The relation holds
-    only because Q satisfies the reflection rule, and the closed form relies
-    on it, so violations are surfaced rather than silently absorbed.  At
-    N <= 2 the one pole is real, so the relation says that the odd-weight
-    coefficients vanish."""
+    """Tuples (ell, c, c') where the weight coefficient c' = conj(c) at the
+    conjugate pole zeta_N breaks c' = (-1)^ell c.  The relation holds only
+    because Q satisfies the reflection rule, and the closed form relies on
+    it, so violations are surfaced rather than silently absorbed.  Complex
+    conjugation commutes with every sigma_j, so the one pole zeta_N^{-1}
+    decides the relation at all of them.  At N <= 2 the one pole is real,
+    so the relation says that the odd-weight coefficients vanish."""
     p = c_coefficients(pfd_coefficients(inp))
-    bad = []
-    for (j, ell), c in p.c.items():
-        c_bar = c.conjugate()
-        if c_bar != c * (-1) ** ell:
-            bad.append((j, ell, c, c_bar))
-    return bad
+    return [(ell, c, c.conjugate()) for ell, c in p.c.items()
+            if c.conjugate() != c * (-1) ** ell]
 
 
 def admissible_polynomials(n: int, k: int) -> list[Polynomial]:

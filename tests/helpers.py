@@ -62,14 +62,15 @@ def gauss_sum_per_residue(chi) -> CycNum:
 def closed_form_per_pole(inp: AdmissibleInput) -> dict:
     """The F-form coefficients {(dilation, character, weight): coefficient}
     for N >= 3 by the per-pole route: for each pole j, the Gauss sum times
-    the scaled weight coefficient c(j, ell) times conj(chi)(j), merged by
-    key; an oracle for `closed_form`, which sums over the poles first."""
+    the scaled weight coefficient c(j, ell) = sigma_j(c(1, ell)) times
+    conj(chi)(j), merged by key; an oracle for `closed_form`, which sums
+    over the poles first."""
     n, k = inp.N, inp.k
     p = c_coefficients(pfd_coefficients(inp))
     acc: dict = {}
     for j in pole_exponents(n):
         for ell in range(1, k + 1):
-            c = p.c[(j, ell)]
+            c = p.c[ell].galois(j)
             if not c:
                 continue
             for g in divisors(n):
@@ -202,12 +203,14 @@ def reconstruct_series(p, order: int) -> QSeries:
                 coeffs[m] = coeffs[m] + term
 
     if n <= 2:
-        add_family({r: p.a[(1, r)] for r in range(1, k + 1)}, 0)
+        add_family(p.a, 0)
     else:
-        # The data at the conjugate pole zeta^j is the complex conjugate.
+        # The data at the pole zeta^-j is sigma_j of the data at zeta^-1,
+        # and the data at the conjugate pole zeta^j is its complex conjugate.
         for j in pole_exponents(n):
-            add_family({r: p.a[(j, r)] for r in range(1, k + 1)}, j)
-            add_family({r: p.a[(j, r)].conjugate() for r in range(1, k + 1)}, -j)
+            add_family({r: p.a[r].galois(j) for r in range(1, k + 1)}, j)
+            add_family({r: p.a[r].galois(j).conjugate()
+                        for r in range(1, k + 1)}, -j)
     return QSeries(coeffs, order)
 
 

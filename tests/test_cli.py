@@ -76,6 +76,21 @@ def test_parse_error_carries_offset():
     assert info.value.offset == 6
 
 
+@pytest.mark.parametrize("src", ["x^\u0663", "x^\u00b2", "x^\u30002"])
+def test_parse_accepts_only_ascii_digits_and_spaces(capsys, src):
+    # Arabic-Indic three, superscript two and an ideographic space: each is
+    # rejected at its own offset, which is also its byte offset before it.
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_polynomial(src)
+    assert info.value.offset == 2
+    code, out, err = run_cli(capsys, "closed-form", "--N", "5", "--k", "1",
+                             "--Q", src, "--format", "json")
+    assert code == 2
+    assert out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message == f"unexpected character {src[2]!r} (at offset 2)"
+
+
 def test_parse_rejects_zero_denominator():
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("1/0*x")
@@ -336,6 +351,17 @@ def test_unwritable_output_exits_two_with_clause(tmp_path, capsys, fmt, where):
     assert err.count(cli.OutputPathError.clause) == 1
     if fmt == "json":
         assert json.loads(err)["error"]["clause"] == cli.OutputPathError.clause
+
+
+def test_empty_output_path_exits_two_with_clause(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "brute_force", _fail)
+    code, out, err = run_cli(
+        capsys, "expand", "--N", "1", "--k", "1", "--Q", "x", "--order", "2",
+        "--output", "",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count(cli.OutputPathError.clause) == 1
 
 
 @pytest.mark.parametrize("where", ["missing directory", "directory"])

@@ -27,8 +27,11 @@ denominators of the nested series.  Three runs pin rational numerators
 flowing through the pole data into lowest-terms cyclotomic coefficients: the
 N = 7, k = 2 closed form with numerator 1/3*x + 5/7*x^6 + 1/3*x^11, the
 N = 10, k = 3 closed form with 2/9*x^6, and the N = 12, k = 2, t = 2 verify
-with 1/2*x^2 + 1/2*x^6.  The recorded digests must only change when the
-report format is meant to change.
+with 1/2*x^2 + 1/2*x^6.  Three verify runs pin the isobaric assembly at
+t >= 4: N = 6, k = 2 at t = 5 and order 100, the rational numerator
+1/2*x^2 + 1/2*x^6 at N = 12, t = 4, and N = 1, where Phi_1 = x - 1 is
+negated, at t = 6.  The recorded digests must only change when the report
+format is meant to change.
 """
 
 import hashlib
@@ -111,10 +114,26 @@ GOLDEN = [
      "6996d024a553ca89a665083249bf5768cf906feafbe93774efc1088587e9f36c"),
 ]
 
+# Verify runs at t >= 4; their ids carry t, as N and k alone repeat the ids
+# of earlier runs.
+GOLDEN_NESTED = [
+    (["verify", "--N", "6", "--k", "2", "--Q", "x + x^3", "--t", "5",
+      "--order", "100", "--format", "json"],
+     "146bc7b351c6f1f670418e7767dcce9b3391e657b2ce547104452ce3595ff4a9"),
+    (["verify", "--N", "12", "--k", "2", "--Q", "1/2*x^2 + 1/2*x^6", "--t",
+      "4", "--order", "30", "--format", "json"],
+     "c98cb3c29de52820ea48f09e5ba80ce33e29ab9ac29433ba699dcd675d7220db"),
+    (["verify", "--N", "1", "--k", "3", "--Q", "x - x^2", "--t", "6",
+      "--order", "30", "--format", "json"],
+     "99e1e13283c1a0f98fe54b23c0aaf278f3ee20338677eb9af3bde7bf5239c979"),
+]
 
-@pytest.mark.parametrize("argv, digest", GOLDEN,
+
+@pytest.mark.parametrize("argv, digest", GOLDEN + GOLDEN_NESTED,
                          ids=[" ".join(argv[:5] + ["--weak"] * ("--weak" in argv))
-                              for argv, _ in GOLDEN])
+                              for argv, _ in GOLDEN]
+                         + [" ".join(argv[:5] + argv[7:9])
+                            for argv, _ in GOLDEN_NESTED])
 def test_report_bytes_are_unchanged(argv, digest, capsys, monkeypatch):
     monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
     assert main(argv) == 0

@@ -2,9 +2,9 @@
 
 The package computes the nested series sum over n_1 < ... < n_t (strict or
 weak) of products Q(q^(n_j))/Phi_N(q^(n_j))^k, their closed-form Eisenstein
-representations over Dirichlet characters and Gauss sums, their decompositions
-into polynomials in the single sums, and exact coefficient-wise certificates
-that the representations agree.
+representations over Dirichlet characters and Gauss sums, their assembly
+from the single sums by Newton's identities, and exact coefficient-wise
+certificates that the representations agree.
 """
 
 from .chars import (
@@ -15,7 +15,6 @@ from .chars import (
     trivial_character,
 )
 from .comb import (
-    Partition,
     binomial,
     divisors,
     euler_phi,
@@ -23,7 +22,6 @@ from .comb import (
     factorint,
     gen_bernoulli,
     mobius,
-    partitions,
     stirling_first_unsigned,
 )
 from .field import (
@@ -34,13 +32,11 @@ from .field import (
 )
 from .macmahon import (
     Certificate,
-    IsobaricTerm,
     MacMahonSpec,
     brute_force,
     certify,
     evaluate_isobaric,
     evaluate_isobaric_closed,
-    isobaric_decomposition,
     power_polynomial,
     weight_series,
 )
@@ -83,14 +79,12 @@ __all__ = [
     "DirichletCharacter",
     "EisensteinTerm",
     "InternalMismatchError",
-    "IsobaricTerm",
     "LevelMismatchError",
     "MacMahonSpec",
     "NonUnitError",
     "NonzeroConstantTermError",
     "NotRationalError",
     "OrderMismatchError",
-    "Partition",
     "PfdCoefficients",
     "Polynomial",
     "QSeries",
@@ -116,9 +110,7 @@ __all__ = [
     "g_constant",
     "gauss_sum",
     "gen_bernoulli",
-    "isobaric_decomposition",
     "mobius",
-    "partitions",
     "pfd_coefficients",
     "pole_exponents",
     "power_polynomial",

@@ -26,6 +26,7 @@ from .macmahon import (
     certify,
     evaluate_isobaric,
     evaluate_isobaric_closed,
+    power_polynomial,
 )
 from .pfdform import (
     AdmissibleInput,
@@ -44,10 +45,11 @@ DEFAULT_ORDER_ENV = "CYCLOMAC_ORDER"
 # Input caps, checked before anything of that size is allocated: the largest
 # exponent the polynomial parser accepts, the largest truncation order, the
 # largest N (also for sweep's --max-N), the largest k (also for --max-k), the
-# largest nesting depth t and the largest sweep --degree-bound.  At t = 20
-# the isobaric route already sums p(20) = 627 monomials; at k = 100 one
-# closed form at N = 3 takes seconds, and the sweep corpus grows
-# exponentially in its degree bound.
+# largest nesting depth t and the largest sweep --degree-bound.  A verify
+# at depth t builds t single sums by brute force and by closed form, the
+# closed-form ones at weights up to k t, and its isobaric assemblies make
+# t(t+1)/2 series products each; at k = 100 one closed form at N = 3 takes
+# seconds, and the sweep corpus grows exponentially in its degree bound.
 MAX_EXPONENT = 10_000
 MAX_ORDER = 10_000
 MAX_N = 10_000
@@ -359,6 +361,11 @@ def _cmd_verify(args) -> int:
                 "closed-form-G", "brute-force(t=1)", descriptor=desc),
     ]
     if args.t > 1:
+        singles = {1: brute1} | {
+            s: brute_force(MacMahonSpec(1, args.N, s * args.k,
+                                        power_polynomial(q_poly, s)), order)
+            for s in range(2, args.t + 1)
+        }
         nested = {}
         for strict in (True, False):
             tag = "strict" if strict else "weak"
@@ -367,7 +374,8 @@ def _cmd_verify(args) -> int:
             )
             certs.append(
                 certify(
-                    evaluate_isobaric(args.N, args.k, q_poly, args.t, strict, order),
+                    evaluate_isobaric(args.N, args.k, q_poly, args.t, strict,
+                                      order, singles.__getitem__),
                     nested[strict],
                     f"isobaric-{tag}(t={args.t})",
                     f"brute-force-{tag}(t={args.t})",

@@ -1,10 +1,9 @@
-"""Integer and rational combinatorics: Stirling numbers, integer partitions,
-multiplicative arithmetic functions, and (generalized) Bernoulli numbers.
+"""Integer and rational combinatorics: Stirling numbers, multiplicative
+arithmetic functions, and (generalized) Bernoulli numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb as binomial, factorial  # noqa: F401  (re-exported API)
@@ -73,49 +72,6 @@ def stirling_first_unsigned(n: int, k: int) -> int:
     return stirling_first_unsigned(n - 1, k - 1) + (n - 1) * stirling_first_unsigned(
         n - 1, k
     )
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A partition of a positive integer, stored as part -> multiplicity."""
-
-    multiplicities: tuple[tuple[int, int], ...]  # sorted (part, multiplicity) pairs
-
-    @classmethod
-    def from_parts(cls, parts) -> "Partition":
-        mult: dict[int, int] = {}
-        for s in parts:
-            mult[s] = mult.get(s, 0) + 1
-        return cls(tuple(sorted(mult.items())))
-
-    def multiplicity(self, s: int) -> int:
-        return dict(self.multiplicities).get(s, 0)
-
-    def total(self) -> int:
-        return sum(s * m for s, m in self.multiplicities)
-
-    def parts(self) -> list[int]:
-        out: list[int] = []
-        for s, m in sorted(self.multiplicities, reverse=True):
-            out.extend([s] * m)
-        return out
-
-
-def partitions(n: int) -> list[Partition]:
-    """All partitions of n, ordered lexicographically by descending part lists."""
-    if n < 1:
-        raise ValueError("partitions are defined for positive integers")
-
-    def gen(remaining: int, cap: int, prefix: list[int]):
-        if remaining == 0:
-            yield list(prefix)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            yield from gen(remaining - part, part, prefix)
-            prefix.pop()
-
-    return [Partition.from_parts(p) for p in gen(n, n, [])]
 
 
 @lru_cache(maxsize=None)

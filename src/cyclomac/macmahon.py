@@ -2,8 +2,8 @@
 
     sum over n_1 < ... < n_t (or <=) of prod_j Q(q^(n_j)) / Phi_N(q^(n_j))^k,
 
-their decomposition into polynomials in the single sums, and coefficient-wise
-identity certificates.
+their assembly from the single sums by Newton's identities, and
+coefficient-wise identity certificates.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import factorial, lcm
 
-from .comb import Partition, divisors, factorial, mobius, partitions
+from .comb import divisors, mobius
 from .pfdform import (
     AdmissibleInput,
     NonPositiveParameterError,
@@ -21,7 +21,7 @@ from .pfdform import (
     closed_form,
 )
 from .polynomial import Polynomial
-from .series import OrderMismatchError, QSeries
+from .series import OrderMismatchError, QSeries, kronecker_product
 
 
 @dataclass(frozen=True)
@@ -107,44 +107,26 @@ def power_polynomial(q_poly: Polynomial, s: int) -> Polynomial:
     return q_poly**s
 
 
-@dataclass(frozen=True)
-class IsobaricTerm:
-    """One monomial prod_s U_s^(m_s) with its rational weight and sign."""
-
-    partition: Partition
-    weight: Fraction
-    sign: int
-
-
-def isobaric_decomposition(t: int, strict: bool) -> list[IsobaricTerm]:
-    """Expansion of the degree-t coefficient of the product generating
-    function in the single sums U_s: one term per partition of t, with
-    weight prod_s 1/(m_s! s^(m_s)) and, in the strict case, the sign
-    (-1)^(t - number of parts)."""
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    out = []
-    for lam in partitions(t):
-        weight = Fraction(1)
-        sign_exp = 0
-        for s, m in lam.multiplicities:
-            weight /= factorial(m) * Fraction(s) ** m
-            sign_exp += (s - 1) * m
-        out.append(
-            IsobaricTerm(lam, weight, (-1) ** sign_exp if strict else 1)
-        )
-    return out
-
-
 def evaluate_isobaric(n_level: int, k: int, q_poly: Polynomial, t: int,
                       strict: bool, order: int,
                       single_sum=None) -> QSeries:
     """Assemble the nested series from the single sums U_s = sum over n of
-    Q(q^n)^s / Phi_N(q^n)^(s k), via the partition decomposition.
+    Q(q^n)^s / Phi_N(q^n)^(s k).
+
+    U_s is the power sum p_s of the weights Q(q^n)/Phi_N(q^n)^k, so the
+    strict series is the elementary symmetric function e_t and the weak one
+    the complete one h_t.  Newton's identities t e_t = sum_i (-1)^(i-1)
+    e_(t-i) p_i and t h_t = sum_i h_(t-i) p_i (Macdonald, Symmetric
+    Functions and Hall Polynomials, I 2) build them in t(t+1)/2 products.
+    These run on integers: P_i = D U_i for D the lcm of the single sums'
+    denominators, and E_j = j! D^j e_j obeys E_j = sum_i (+-1)^(i-1)
+    (j-1)!/(j-i)! D^(i-1) E_(j-i) P_i, so only E_t / (t! D^t) is a Fraction.
 
     `single_sum(s)` supplies U_s; the default is the brute-force generator,
     and closed-form callers can substitute their own series.
     """
+    if t < 1:
+        raise ValueError("t must be a positive integer")
     if single_sum is None:
         def single_sum(s: int) -> QSeries:
             return brute_force(
@@ -152,20 +134,20 @@ def evaluate_isobaric(n_level: int, k: int, q_poly: Polynomial, t: int,
                 order,
             )
 
-    u_cache: dict[int, QSeries] = {}
-
-    def u_of(s: int) -> QSeries:
-        if s not in u_cache:
-            u_cache[s] = single_sum(s)
-        return u_cache[s]
-
-    total = QSeries.zero(order)
-    for term in isobaric_decomposition(t, strict):
-        prod = QSeries.one(order)
-        for s, m in term.partition.multiplicities:
-            prod = prod * (u_of(s) ** m)
-        total = total + prod.scale(term.weight * term.sign)
-    return total
+    singles = [single_sum(s).coeffs for s in range(1, t + 1)]
+    scale = lcm(*(c.denominator for u in singles for c in u))
+    p = [[c.numerator * (scale // c.denominator) for c in u] for u in singles]
+    e = [[1] + [0] * order]
+    for j in range(1, t + 1):
+        acc = [0] * (order + 1)
+        weight = 1  # (+-1)^(i-1) (j-1)!/(j-i)! D^(i-1)
+        for i in range(1, j + 1):
+            prod = kronecker_product(e[j - i], p[i - 1], order)
+            acc = [a + weight * b for a, b in zip(acc, prod)]
+            weight *= (i - j if strict else j - i) * scale
+        e.append(acc)
+    denom = factorial(t) * scale**t
+    return QSeries([Fraction(c, denom) for c in e[t]], order)
 
 
 def evaluate_isobaric_closed(inp: AdmissibleInput, t: int, strict: bool,

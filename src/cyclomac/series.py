@@ -153,6 +153,36 @@ class QSeries:
                 "coefficients": [str(c) for c in self.coeffs]}
 
 
+def kronecker_product(a: list[int], b: list[int], order: int) -> list[int]:
+    """The coefficients of q^0..q^order of the product of two integer
+    coefficient lists, by one big-integer multiply (Kronecker substitution;
+    von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).
+
+    Both lists are evaluated at q = 2^w, with w wide enough that every
+    product coefficient is a signed w-bit digit.  Adding 2^(w-1) to each of
+    the low order + 1 digits makes them unsigned, so they read off as bytes.
+    """
+    n = order + 1
+    a, b = a[:n], b[:n]
+    bound = (max(map(abs, a), default=0) * max(map(abs, b), default=0)
+             * min(len(a), len(b)))
+    if not bound:
+        return [0] * n
+    size = (bound.bit_length() + 8) // 8  # bytes per digit: 2^(8 size - 1) > bound
+
+    def pack(coeffs):
+        pos = b"".join(max(c, 0).to_bytes(size, "little") for c in coeffs)
+        neg = b"".join(max(-c, 0).to_bytes(size, "little") for c in coeffs)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    half = 1 << (8 * size - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * n, "little")
+    low = (pack(a) * pack(b) + bias) & ((1 << (8 * size * n)) - 1)
+    digits = low.to_bytes(size * n, "little")
+    return [int.from_bytes(digits[i:i + size], "little") - half
+            for i in range(0, size * n, size)]
+
+
 def f_series(weight: int, chi: DirichletCharacter, dilation: int, order: int) -> QSeries:
     """The Eisenstein divisor-sum series: coefficient of q^j is the sum of
     chi(m) * m^(weight-1) over factorizations j = m*n*dilation with m, n >= 1.

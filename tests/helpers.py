@@ -1,6 +1,7 @@
 """Shared corpus construction, slow oracles and test-only algebra for the
 test suite."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
@@ -162,6 +163,89 @@ def nested_enumeration(spec: MacMahonSpec, order: int) -> QSeries:
                     prod * weights[n])
 
     recurse(1, spec.t, order, QSeries.one(order))
+    return total
+
+
+@dataclass(frozen=True)
+class Partition:
+    """A partition of a positive integer, stored as part -> multiplicity."""
+
+    multiplicities: tuple[tuple[int, int], ...]  # sorted (part, multiplicity) pairs
+
+    @classmethod
+    def from_parts(cls, parts) -> "Partition":
+        mult: dict[int, int] = {}
+        for s in parts:
+            mult[s] = mult.get(s, 0) + 1
+        return cls(tuple(sorted(mult.items())))
+
+    def total(self) -> int:
+        return sum(s * m for s, m in self.multiplicities)
+
+    def parts(self) -> list[int]:
+        out: list[int] = []
+        for s, m in sorted(self.multiplicities, reverse=True):
+            out.extend([s] * m)
+        return out
+
+
+def partitions(n: int) -> list[Partition]:
+    """All partitions of n, ordered lexicographically by descending part lists."""
+    if n < 1:
+        raise ValueError("partitions are defined for positive integers")
+
+    def gen(remaining: int, cap: int, prefix: list[int]):
+        if remaining == 0:
+            yield list(prefix)
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            prefix.append(part)
+            yield from gen(remaining - part, part, prefix)
+            prefix.pop()
+
+    return [Partition.from_parts(p) for p in gen(n, n, [])]
+
+
+@dataclass(frozen=True)
+class IsobaricTerm:
+    """One monomial prod_s U_s^(m_s) with its rational weight and sign."""
+
+    partition: Partition
+    weight: Fraction
+    sign: int
+
+
+def isobaric_decomposition(t: int, strict: bool) -> list[IsobaricTerm]:
+    """Expansion of the degree-t coefficient of the product generating
+    function in the single sums U_s: one term per partition of t, with
+    weight prod_s 1/(m_s! s^(m_s)) and, in the strict case, the sign
+    (-1)^(t - number of parts)."""
+    if t < 1:
+        raise ValueError("t must be a positive integer")
+    out = []
+    for lam in partitions(t):
+        weight = Fraction(1)
+        sign_exp = 0
+        for s, m in lam.multiplicities:
+            weight /= factorial(m) * Fraction(s) ** m
+            sign_exp += (s - 1) * m
+        out.append(
+            IsobaricTerm(lam, weight, (-1) ** sign_exp if strict else 1)
+        )
+    return out
+
+
+def isobaric_by_partitions(single_sum, t: int, strict: bool,
+                           order: int) -> QSeries:
+    """The nested series as the published isobaric polynomial in the single
+    sums, one Fraction series product per part of every partition of t; an
+    oracle for the Newton assembly of `evaluate_isobaric`."""
+    total = QSeries.zero(order)
+    for term in isobaric_decomposition(t, strict):
+        prod = QSeries.one(order)
+        for s, m in term.partition.multiplicities:
+            prod = prod * (single_sum(s) ** m)
+        total = total + prod.scale(term.weight * term.sign)
     return total
 
 

@@ -3,9 +3,12 @@ are equalities with zero tolerance; one PASS line prints per criterion
 (run with `pytest tests/test_acceptance.py -v -s`).
 """
 
+import io
+import json
 import math
 import random
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,6 +38,7 @@ from cyclomac import (
     trivial_character,
     zeta,
 )
+from cyclomac.cli import MAX_T, main
 from helpers import (
     eulerian_poly,
     nested_enumeration,
@@ -187,6 +191,23 @@ def test_acceptance_4_isobaric_sweep():
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
     print(f"ACCEPTANCE 4: PASS ({checked} comparisons, order {order}, "
           f"{elapsed:.1f}s)")
+
+
+def test_acceptance_4b_verify_at_the_largest_depth():
+    # All five certificates at t = MAX_T: closed forms F and G, the strict
+    # and weak isobaric assemblies, and the isobaric closed form.
+    argv = ["verify", "--N", "3", "--k", "1", "--Q", "x", "--t", str(MAX_T),
+            "--order", "60", "--format", "json"]
+    out = io.StringIO()
+    started = time.perf_counter()
+    with redirect_stdout(out):
+        code = main(argv)
+    elapsed = time.perf_counter() - started
+    certs = json.loads(out.getvalue())["certificates"]
+    assert code == 0
+    assert len(certs) == 5 and all(c["match"] for c in certs)
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+    print(f"ACCEPTANCE 4b: PASS (t = {MAX_T}, order 60, {elapsed:.2f}s)")
 
 
 def _check_stirling_eulerian_expansion():

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from cyclomac import (
-    Partition,
     binomial,
     cyclotomic_polynomial,
     enumerate_characters,
@@ -12,12 +11,17 @@ from cyclomac import (
     factorial,
     gen_bernoulli,
     mobius,
-    partitions,
     stirling_first_unsigned,
     trivial_character,
 )
 from cyclomac.polynomial import Polynomial
-from helpers import bernoulli_by_generating_function, eulerian_poly, reversed_to
+from helpers import (
+    Partition,
+    bernoulli_by_generating_function,
+    eulerian_poly,
+    partitions,
+    reversed_to,
+)
 
 
 def rising_factorial(n: int) -> Polynomial:

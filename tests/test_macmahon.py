@@ -15,12 +15,15 @@ from cyclomac import (
     evaluate_isobaric,
     evaluate_isobaric_closed,
     f_series,
-    isobaric_decomposition,
     power_polynomial,
     trivial_character,
     weight_series,
 )
-from helpers import nested_enumeration
+from helpers import (
+    isobaric_by_partitions,
+    isobaric_decomposition,
+    nested_enumeration,
+)
 
 X = Polynomial.monomial(1)
 X2 = Polynomial.monomial(2)
@@ -134,6 +137,26 @@ def test_evaluate_isobaric_single_index_is_brute_force():
         assert evaluate_isobaric(3, 2, X2, 1, strict, order) == brute_force(
             MacMahonSpec(1, 3, 2, X2, strict), order
         )
+
+
+@pytest.mark.parametrize("n, k, q_poly, order", [
+    (1, 3, Polynomial([0, 1, -1]), 20),        # Phi_1 = x - 1 is negated
+    (3, 1, Polynomial(), 20),                  # Q = 0
+    (12, 2, Polynomial([0, Fraction(1, 2), Fraction(-2, 3)]), 20),
+    (4, 2, X2, 1),
+    (6, 1, Polynomial([0, 1, 0, 1]), 25),
+])
+def test_newton_assembly_matches_partition_formula(n, k, q_poly, order):
+    singles = {
+        s: brute_force(MacMahonSpec(1, n, s * k, power_polynomial(q_poly, s)),
+                       order)
+        for s in range(1, 9)
+    }
+    for t in range(1, 9):
+        for strict in (True, False):
+            assert evaluate_isobaric(n, k, q_poly, t, strict, order) == (
+                isobaric_by_partitions(singles.__getitem__, t, strict, order)
+            ), (t, strict)
 
 
 def _exp_of_x_polynomial(coeffs: list[QSeries], t: int, order: int):

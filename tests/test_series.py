@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclomac import (
     NonUnitError,
@@ -14,6 +16,7 @@ from cyclomac import (
     mobius,
     trivial_character,
 )
+from cyclomac.series import kronecker_product
 from helpers import eulerian_poly, principal_character, substitute_qn
 
 
@@ -38,6 +41,42 @@ def test_mul_matches_schoolbook_convolution():
         product = QSeries(a.coeffs, order) * QSeries(b.coeffs, order)
         expected = QSeries((a * b).coeffs, order)
         assert product == expected
+
+
+def _schoolbook(a, b, order):
+    out = [0] * (order + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j <= order:
+                out[i + j] += x * y
+    return out
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-2**64, 2**64),
+                     st.integers(-2**260, 2**260))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ENTRIES, max_size=9), st.lists(_ENTRIES, max_size=9),
+       st.integers(0, 12))
+def test_kronecker_product_matches_schoolbook(a, b, order):
+    assert kronecker_product(a, b, order) == _schoolbook(a, b, order)
+
+
+@pytest.mark.parametrize("a, b, order", [
+    ([0, 0, 0], [5, -7], 4),                          # all zero
+    ([], [1, 2], 2),                                  # empty
+    ([-3], [4], 0),                                   # single entries
+    ([2**201 + 1, -2**205], [-2**203, 3, 2**200], 3),  # beyond 2^200
+    ([1, 2, 3, 4, 5, 6], [1, -1], 2),                 # cut below both lengths
+    ([1], [1, 1, 1, 1], 7),                           # order past the product
+    ([-255] * 4, [255] * 4, 6),                       # a digit at the bound
+    ([255] * 4, [255] * 4, 6),
+    ([255], [1], 1),                                  # ... filling whole bytes
+    ([1, 1], [-(2**16 - 1)], 2),
+])
+def test_kronecker_product_edge_cases(a, b, order):
+    assert kronecker_product(a, b, order) == _schoolbook(a, b, order)
 
 
 def test_mixed_order_truncates_to_smaller():

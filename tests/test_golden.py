@@ -30,8 +30,12 @@ N = 10, k = 3 closed form with 2/9*x^6, and the N = 12, k = 2, t = 2 verify
 with 1/2*x^2 + 1/2*x^6.  Three verify runs pin the isobaric assembly at
 t >= 4: N = 6, k = 2 at t = 5 and order 100, the rational numerator
 1/2*x^2 + 1/2*x^6 at N = 12, t = 4, and N = 1, where Phi_1 = x - 1 is
-negated, at t = 6.  The recorded digests must only change when the report
-format is meant to change.
+negated, at t = 6.  Four expand runs pin the edges of the packed brute-force
+recurrence: the weak t = 20 series at N = 3, whose coefficients are the
+widest; the signed, fractional numerator -7/3*x - 1000*x^11 at N = 5, k = 3,
+t = 4 and order 300, strict and weak; and the strict t = 6 series at N = 2,
+all zero below its order because the least index sum is 21.  The recorded
+digests must only change when the report format is meant to change.
 """
 
 import hashlib
@@ -114,8 +118,8 @@ GOLDEN = [
      "6996d024a553ca89a665083249bf5768cf906feafbe93774efc1088587e9f36c"),
 ]
 
-# Verify runs at t >= 4; their ids carry t, as N and k alone repeat the ids
-# of earlier runs.
+# Runs at t >= 4; their ids carry t, as N and k alone repeat the ids of
+# earlier runs.
 GOLDEN_NESTED = [
     (["verify", "--N", "6", "--k", "2", "--Q", "x + x^3", "--t", "5",
       "--order", "100", "--format", "json"],
@@ -126,13 +130,26 @@ GOLDEN_NESTED = [
     (["verify", "--N", "1", "--k", "3", "--Q", "x - x^2", "--t", "6",
       "--order", "30", "--format", "json"],
      "99e1e13283c1a0f98fe54b23c0aaf278f3ee20338677eb9af3bde7bf5239c979"),
+    (["expand", "--N", "3", "--k", "1", "--Q", "x", "--t", "20", "--weak",
+      "--order", "100", "--format", "json"],
+     "54b940ff00e4e0bfdb77a8dbfda211eb3cba231013ff7a50b955d99f3d555489"),
+    (["expand", "--N", "5", "--k", "3", "--Q", "-7/3*x - 1000*x^11", "--t",
+      "4", "--order", "300", "--format", "json"],
+     "8456eac0c215f2d0eb8498b8ffd901aa3b9248e3493d0845dd987cebd6ac04dd"),
+    (["expand", "--N", "5", "--k", "3", "--Q", "-7/3*x - 1000*x^11", "--t",
+      "4", "--weak", "--order", "300", "--format", "json"],
+     "bd7f691ed48c929624532b6203fcb3e6acdb446f0f7453c970fe7526db8a338b"),
+    (["expand", "--N", "2", "--k", "1", "--Q", "x", "--t", "6", "--order",
+      "20", "--format", "json"],
+     "24c0fde599ec44af9dcf3a659b8d4e535648da6d4036205221646bfc6a0afb66"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN + GOLDEN_NESTED,
                          ids=[" ".join(argv[:5] + ["--weak"] * ("--weak" in argv))
                               for argv, _ in GOLDEN]
-                         + [" ".join(argv[:5] + argv[7:9])
+                         + [" ".join(argv[:5] + argv[7:9]
+                                     + ["--weak"] * ("--weak" in argv))
                             for argv, _ in GOLDEN_NESTED])
 def test_report_bytes_are_unchanged(argv, digest, capsys, monkeypatch):
     monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)

@@ -36,7 +36,6 @@ from .macmahon import (
     brute_force,
     certify,
     evaluate_isobaric,
-    evaluate_isobaric_closed,
     power_polynomial,
     weight_series,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "enumerate_characters",
     "euler_phi",
     "evaluate_isobaric",
-    "evaluate_isobaric_closed",
     "f_series",
     "factorial",
     "factorint",

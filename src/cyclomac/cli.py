@@ -25,7 +25,6 @@ from .macmahon import (
     brute_force,
     certify,
     evaluate_isobaric,
-    evaluate_isobaric_closed,
     power_polynomial,
 )
 from .pfdform import (
@@ -33,8 +32,10 @@ from .pfdform import (
     NonPositiveParameterError,
     ValidationError,
     admissible_polynomials,
+    c_coefficients,
     closed_form,
     conjugate_relation_violations,
+    pfd_coefficients,
     to_g_form,
     validate,
 )
@@ -354,17 +355,25 @@ def _cmd_verify(args) -> int:
     brute1 = brute_force(MacMahonSpec(1, args.N, args.k, q_poly), order)
     cf = closed_form(inp)
     gf = to_g_form(cf)
+    closed1 = cf.evaluate(order)
     certs = [
-        certify(cf.evaluate(order), brute1,
+        certify(closed1, brute1,
                 "closed-form-F", "brute-force(t=1)", descriptor=desc),
         certify(gf.evaluate(order), brute1,
                 "closed-form-G", "brute-force(t=1)", descriptor=desc),
     ]
     if args.t > 1:
+        # The single sums U_s by brute force and by closed form; U_1 of each
+        # route is the one certified above.
+        powers = {s: power_polynomial(q_poly, s) for s in range(2, args.t + 1)}
         singles = {1: brute1} | {
-            s: brute_force(MacMahonSpec(1, args.N, s * args.k,
-                                        power_polynomial(q_poly, s)), order)
-            for s in range(2, args.t + 1)
+            s: brute_force(MacMahonSpec(1, args.N, s * args.k, q), order)
+            for s, q in powers.items()
+        }
+        closed = {1: closed1} | {
+            s: closed_form(AdmissibleInput(args.N, s * args.k, q)).evaluate(
+                order)
+            for s, q in powers.items()
         }
         nested = {}
         for strict in (True, False):
@@ -384,7 +393,8 @@ def _cmd_verify(args) -> int:
             )
         certs.append(
             certify(
-                evaluate_isobaric_closed(inp, args.t, True, order),
+                evaluate_isobaric(args.N, args.k, q_poly, args.t, True, order,
+                                  closed.__getitem__),
                 nested[True],
                 f"isobaric-closed-form(t={args.t})",
                 f"brute-force-strict(t={args.t})",
@@ -457,7 +467,8 @@ def _cmd_sweep(args) -> int:
                 inp = AdmissibleInput(n, k, q_poly)
                 desc = f"N={n} k={k} Q={format_polynomial(q_poly)}"
                 brute1 = brute_force(MacMahonSpec(1, n, k, q_poly), args.order)
-                cf = closed_form(inp)
+                p = c_coefficients(pfd_coefficients(inp))
+                cf = closed_form(inp, p)
                 try:
                     evaluated = cf.evaluate(args.order)
                 except NotRationalError:
@@ -479,7 +490,7 @@ def _cmd_sweep(args) -> int:
                         "brute-force(t=1)",
                         descriptor=desc,
                     )
-                conj_ok = not conjugate_relation_violations(inp)
+                conj_ok = not conjugate_relation_violations(p)
                 ok = cert.match and rational_ok and conj_ok
                 passed += ok
                 items.append(

@@ -14,12 +14,7 @@ from itertools import accumulate
 from math import factorial, lcm
 
 from .comb import divisors, mobius
-from .pfdform import (
-    AdmissibleInput,
-    NonPositiveParameterError,
-    NonzeroConstantTermError,
-    closed_form,
-)
+from .pfdform import NonPositiveParameterError, NonzeroConstantTermError
 from .polynomial import Polynomial
 from .series import OrderMismatchError, QSeries, kronecker_product
 
@@ -38,11 +33,11 @@ class MacMahonSpec:
 
 
 def weight_series(n_level: int, k: int, q_poly: Polynomial,
-                  order: int) -> QSeries:
-    """Q/Phi_N^k on integers.  Phi_N = prod_{d | N} (1 - x^d)^mu(N/d), negated
-    at N = 1, so Phi_N^-k is k prefix sums per residue class mod d, or k
-    differences, per factor with d within the order; times D Q, integral for
-    D the lcm of Q's denominators, and scaled back by 1/D."""
+                  order: int) -> tuple[list[int], int]:
+    """Q/Phi_N^k on integers: the numerators of D Q/Phi_N^k, with D the lcm
+    of Q's denominators.  Phi_N = prod_{d | N} (1 - x^d)^mu(N/d), negated at
+    N = 1, so Phi_N^-k is k prefix sums per residue class mod d, or k
+    differences, per factor with d within the order; then times D Q."""
     g = [(-1) ** k if n_level == 1 else 1] + [0] * order
     for d in divisors(n_level):
         mu = mobius(n_level // d)
@@ -58,7 +53,7 @@ def weight_series(n_level: int, k: int, q_poly: Polynomial,
         if c:
             c = int(c * scale)
             w[i:] = [a + c * b for a, b in zip(w[i:], g)]
-    return QSeries([Fraction(c, scale) for c in w], order)
+    return w, scale
 
 
 def validate_spec(spec: MacMahonSpec) -> MacMahonSpec:
@@ -76,28 +71,54 @@ def validate_spec(spec: MacMahonSpec) -> MacMahonSpec:
 def brute_force(spec: MacMahonSpec, order: int) -> QSeries:
     """The z^t coefficient of prod_n (1 + z w_n), or of prod_n 1/(1 - z w_n)
     for weak inequalities, where w_n = r(q^n) and r = Q/Phi_N^k is expanded
-    once.  Both products evolve by f[d] += w_n f[d-1]: strict runs d down and
-    reads the old f[d-1], weak runs d up and reads the new one.  f[d] holds
-    integers, D^d times the depth-d series for D the lcm of r's denominators,
-    and w_n adds only at the multiples of n."""
+    once.  Both products evolve by f_d += w_n f_(d-1): strict runs d down and
+    reads the old f_(d-1), weak runs d up and reads the new one.  On the
+    numerators of D r = sum_j r_j q^j, D the lcm of Q's denominators, f_d is
+    D^d times the depth-d series, held as one integer sum_e f_d[e] 2^(B e)
+    (Kronecker substitution, as in `series`): adding w_n f_(d-1) is a shift,
+    multiply and add per r_j != 0 with j n <= order.
+
+    The width B: after the indices 1..n, f_d is e_d (strict) or h_d (weak)
+    of w_1..w_n, whose monomials all occur in p_1^d, so |[q^e] f_d| <=
+    [q^e] A^d at every n, where A = p_1(|w_1|, |w_2|, ...) has A_e = sum over
+    j | e of |r_j|.  B = 2 + bits(max of [q^e] A^d, d <= t, e <= order) makes
+    each low digit + 2^(B-1) unsigned, whatever the digits above the order
+    hold, so a mask truncates exactly.  A^d runs packed in bytes, each digit
+    below (max A)^d (order + 1)^(d-1), so none carries."""
     validate_spec(spec)
     t = spec.t
-    w1 = weight_series(spec.N, spec.k, spec.Q, order).coeffs
-    scale = lcm(*(c.denominator for c in w1))
-    w = [(j, int(c * scale)) for j, c in enumerate(w1) if c]
+    r, scale = weight_series(spec.N, spec.k, spec.Q, order)
+    a = [0] * (order + 1)
+    for j in filter(r.__getitem__, range(1, order + 1)):
+        a[j::j] = [x + abs(r[j]) for x in a[j::j]]
+    size = (t * max(a).bit_length()
+            + (t - 1) * (order + 1).bit_length()) // 8 + 1  # bytes per digit
+    packed = int.from_bytes(b"".join(c.to_bytes(size, "little") for c in a),
+                            "little")
+    power, top = 1, 0
+    for _ in range(t):
+        power = (power * packed) & ((1 << 8 * size * (order + 1)) - 1)
+        raw = power.to_bytes(size * (order + 1), "little")
+        top = max(top, *(int.from_bytes(raw[i:i + size], "little")
+                         for i in range(0, len(raw), size)))
+    width = top.bit_length() + 2
+    mask = (1 << width * (order + 1)) - 1
+    half = 1 << width - 1
+    bias = half * (mask // ((1 << width) - 1))
     depths = range(t, 0, -1) if spec.strict else range(1, t + 1)
-    f = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(t)]
-    top = [0] * (t + 1)  # f[d] vanishes above q^top[d]
+    f = [1] + [0] * t
     for n in range(1, order + 1):
+        steps = [(r[j], width * j * n) for j in range(1, order // n + 1)
+                 if r[j]]
         for d in depths:
-            src, dst, span = f[d - 1], f[d], top[d - 1] + 1
-            for j, c in w:
-                s = j * n
-                if s > order:
-                    break
-                dst[s:s + span] = [a + c * b for a, b in zip(dst[s:s + span], src)]
-                top[d] = max(top[d], min(order, s + span - 1))
-    return QSeries([Fraction(c, scale**t) for c in f[t]], order)
+            if src := f[d - 1]:
+                acc = f[d]
+                for c, shift in steps:
+                    acc += c * (src << shift)
+                f[d] = ((acc + bias) & mask) - bias
+    digits, digit = f[t] + bias, (1 << width) - 1
+    return QSeries([Fraction(((digits >> width * e) & digit) - half, scale**t)
+                    for e in range(order + 1)], order)
 
 
 def power_polynomial(q_poly: Polynomial, s: int) -> Polynomial:
@@ -148,19 +169,6 @@ def evaluate_isobaric(n_level: int, k: int, q_poly: Polynomial, t: int,
         e.append(acc)
     denom = factorial(t) * scale**t
     return QSeries([Fraction(c, denom) for c in e[t]], order)
-
-
-def evaluate_isobaric_closed(inp: AdmissibleInput, t: int, strict: bool,
-                             order: int) -> QSeries:
-    """The isobaric assembly with every single sum replaced by its
-    closed-form Eisenstein series."""
-
-    def single_sum(s: int) -> QSeries:
-        powered = AdmissibleInput(inp.N, s * inp.k,
-                                  power_polynomial(inp.Q, s))
-        return closed_form(powered).evaluate(order)
-
-    return evaluate_isobaric(inp.N, inp.k, inp.Q, t, strict, order, single_sum)
 
 
 @dataclass(frozen=True)

@@ -310,15 +310,17 @@ def _collect(acc: dict) -> tuple[EisensteinTerm, ...]:
     return tuple(terms)
 
 
-def closed_form(inp: AdmissibleInput) -> ClosedForm:
+def closed_form(inp: AdmissibleInput,
+                p: PfdCoefficients | None = None) -> ClosedForm:
     """The F-form Eisenstein representation of sum_n Q(q^n)/Phi_N(q^n)^k.
 
     Weight-ell terms carry dilations g | N and conjugated characters modulo
     N/g of parity (-1)^ell; their scalar weights combine the pole data with
-    Gauss sums.  For N <= 2 only the trivial character appears.
+    Gauss sums.  For N <= 2 only the trivial character appears.  `p`, the
+    checked pole data of `inp`, is computed here unless the caller has it.
     """
     n, k = inp.N, inp.k
-    p = c_coefficients(pfd_coefficients(inp))
+    p = p or c_coefficients(pfd_coefficients(inp))
     one = trivial_character()
     acc: dict = {}
     if n == 1:
@@ -385,15 +387,15 @@ def to_g_form(cf: ClosedForm) -> ClosedForm:
     return ClosedForm(cf.input, "G", terms, constant)
 
 
-def conjugate_relation_violations(inp: AdmissibleInput) -> list[tuple]:
+def conjugate_relation_violations(p: PfdCoefficients) -> list[tuple]:
     """Tuples (ell, c, c') where the weight coefficient c' = conj(c) at the
-    conjugate pole zeta_N breaks c' = (-1)^ell c.  The relation holds only
-    because Q satisfies the reflection rule, and the closed form relies on
-    it, so violations are surfaced rather than silently absorbed.  Complex
-    conjugation commutes with every sigma_j, so the one pole zeta_N^{-1}
-    decides the relation at all of them.  At N <= 2 the one pole is real,
-    so the relation says that the odd-weight coefficients vanish."""
-    p = c_coefficients(pfd_coefficients(inp))
+    conjugate pole zeta_N breaks c' = (-1)^ell c, in pole data p from
+    `c_coefficients`.  The relation holds only because Q satisfies the
+    reflection rule, and the closed form relies on it, so violations are
+    surfaced rather than silently absorbed.  Complex conjugation commutes
+    with every sigma_j, so the one pole zeta_N^{-1} decides the relation at
+    all of them.  At N <= 2 the one pole is real, so the relation says that
+    the odd-weight coefficients vanish."""
     return [(ell, c, c.conjugate()) for ell, c in p.c.items()
             if c.conjugate() != c * (-1) ** ell]
 

@@ -149,7 +149,8 @@ def substitute_qn(p, n: int, order: int) -> QSeries:
 def nested_enumeration(spec: MacMahonSpec, order: int) -> QSeries:
     """Direct sum over index tuples; exponential in t, test oracle only.
     Tuples with index sum beyond the order cannot contribute."""
-    w1 = weight_series(spec.N, spec.k, spec.Q, order)
+    nums, scale = weight_series(spec.N, spec.k, spec.Q, order)
+    w1 = QSeries([Fraction(c, scale) for c in nums], order)
     weights = {n: substitute_qn(w1, n, order) for n in range(1, order + 1)}
     total = QSeries.zero(order)
 

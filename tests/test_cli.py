@@ -242,17 +242,33 @@ def test_verify_exit_zero_on_match(capsys):
     }
 
 
-def test_verify_with_nested_index_certificates(capsys):
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_verify_with_nested_index_certificates(capsys, monkeypatch):
+    calls = {"closed_form": 0, "evaluate": 0}
+    monkeypatch.setattr(cli, "closed_form", _counting(
+        calls, "closed_form", pfdform.closed_form))
+    monkeypatch.setattr(ClosedForm, "evaluate", _counting(
+        calls, "evaluate", ClosedForm.evaluate))
     code, out, _ = run_cli(
-        capsys, "verify", "--N", "3", "--k", "1", "--Q", "x", "--t", "2",
+        capsys, "verify", "--N", "3", "--k", "1", "--Q", "x", "--t", "3",
         "--order", "20", "--format", "json",
     )
     assert code == 0
     report = json.loads(out)
     labels = {c["lhs"] for c in report["certificates"]}
-    assert "isobaric-strict(t=2)" in labels
-    assert "isobaric-weak(t=2)" in labels
-    assert "isobaric-closed-form(t=2)" in labels
+    assert "isobaric-strict(t=3)" in labels
+    assert "isobaric-weak(t=3)" in labels
+    assert "isobaric-closed-form(t=3)" in labels
+    # One closed form per weight k s, s = 1..t; the F certificate's evaluated
+    # U_1 is reused by the isobaric closed form, so only the G-form and
+    # U_2, ..., U_t are evaluated besides it.
+    assert calls == {"closed_form": 3, "evaluate": 4}
 
 
 def test_verify_symmetry_violation_exits_two(capsys):
@@ -507,7 +523,11 @@ def test_corrupt_closed_form_makes_verify_report_the_mismatch(capsys, monkeypatc
         assert cert["first_mismatch"] == {"exponent": 2, "lhs": "2", "rhs": "1"}
 
 
-def test_sweep_expands_each_input_once(capsys):
+def test_sweep_expands_each_input_once(capsys, monkeypatch):
+    calls = {"c_coefficients": 0}
+    counted = _counting(calls, "c_coefficients", pfdform.c_coefficients)
+    monkeypatch.setattr(cli, "c_coefficients", counted)
+    monkeypatch.setattr(pfdform, "c_coefficients", counted)
     pfdform._pole_taylor.cache_clear()
     code, out, _ = run_cli(
         capsys, "sweep", "--max-N", "6", "--max-k", "2", "--order", "10",
@@ -517,10 +537,12 @@ def test_sweep_expands_each_input_once(capsys):
     items = json.loads(out)["items"]
     assert {i["N"] for i in items} >= {1, 2, 3}
     info = pfdform._pole_taylor.cache_info()
-    # closed_form and conjugate_relation_violations share one expansion, at
-    # the rational poles N = 1, 2 as at every other level.
+    # closed_form and conjugate_relation_violations share one expansion and
+    # one check of the two weight-coefficient routes, at the rational poles
+    # N = 1, 2 as at every other level.
     assert info.misses == len(items) > 0
-    assert info.hits == len(items)
+    assert info.hits == 0
+    assert calls["c_coefficients"] == len(items)
 
 
 def test_sweep_reports_a_closed_form_that_is_not_rational(capsys, monkeypatch):
@@ -529,7 +551,7 @@ def test_sweep_reports_a_closed_form_that_is_not_rational(capsys, monkeypatch):
                           dilation=1, coefficient=CycNum.one())
     monkeypatch.setattr(
         cli, "closed_form",
-        lambda inp: ClosedForm(inp, "F", (term,), CycNum.zero()),
+        lambda inp, p=None: ClosedForm(inp, "F", (term,), CycNum.zero()),
     )
     code, out, _ = run_cli(
         capsys, "sweep", "--max-N", "4", "--max-k", "1", "--order", "10",

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclomac import macmahon, series
 from cyclomac import (
     AdmissibleInput,
     MacMahonSpec,
@@ -11,9 +12,9 @@ from cyclomac import (
     admissible_polynomials,
     brute_force,
     certify,
+    closed_form,
     cyclotomic_polynomial,
     evaluate_isobaric,
-    evaluate_isobaric_closed,
     f_series,
     power_polynomial,
     trivial_character,
@@ -61,6 +62,39 @@ def test_brute_force_matches_nested_enumeration_small():
         assert brute_force(spec, order) == nested_enumeration(spec, order)
 
 
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "weak"])
+@pytest.mark.parametrize("t, n_level, k, order", [
+    (4, 5, 3, 24), (5, 3, 1, 22), (6, 1, 2, 24),
+])
+def test_brute_force_matches_nested_enumeration_deep(t, n_level, k, order,
+                                                     strict):
+    # A signed, fractional numerator with a large coefficient: the packed
+    # recurrence's digits are wide and of both signs, and Q = 0 packs
+    # nothing at all.
+    signed = Polynomial([0, Fraction(-7, 3), 0, 1000, Fraction(1, 2)])
+    for q_poly in (signed, Polynomial([0])):
+        spec = MacMahonSpec(t, n_level, k, q_poly, strict)
+        assert brute_force(spec, order) == nested_enumeration(spec, order)
+
+
+def test_brute_force_runs_without_the_isobaric_code(monkeypatch):
+    # Brute force is the other side of the isobaric certificates, so it may
+    # share none of their code: not the Kronecker product, not the assembly.
+    def fail(*args, **kwargs):
+        raise AssertionError("brute force reached the isobaric code")
+
+    third = Polynomial([0, Fraction(1, 3), 0, -2])
+    expected = {strict: nested_enumeration(MacMahonSpec(3, 4, 2, third, strict),
+                                           16)
+                for strict in (True, False)}
+    for module in (series, macmahon):
+        monkeypatch.setattr(module, "kronecker_product", fail)
+    monkeypatch.setattr(macmahon, "evaluate_isobaric", fail)
+    for strict in (True, False):
+        spec = MacMahonSpec(3, 4, 2, third, strict)
+        assert brute_force(spec, 16) == expected[strict]
+
+
 def test_strict_equals_weak_for_single_index():
     for n, k, q_poly in [(1, 2, X), (4, 2, X2), (6, 1, X)]:
         a = brute_force(MacMahonSpec(1, n, k, q_poly, strict=True), 25)
@@ -83,7 +117,9 @@ def test_weight_series_matches_direct_expansion():
                         QSeries(cyclotomic_polynomial(n_level).coeffs,
                                 order).inverse() ** k
                     )
-                    assert weight_series(n_level, k, q_poly, order) == direct
+                    nums, scale = weight_series(n_level, k, q_poly, order)
+                    assert QSeries([Fraction(c, scale) for c in nums],
+                                   order) == direct
 
 
 def test_power_polynomial():
@@ -218,12 +254,13 @@ def test_strict_weak_bridge_at_two_indices():
 
 def test_isobaric_closed_form_equivalence():
     order = 30
-    inp = AdmissibleInput(4, 1, X)
+    closed = {s: closed_form(AdmissibleInput(4, s, power_polynomial(X, s)))
+              .evaluate(order) for s in (1, 2, 3)}
     for t in (2, 3):
         for strict in (True, False):
-            assert evaluate_isobaric_closed(inp, t, strict, order) == brute_force(
-                MacMahonSpec(t, 4, 1, X, strict), order
-            )
+            assert evaluate_isobaric(
+                4, 1, X, t, strict, order, closed.__getitem__
+            ) == brute_force(MacMahonSpec(t, 4, 1, X, strict), order)
 
 
 def test_certify_identical_series():

@@ -95,13 +95,14 @@ def brute_force(spec: MacMahonSpec, order: int) -> QSeries:
             + (t - 1) * (order + 1).bit_length()) // 8 + 1  # bytes per digit
     packed = int.from_bytes(b"".join(c.to_bytes(size, "little") for c in a),
                             "little")
-    power, top = 1, 0
+    power, bits = 1, 0
     for _ in range(t):
         power = (power * packed) & ((1 << 8 * size * (order + 1)) - 1)
         raw = power.to_bytes(size * (order + 1), "little")
-        top = max(top, *(int.from_bytes(raw[i:i + size], "little")
-                         for i in range(0, len(raw), size)))
-    width = top.bit_length() + 2
+        # The largest digit's bits, from the largest byte at each place.
+        bits = max(bits, *((max(raw[p::size]) << 8 * p).bit_length()
+                           for p in range(size)))
+    width = bits + 2
     mask = (1 << width * (order + 1)) - 1
     half = 1 << width - 1
     bias = half * (mask // ((1 << width) - 1))

@@ -34,8 +34,14 @@ negated, at t = 6.  Four expand runs pin the edges of the packed brute-force
 recurrence: the weak t = 20 series at N = 3, whose coefficients are the
 widest; the signed, fractional numerator -7/3*x - 1000*x^11 at N = 5, k = 3,
 t = 4 and order 300, strict and weak; and the strict t = 6 series at N = 2,
-all zero below its order because the least index sum is 21.  The recorded
-digests must only change when the report format is meant to change.
+all zero below its order because the least index sum is 21.  Four closed
+forms pin the pole Taylor data where its algebra is least typical: N = 105,
+k = 1, Q = x^24, where Phi_105 has a coefficient -2 and the cofactor
+(x^105 - 1)/Phi_105 has degree 57; N = 30, k = 4, Q = x^16, a fourth pole
+order at a composite level; N = 2, k = 16, Q = x^4 + x^12, the rational pole
+at a high order; and N = 9, k = 5 with the non-integral numerator 3/7*x^15.
+The recorded digests must only change when the report format is meant to
+change.
 """
 
 import hashlib
@@ -116,6 +122,18 @@ GOLDEN = [
     (["verify", "--N", "12", "--k", "2", "--Q", "1/2*x^2 + 1/2*x^6", "--t",
       "2", "--order", "40", "--format", "json"],
      "6996d024a553ca89a665083249bf5768cf906feafbe93774efc1088587e9f36c"),
+    (["closed-form", "--N", "105", "--k", "1", "--Q", "x^24", "--format",
+      "json"],
+     "dac563f5fcd010d7a0c9060a766867c899078f5db1a55d58458aa85488f1b5dc"),
+    (["closed-form", "--N", "30", "--k", "4", "--Q", "x^16", "--format",
+      "json"],
+     "60f70bb0aebfc925824dd2e54173d9a9648db9f43975f34b0afbec22965ea56d"),
+    (["closed-form", "--N", "2", "--k", "16", "--Q", "x^4 + x^12",
+      "--format", "json"],
+     "67032736d806d1459d740e17a445d52cb00bef05d2af5e5d4ee154f919e49ef2"),
+    (["closed-form", "--N", "9", "--k", "5", "--Q", "3/7*x^15", "--format",
+      "json"],
+     "5d596f1165ae91b72d6bbfe916d28ecb4f0d42c22f5dc4e9589f03f8e4373861"),
 ]
 
 # Runs at t >= 4; their ids carry t, as N and k alone repeat the ids of

@@ -142,6 +142,14 @@ def test_reconstruction_invariant(inp):
                                       Fraction(5, 7), 0, 0, 0, 0,
                                       Fraction(1, 3)])),
     AdmissibleInput(10, 3, Polynomial([0] * 6 + [Fraction(2, 9)])),
+    # Phi_105 has a coefficient -2; a fourth-order pole at a composite
+    # level; the two rational poles, and N = 3, at high pole orders.
+    AdmissibleInput(105, 1, Polynomial.monomial(24)),
+    AdmissibleInput(30, 4, Polynomial.monomial(16)),
+    AdmissibleInput(1, 16, Polynomial.monomial(4) + Polynomial.monomial(12)),
+    AdmissibleInput(2, 16, Polynomial.monomial(4) + Polynomial.monomial(12)),
+    AdmissibleInput(3, 40, X + Polynomial.monomial(40)
+                    + Polynomial.monomial(79)),
 ], ids=lambda i: f"N{i.N}k{i.k}{i.Q}")
 def test_pole_taylor_matches_horner_expansion(inp):
     validate(inp)

@@ -105,29 +105,57 @@ def pole_exponents(n: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
     """Taylor coefficients b_0..b_{k-1} of (1 - zeta x)^k Q(x)/Phi_N(x)^k
-    around the pole x = zeta_N^{-1}, via exact series division in the
-    variable u = 1 - zeta_N x.  Q is rational, so the data at every other
-    pole zeta_N^{-s} is the Galois image under zeta -> zeta^s.  At N = 1
-    (x = 1 - u, Phi_1 = -u) this gives b_m = (-1)^(m+k) Q^(m)(1)/m!, and at
-    N = 2 (x = -1 + u, Phi_2 = u) it gives b_m = Q^(m)(-1)/m!.  As x^i =
-    zeta_N^{-i} (1 - u)^i, the u^m coefficient of P = Phi_N or Q at the pole
-    is (-1)^m sum_i p_i binomial(i, m) zeta_N^{-i}: one reduction per m.
-    """
-    def at_pole(p: Polynomial, top: int) -> list[CycNum]:
-        return [CycNum.from_exponents(n, (
-            (-i, (-1) ** m * binomial(i, m) * c)
-            for i, c in enumerate(p.coeffs[m:], m) if c
-        )) for m in range(top + 1)]
+    around the pole x = zeta_N^{-1}, in the variable u = 1 - zeta_N x, with
+    no division in Q(zeta_N).  Q is rational, so the data at every other
+    pole zeta_N^{-s} is the Galois image under zeta -> zeta^s.
 
-    phi_comp = at_pole(cyclotomic_polynomial(n), k)
-    if phi_comp[0]:
-        raise ArithmeticError("expansion point is not a root of the denominator")
-    h = QSeries(phi_comp[1:], k - 1)
-    q_comp = QSeries(at_pole(q_poly, k - 1), k - 1)
-    a_series = q_comp * (h**k).inverse()
+    At the pole x^N = (1 - u)^N, and (1 - u)^N - 1 = -u r(u) with
+    r(u) = sum_m (-1)^m binomial(N, m+1) u^m, r(0) = N.  The cofactor
+    P = (x^N - 1)/Phi_N, the product of Phi_d over the divisors d < N, has
+    integer coefficients, and Phi_N P = -u r(u) gives
+        (1 - zeta x)^k Q/Phi_N^k = (-1)^k Q P^k / r(u)^k.
+    As x^i = zeta_N^{-i} (1 - u)^i, the u^j coefficient A_j of
+    Q P^k = sum_i c_i x^i is (-1)^j sum_i c_i binomial(i, j) zeta_N^{-i}:
+    one reduction per j, over the common denominator of Q's coefficients.  The
+    factor r^{-k} is rational: R(v) = r(N v)/N = 1 + sum_{i>=1} r_i N^(i-1)
+    v^i has integer coefficients and constant term 1, so R^{-k} does too,
+    and its coefficients S_j = N^(k+j) [u^j] r^{-k} follow from
+    R (R^{-k})' = -k R' R^{-k}:  j S_j = -sum_{i=1..j} (j + (k-1) i) R_i S_(j-i).
+    So b_m = (-1)^k N^(-k-m) sum_{j<=m} (N^j A_j) S_(m-j).  At N = 1 (P = 1,
+    r = 1) this gives b_m = (-1)^(m+k) Q^(m)(1)/m!, and at N = 2 (P = x - 1,
+    r = 2 - u) it gives b_m = Q^(m)(-1)/m!.
+    """
+    # Schoolbook products: these lists are short, and packing them for
+    # kronecker_product costs more than it saves.
+    def times(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return out
+
+    cofactor = [1]
+    for d in divisors(n)[:-1]:
+        cofactor = times(cofactor,
+                         [int(c) for c in cyclotomic_polynomial(d).coeffs])
+    den = lcm(*(c.denominator for c in q_poly.coeffs))
+    f = [int(c * den) for c in q_poly.coeffs]
+    for _ in range(k):
+        f = times(f, cofactor)
+    # N^j A_j, so that the product with the integers S_j needs no Fractions.
+    a = QSeries([CycNum.from_exponents(n, (
+        (-i, (-n) ** j * binomial(i, j) * c)
+        for i, c in enumerate(f[j:], j) if c
+    ), den) for j in range(k)], k - 1)
+    big_r = [(-1) ** i * binomial(n, i + 1) * n ** (i - 1) for i in range(1, k)]
+    big_s = [1]
+    for j in range(1, k):
+        big_s.append(-sum((j + (k - 1) * i) * big_r[i - 1] * big_s[j - i]
+                          for i in range(1, j + 1)) // j)
     return tuple(
-        c if isinstance(c, CycNum) else CycNum.from_rational(n, c)
-        for c in a_series.coeffs
+        c * Fraction((-1) ** k, n ** (k + m)) if c else CycNum.zero(n)
+        for m, c in enumerate((a * QSeries(big_s, k - 1)).coeffs)
     )
 
 

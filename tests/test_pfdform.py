@@ -157,6 +157,27 @@ def test_pole_taylor_matches_horner_expansion(inp):
         inp.N, inp.k, inp.Q)
 
 
+@pytest.mark.parametrize("inp", [
+    AdmissibleInput(1, 4, X + Polynomial.monomial(3)),
+    AdmissibleInput(2, 3, X + X2),
+    AdmissibleInput(3, 5, Polynomial.monomial(5)),
+    AdmissibleInput(12, 2, Polynomial([0, 0, Fraction(1, 2), 0, 0, 0,
+                                       Fraction(1, 2)])),
+    AdmissibleInput(30, 4, Polynomial.monomial(16)),
+], ids=lambda i: f"N{i.N}k{i.k}{i.Q}")
+def test_pole_taylor_divides_nothing_in_the_field(inp, monkeypatch):
+    validate(inp)
+    expected = pole_taylor_by_horner(inp.N, inp.k, inp.Q)
+
+    def refuse(*args):
+        raise AssertionError("division in the pole expansion")
+
+    monkeypatch.setattr(CycNum, "inverse", refuse)
+    monkeypatch.setattr(QSeries, "inverse", refuse)
+    pfdform._pole_taylor.cache_clear()
+    assert pfdform._pole_taylor(inp.N, inp.k, inp.Q) == expected
+
+
 def _top_coefficient_product_formula(inp, j):
     # closed form for the top-order pole coefficient:
     # (-(1/N) * prod over proper divisors d of Phi_d(zeta_N^(-j)))^k * Q(zeta_N^(-j))

@@ -36,7 +36,6 @@ from .macmahon import (
     brute_force,
     certify,
     evaluate_isobaric,
-    power_polynomial,
     weight_series,
 )
 from .pfdform import (
@@ -111,7 +110,6 @@ __all__ = [
     "mobius",
     "pfd_coefficients",
     "pole_exponents",
-    "power_polynomial",
     "primitive_character",
     "stirling_first_unsigned",
     "to_g_form",

@@ -25,17 +25,14 @@ from .macmahon import (
     brute_force,
     certify,
     evaluate_isobaric,
-    power_polynomial,
 )
 from .pfdform import (
     AdmissibleInput,
     NonPositiveParameterError,
     ValidationError,
     admissible_polynomials,
-    c_coefficients,
     closed_form,
     conjugate_relation_violations,
-    pfd_coefficients,
     to_g_form,
     validate,
 )
@@ -363,18 +360,16 @@ def _cmd_verify(args) -> int:
                 "closed-form-G", "brute-force(t=1)", descriptor=desc),
     ]
     if args.t > 1:
-        # The single sums U_s by brute force and by closed form; U_1 of each
-        # route is the one certified above.
-        powers = {s: power_polynomial(q_poly, s) for s in range(2, args.t + 1)}
-        singles = {1: brute1} | {
-            s: brute_force(MacMahonSpec(1, args.N, s * args.k, q), order)
-            for s, q in powers.items()
-        }
-        closed = {1: closed1} | {
-            s: closed_form(AdmissibleInput(args.N, s * args.k, q)).evaluate(
-                order)
-            for s, q in powers.items()
-        }
+        # The single sums U_1..U_t by brute force and by closed form; U_1 of
+        # each route is the one certified above.
+        powers = [(s * args.k, q_poly ** s) for s in range(2, args.t + 1)]
+        singles = [brute1] + [
+            brute_force(MacMahonSpec(1, args.N, sk, q), order) for sk, q in powers
+        ]
+        closed = [closed1] + [
+            closed_form(AdmissibleInput(args.N, sk, q)).evaluate(order)
+            for sk, q in powers
+        ]
         nested = {}
         for strict in (True, False):
             tag = "strict" if strict else "weak"
@@ -383,8 +378,7 @@ def _cmd_verify(args) -> int:
             )
             certs.append(
                 certify(
-                    evaluate_isobaric(args.N, args.k, q_poly, args.t, strict,
-                                      order, singles.__getitem__),
+                    evaluate_isobaric(singles, strict),
                     nested[strict],
                     f"isobaric-{tag}(t={args.t})",
                     f"brute-force-{tag}(t={args.t})",
@@ -393,8 +387,7 @@ def _cmd_verify(args) -> int:
             )
         certs.append(
             certify(
-                evaluate_isobaric(args.N, args.k, q_poly, args.t, True, order,
-                                  closed.__getitem__),
+                evaluate_isobaric(closed, True),
                 nested[True],
                 f"isobaric-closed-form(t={args.t})",
                 f"brute-force-strict(t={args.t})",
@@ -417,10 +410,9 @@ def _cmd_examples(args) -> int:
     cases = []
     all_ok = True
     for case in REFERENCE_CASES:
-        inp = validate(AdmissibleInput(case["N"], case["k"], q_poly))
         brute1 = brute_force(MacMahonSpec(1, case["N"], case["k"], q_poly),
                              args.order)
-        cf = closed_form(inp)
+        cf = closed_form(AdmissibleInput(case["N"], case["k"], q_poly))
         gf = to_g_form(cf)
         cert = certify(
             cf.evaluate(args.order),
@@ -467,8 +459,7 @@ def _cmd_sweep(args) -> int:
                 inp = AdmissibleInput(n, k, q_poly)
                 desc = f"N={n} k={k} Q={format_polynomial(q_poly)}"
                 brute1 = brute_force(MacMahonSpec(1, n, k, q_poly), args.order)
-                p = c_coefficients(pfd_coefficients(inp))
-                cf = closed_form(inp, p)
+                cf = closed_form(inp)
                 try:
                     evaluated = cf.evaluate(args.order)
                 except NotRationalError:
@@ -490,7 +481,7 @@ def _cmd_sweep(args) -> int:
                         "brute-force(t=1)",
                         descriptor=desc,
                     )
-                conj_ok = not conjugate_relation_violations(p)
+                conj_ok = not conjugate_relation_violations(inp)
                 ok = cert.match and rational_ok and conj_ok
                 passed += ok
                 items.append(

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import factorial, lcm
 
-from .comb import divisors, mobius
 from .pfdform import NonPositiveParameterError, NonzeroConstantTermError
-from .polynomial import Polynomial
+from .polynomial import Polynomial, cyclotomic_power
 from .series import OrderMismatchError, QSeries, kronecker_product
 
 
@@ -35,18 +33,8 @@ class MacMahonSpec:
 def weight_series(n_level: int, k: int, q_poly: Polynomial,
                   order: int) -> tuple[list[int], int]:
     """Q/Phi_N^k on integers: the numerators of D Q/Phi_N^k, with D the lcm
-    of Q's denominators.  Phi_N = prod_{d | N} (1 - x^d)^mu(N/d), negated at
-    N = 1, so Phi_N^-k is k prefix sums per residue class mod d, or k
-    differences, per factor with d within the order; then times D Q."""
-    g = [(-1) ** k if n_level == 1 else 1] + [0] * order
-    for d in divisors(n_level):
-        mu = mobius(n_level // d)
-        for _ in range(k * abs(mu) if d <= order else 0):
-            if mu == 1:
-                for r in range(d):
-                    g[r::d] = accumulate(g[r::d])
-            else:
-                g[d:] = [a - b for a, b in zip(g[d:], g)]
+    of Q's denominators; Phi_N^-k by `cyclotomic_power`, then times D Q."""
+    g = cyclotomic_power(n_level, -k, order)
     scale = lcm(*(c.denominator for c in q_poly.coeffs))
     w = [0] * (order + 1)
     for i, c in enumerate(q_poly.coeffs[: order + 1]):
@@ -122,18 +110,10 @@ def brute_force(spec: MacMahonSpec, order: int) -> QSeries:
                     for e in range(order + 1)], order)
 
 
-def power_polynomial(q_poly: Polynomial, s: int) -> Polynomial:
-    """Exact s-th power of the numerator polynomial."""
-    if s < 1:
-        raise ValueError("the power must be a positive integer")
-    return q_poly**s
-
-
-def evaluate_isobaric(n_level: int, k: int, q_poly: Polynomial, t: int,
-                      strict: bool, order: int,
-                      single_sum=None) -> QSeries:
-    """Assemble the nested series from the single sums U_s = sum over n of
-    Q(q^n)^s / Phi_N(q^n)^(s k).
+def evaluate_isobaric(singles: list[QSeries], strict: bool) -> QSeries:
+    """Assemble the nested series at depth t = len(singles) from the single
+    sums U_1..U_t, U_s = sum over n of Q(q^n)^s / Phi_N(q^n)^(s k), all at
+    one order (else OrderMismatchError).
 
     U_s is the power sum p_s of the weights Q(q^n)/Phi_N(q^n)^k, so the
     strict series is the elementary symmetric function e_t and the weak one
@@ -143,22 +123,16 @@ def evaluate_isobaric(n_level: int, k: int, q_poly: Polynomial, t: int,
     These run on integers: P_i = D U_i for D the lcm of the single sums'
     denominators, and E_j = j! D^j e_j obeys E_j = sum_i (+-1)^(i-1)
     (j-1)!/(j-i)! D^(i-1) E_(j-i) P_i, so only E_t / (t! D^t) is a Fraction.
-
-    `single_sum(s)` supplies U_s; the default is the brute-force generator,
-    and closed-form callers can substitute their own series.
     """
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    if single_sum is None:
-        def single_sum(s: int) -> QSeries:
-            return brute_force(
-                MacMahonSpec(1, n_level, s * k, power_polynomial(q_poly, s)),
-                order,
-            )
-
-    singles = [single_sum(s).coeffs for s in range(1, t + 1)]
-    scale = lcm(*(c.denominator for u in singles for c in u))
-    p = [[c.numerator * (scale // c.denominator) for c in u] for u in singles]
+    if not singles:
+        raise ValueError("at least one single sum is needed")
+    t, order = len(singles), singles[0].order
+    if any(u.order != order for u in singles):
+        raise OrderMismatchError(
+            f"orders differ: {[u.order for u in singles]}")
+    scale = lcm(*(c.denominator for u in singles for c in u.coeffs))
+    p = [[c.numerator * (scale // c.denominator) for c in u.coeffs]
+         for u in singles]
     e = [[1] + [0] * order]
     for j in range(1, t + 1):
         acc = [0] * (order + 1)

@@ -9,11 +9,13 @@ G-form term lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .chars import (
     enumerate_characters,
@@ -30,7 +32,7 @@ from .comb import (
     stirling_first_unsigned,
 )
 from .field import CycNum, coerce_pair
-from .polynomial import Polynomial, cyclotomic_polynomial
+from .polynomial import Polynomial, cyclotomic_power
 from .series import EisensteinTerm, QSeries, g_constant
 
 
@@ -102,7 +104,6 @@ def pole_exponents(n: int) -> list[int]:
     return [j for j in range(1, (n - 1) // 2 + 1) if gcd(j, n) == 1]
 
 
-@lru_cache(maxsize=None)
 def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
     """Taylor coefficients b_0..b_{k-1} of (1 - zeta x)^k Q(x)/Phi_N(x)^k
     around the pole x = zeta_N^{-1}, in the variable u = 1 - zeta_N x, with
@@ -112,7 +113,8 @@ def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
     At the pole x^N = (1 - u)^N, and (1 - u)^N - 1 = -u r(u) with
     r(u) = sum_m (-1)^m binomial(N, m+1) u^m, r(0) = N.  The cofactor
     P = (x^N - 1)/Phi_N, the product of Phi_d over the divisors d < N, has
-    integer coefficients, and Phi_N P = -u r(u) gives
+    integer coefficients and degree N - phi(N) < N, so it is -Phi_N^-1
+    truncated there; and Phi_N P = -u r(u) gives
         (1 - zeta x)^k Q/Phi_N^k = (-1)^k Q P^k / r(u)^k.
     As x^i = zeta_N^{-i} (1 - u)^i, the u^j coefficient A_j of
     Q P^k = sum_i c_i x^i is (-1)^j sum_i c_i binomial(i, j) zeta_N^{-i}:
@@ -135,10 +137,7 @@ def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
                     out[j] += x * y
         return out
 
-    cofactor = [1]
-    for d in divisors(n)[:-1]:
-        cofactor = times(cofactor,
-                         [int(c) for c in cyclotomic_polynomial(d).coeffs])
+    cofactor = [-c for c in cyclotomic_power(n, -1, n - euler_phi(n))]
     den = lcm(*(c.denominator for c in q_poly.coeffs))
     f = [int(c * den) for c in q_poly.coeffs]
     for _ in range(k):
@@ -195,43 +194,47 @@ def _c_from_taylor(b: list, k: int) -> dict[int, object]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class PfdCoefficients:
-    """Pole data for Q(x)/Phi_N(x)^k at the pole zeta_N^{-1}: Taylor data,
-    a-coefficients per pole order, and the derived weight coefficients c.
+    """Checked pole data for Q(x)/Phi_N(x)^k at the pole zeta_N^{-1}: Taylor
+    data, a-coefficients per pole order, and the weight coefficients c.
     Q is rational, so the data at the pole zeta_N^{-j} is the image under
     sigma_j: zeta -> zeta^j, and the data at zeta_N^{j} is its complex
-    conjugate."""
+    conjugate.  Records are shared through the cache of `pfd_coefficients`,
+    so the maps are read-only."""
 
     input: AdmissibleInput
-    taylor: tuple = ()                              # b_0..b_{k-1}
-    a: dict = field(default_factory=dict)           # r -> value
-    c: dict | None = None                           # ell -> value
+    taylor: tuple[CycNum, ...]          # b_0..b_{k-1}
+    a: Mapping[int, CycNum]             # r -> a(r)
+    c: Mapping[int, CycNum]             # ell -> c(ell)
 
 
-def pfd_coefficients(inp: AdmissibleInput) -> PfdCoefficients:
-    """Compute the pole coefficients a(r) at zeta_N^{-1} from one Taylor
-    expansion."""
-    validate(inp)
-    b = _pole_taylor(inp.N, inp.k, inp.Q)
-    return PfdCoefficients(inp, b, _partial_sums(b))
-
-
-def c_coefficients(p: PfdCoefficients) -> PfdCoefficients:
-    """Populate the weight coefficients c(ell) by the Stirling sum over a(r),
+def c_coefficients(taylor: tuple, a: Mapping) -> dict[int, CycNum]:
+    """The weight coefficients c(ell) by the Stirling sum over a(r),
     cross-checked against the direct Taylor formula.  Both routes are
     Q-linear in the Taylor data and every sigma_j fixes Q, so agreement at
     zeta_N^{-1} is agreement at every pole."""
-    k = p.input.k
-    c_def, c_alt = _c_from_a(p.a, k), _c_from_taylor(p.taylor, k)
+    k = len(taylor)
+    c_def, c_alt = _c_from_a(a, k), _c_from_taylor(taylor, k)
     for ell in range(1, k + 1):
         if c_def[ell] != c_alt[ell]:
             raise InternalMismatchError(
                 f"weight-coefficient routes disagree at ell={ell}: "
                 f"{c_def[ell]} vs {c_alt[ell]}"
             )
-    p.c = c_def
-    return p
+    return c_def
+
+
+@lru_cache(maxsize=None)
+def pfd_coefficients(inp: AdmissibleInput) -> PfdCoefficients:
+    """Validate `inp` and build its checked pole data from one Taylor
+    expansion at zeta_N^{-1}; memoized, so every caller shares one expansion
+    and one check of the two weight-coefficient routes."""
+    validate(inp)
+    b = _pole_taylor(inp.N, inp.k, inp.Q)
+    a = _partial_sums(b)
+    return PfdCoefficients(inp, b, MappingProxyType(a),
+                           MappingProxyType(c_coefficients(b, a)))
 
 
 @dataclass(frozen=True)
@@ -338,17 +341,15 @@ def _collect(acc: dict) -> tuple[EisensteinTerm, ...]:
     return tuple(terms)
 
 
-def closed_form(inp: AdmissibleInput,
-                p: PfdCoefficients | None = None) -> ClosedForm:
+def closed_form(inp: AdmissibleInput) -> ClosedForm:
     """The F-form Eisenstein representation of sum_n Q(q^n)/Phi_N(q^n)^k.
 
     Weight-ell terms carry dilations g | N and conjugated characters modulo
     N/g of parity (-1)^ell; their scalar weights combine the pole data with
-    Gauss sums.  For N <= 2 only the trivial character appears.  `p`, the
-    checked pole data of `inp`, is computed here unless the caller has it.
+    Gauss sums.  For N <= 2 only the trivial character appears.
     """
     n, k = inp.N, inp.k
-    p = p or c_coefficients(pfd_coefficients(inp))
+    p = pfd_coefficients(inp)
     one = trivial_character()
     acc: dict = {}
     if n == 1:
@@ -415,16 +416,17 @@ def to_g_form(cf: ClosedForm) -> ClosedForm:
     return ClosedForm(cf.input, "G", terms, constant)
 
 
-def conjugate_relation_violations(p: PfdCoefficients) -> list[tuple]:
+def conjugate_relation_violations(inp: AdmissibleInput) -> list[tuple]:
     """Tuples (ell, c, c') where the weight coefficient c' = conj(c) at the
-    conjugate pole zeta_N breaks c' = (-1)^ell c, in pole data p from
-    `c_coefficients`.  The relation holds only because Q satisfies the
+    conjugate pole zeta_N breaks c' = (-1)^ell c, in the pole data of
+    `inp`.  The relation holds only because Q satisfies the
     reflection rule, and the closed form relies on it, so violations are
     surfaced rather than silently absorbed.  Complex conjugation commutes
     with every sigma_j, so the one pole zeta_N^{-1} decides the relation at
     all of them.  At N <= 2 the one pole is real, so the relation says that
     the odd-weight coefficients vanish."""
-    return [(ell, c, c.conjugate()) for ell, c in p.c.items()
+    return [(ell, c, c.conjugate())
+            for ell, c in pfd_coefficients(inp).c.items()
             if c.conjugate() != c * (-1) ** ell]
 
 
@@ -442,4 +444,4 @@ def admissible_polynomials(n: int, k: int) -> list[Polynomial]:
             )
     if d % 2 == 0 and d >= 2 and (n > 1 or k % 2 == 0):
         out.append(Polynomial.monomial(d // 2))
-    return [validate(AdmissibleInput(n, k, q)).Q for q in out]
+    return out

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable
 
 NEG_INFINITY = float("-inf")
@@ -171,25 +172,31 @@ def format_polynomial(p: Polynomial, var: str = "x") -> str:
     return " ".join(parts)
 
 
+def cyclotomic_power(n: int, e: int, order: int) -> list[int]:
+    """The integer coefficients of Phi_n^e through x^order, for any integer
+    e.  Phi_n = prod_{d | n} (1 - x^d)^mu(n/d), negated at n = 1, so each
+    factor with d within the order is |e| prefix sums per residue class mod
+    d (a division by 1 - x^d) or |e| differences (a product)."""
+    from .comb import divisors, mobius  # comb imports this module
+
+    g = [-1 if n == 1 and e % 2 else 1] + [0] * order
+    for d in divisors(n):
+        power = e * mobius(n // d)
+        for _ in range(abs(power) if d <= order else 0):
+            if power < 0:
+                for r in range(d):
+                    g[r::d] = accumulate(g[r::d])
+            else:
+                g[d:] = [a - b for a, b in zip(g[d:], g)]
+    return g
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> Polynomial:
-    """The n-th cyclotomic polynomial, as the product over d | n of
-    (1 - x^d)^mu(n/d) in integer power series truncated at its degree phi(n).
-    Each factor is a unit, so the truncation is exact."""
-    from .comb import divisors, euler_phi, mobius  # comb imports this module
+    """The n-th cyclotomic polynomial, the series Phi_n^1 truncated at its
+    degree phi(n).  Each factor is a unit, so the truncation is exact."""
+    from .comb import euler_phi  # comb imports this module
 
     if n < 1:
         raise ValueError("cyclotomic polynomials are indexed by positive integers")
-    if n == 1:
-        return Polynomial([-1, 1])
-    top = euler_phi(n)
-    c = [1] + [0] * top
-    for d in divisors(n):
-        mu = mobius(n // d)
-        if mu == 1:  # times (1 - x^d)
-            for i in range(top, d - 1, -1):
-                c[i] -= c[i - d]
-        elif mu == -1:  # divided by (1 - x^d)
-            for i in range(d, top + 1):
-                c[i] += c[i - d]
-    return Polynomial(c)
+    return Polynomial(cyclotomic_power(n, 1, euler_phi(n)))

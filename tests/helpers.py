@@ -14,7 +14,7 @@ from cyclomac import (
     Polynomial,
     QSeries,
     admissible_polynomials,
-    c_coefficients,
+    brute_force,
     cyclotomic_polynomial,
     divisors,
     enumerate_characters,
@@ -67,7 +67,7 @@ def closed_form_per_pole(inp: AdmissibleInput) -> dict:
     conj(chi)(j), merged by key; an oracle for `closed_form`, which sums
     over the poles first."""
     n, k = inp.N, inp.k
-    p = c_coefficients(pfd_coefficients(inp))
+    p = pfd_coefficients(inp)
     acc: dict = {}
     for j in pole_exponents(n):
         for ell in range(1, k + 1):
@@ -234,6 +234,14 @@ def isobaric_decomposition(t: int, strict: bool) -> list[IsobaricTerm]:
             IsobaricTerm(lam, weight, (-1) ** sign_exp if strict else 1)
         )
     return out
+
+
+def brute_single_sums(n: int, k: int, q_poly: Polynomial, t: int,
+                      order: int) -> list[QSeries]:
+    """The single sums U_1..U_t of (N, k, Q) by brute force, U_s at weight
+    s k with numerator Q^s: the input `evaluate_isobaric` assembles."""
+    return [brute_force(MacMahonSpec(1, n, s * k, q_poly ** s), order)
+            for s in range(1, t + 1)]
 
 
 def isobaric_by_partitions(single_sum, t: int, strict: bool,

@@ -525,10 +525,9 @@ def test_corrupt_closed_form_makes_verify_report_the_mismatch(capsys, monkeypatc
 
 def test_sweep_expands_each_input_once(capsys, monkeypatch):
     calls = {"c_coefficients": 0}
-    counted = _counting(calls, "c_coefficients", pfdform.c_coefficients)
-    monkeypatch.setattr(cli, "c_coefficients", counted)
-    monkeypatch.setattr(pfdform, "c_coefficients", counted)
-    pfdform._pole_taylor.cache_clear()
+    monkeypatch.setattr(pfdform, "c_coefficients", _counting(
+        calls, "c_coefficients", pfdform.c_coefficients))
+    pfdform.pfd_coefficients.cache_clear()
     code, out, _ = run_cli(
         capsys, "sweep", "--max-N", "6", "--max-k", "2", "--order", "10",
         "--format", "json",
@@ -536,13 +535,28 @@ def test_sweep_expands_each_input_once(capsys, monkeypatch):
     assert code == 0
     items = json.loads(out)["items"]
     assert {i["N"] for i in items} >= {1, 2, 3}
-    info = pfdform._pole_taylor.cache_info()
+    info = pfdform.pfd_coefficients.cache_info()
     # closed_form and conjugate_relation_violations share one expansion and
     # one check of the two weight-coefficient routes, at the rational poles
     # N = 1, 2 as at every other level.
-    assert info.misses == len(items) > 0
-    assert info.hits == 0
+    assert info.misses == info.hits == len(items) > 0
     assert calls["c_coefficients"] == len(items)
+
+
+def test_sweep_validates_each_input_once(capsys, monkeypatch):
+    calls = {"validate": 0}
+    counted = _counting(calls, "validate", pfdform.validate)
+    monkeypatch.setattr(cli, "validate", counted)
+    monkeypatch.setattr(pfdform, "validate", counted)
+    pfdform.pfd_coefficients.cache_clear()
+    code, out, _ = run_cli(
+        capsys, "sweep", "--max-N", "6", "--max-k", "2", "--order", "10",
+        "--format", "json",
+    )
+    assert code == 0
+    items = json.loads(out)["items"]
+    assert len(items) > 0
+    assert calls["validate"] == len(items)
 
 
 def test_sweep_reports_a_closed_form_that_is_not_rational(capsys, monkeypatch):
@@ -551,7 +565,7 @@ def test_sweep_reports_a_closed_form_that_is_not_rational(capsys, monkeypatch):
                           dilation=1, coefficient=CycNum.one())
     monkeypatch.setattr(
         cli, "closed_form",
-        lambda inp, p=None: ClosedForm(inp, "F", (term,), CycNum.zero()),
+        lambda inp: ClosedForm(inp, "F", (term,), CycNum.zero()),
     )
     code, out, _ = run_cli(
         capsys, "sweep", "--max-N", "4", "--max-k", "1", "--order", "10",
@@ -589,6 +603,8 @@ def test_sweep_reports_a_closed_form_that_is_not_rational(capsys, monkeypatch):
     (["sweep", "--max-k", str(MAX_K + 1)], "parameter bound"),
     (["sweep", "--degree-bound", "0"], "positive parameters"),
     (["sweep", "--degree-bound", str(MAX_DEGREE_BOUND + 1)], "parameter bound"),
+    (["verify", "--N", "3", "--k", "1", "--Q", "x^9000 + x", "--t", "20"],
+     "degree bound"),
 ])
 def test_bad_parameters_exit_two_before_any_computation(capsys, monkeypatch,
                                                         argv, clause):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cyclomac import (
+    QSeries,
     binomial,
     cyclotomic_polynomial,
     enumerate_characters,
@@ -14,7 +15,7 @@ from cyclomac import (
     stirling_first_unsigned,
     trivial_character,
 )
-from cyclomac.polynomial import Polynomial
+from cyclomac.polynomial import Polynomial, cyclotomic_power
 from helpers import (
     Partition,
     bernoulli_by_generating_function,
@@ -113,6 +114,28 @@ def test_cyclotomic_product_identity():
             if n % d == 0:
                 prod = prod * cyclotomic_polynomial(d)
         assert prod == Polynomial.monomial(n) - 1, n
+
+
+@pytest.mark.parametrize("e", [-3, -2, -1, 0, 1, 2, 3])
+def test_cyclotomic_power_matches_series_powers(e):
+    order = 25
+    for n in range(1, 41):
+        phi = QSeries(cyclotomic_polynomial(n).coeffs, order)
+        expected = (phi.inverse() if e < 0 else phi) ** abs(e)
+        got = cyclotomic_power(n, e, order)
+        assert all(type(c) is int for c in got), n
+        assert QSeries(got, order) == expected, n
+
+
+def test_cyclotomic_power_gives_the_pole_cofactor():
+    # (x^N - 1)/Phi_N, of degree N - phi(N) < N, is -Phi_N^-1 truncated there.
+    for n in range(1, 400):
+        phi = [int(c) for c in cyclotomic_polynomial(n).coeffs]
+        product = [0] * (n + 1)
+        for i, a in enumerate(cyclotomic_power(n, -1, n - euler_phi(n))):
+            for j, b in enumerate(phi, i):
+                product[j] -= a * b
+        assert product == [-1] + [0] * (n - 1) + [1], n
 
 
 def test_partitions_of_one():

@@ -16,11 +16,11 @@ from cyclomac import (
     cyclotomic_polynomial,
     evaluate_isobaric,
     f_series,
-    power_polynomial,
     trivial_character,
     weight_series,
 )
 from helpers import (
+    brute_single_sums,
     isobaric_by_partitions,
     isobaric_decomposition,
     nested_enumeration,
@@ -122,13 +122,12 @@ def test_weight_series_matches_direct_expansion():
                                    order) == direct
 
 
-def test_power_polynomial():
-    assert power_polynomial(X, 3) == Polynomial.monomial(3)
-    assert power_polynomial(X + Polynomial.monomial(3), 2) == Polynomial(
-        [0, 0, 1, 0, 2, 0, 1]
-    )
+def test_polynomial_power():
+    # The numerators Q^s of the single sums U_s.
+    assert X ** 3 == Polynomial.monomial(3)
+    assert (X + Polynomial.monomial(3)) ** 2 == Polynomial([0, 0, 1, 0, 2, 0, 1])
     for s in (1, 2, 5):
-        assert power_polynomial(X2, s).degree() == 2 * s
+        assert (X2 ** s).degree() == 2 * s
 
 
 def test_isobaric_decomposition_single_index():
@@ -159,10 +158,12 @@ def test_isobaric_terms_have_weight_t():
 
 def test_evaluate_isobaric_matches_brute_force():
     order = 30
-    assert evaluate_isobaric(1, 2, X, 2, True, order) == brute_force(
+    assert evaluate_isobaric(brute_single_sums(1, 2, X, 2, order),
+                             True) == brute_force(
         MacMahonSpec(2, 1, 2, X, True), order
     )
-    assert evaluate_isobaric(4, 1, X, 3, True, order) == brute_force(
+    assert evaluate_isobaric(brute_single_sums(4, 1, X, 3, order),
+                             True) == brute_force(
         MacMahonSpec(3, 4, 1, X, True), order
     )
 
@@ -170,9 +171,27 @@ def test_evaluate_isobaric_matches_brute_force():
 def test_evaluate_isobaric_single_index_is_brute_force():
     order = 20
     for strict in (True, False):
-        assert evaluate_isobaric(3, 2, X2, 1, strict, order) == brute_force(
+        assert evaluate_isobaric(brute_single_sums(3, 2, X2, 1, order),
+                                 strict) == brute_force(
             MacMahonSpec(1, 3, 2, X2, strict), order
         )
+
+
+def test_evaluate_isobaric_rejects_single_sums_of_different_orders():
+    # U_1 at order 10 and U_2 at order 5 (N = 3, k = 1, Q = x): reading U_2
+    # past its order would give q^6 = 1/2, where brute force gives 3.
+    u1 = brute_force(MacMahonSpec(1, 3, 1, X), 10)
+    u2 = brute_force(MacMahonSpec(1, 3, 2, X2), 5)
+    assert brute_force(MacMahonSpec(2, 3, 1, X), 10)[6] == 3
+    for strict in (True, False):
+        with pytest.raises(OrderMismatchError):
+            evaluate_isobaric([u1, u2], strict)
+
+
+def test_evaluate_isobaric_needs_a_single_sum():
+    for strict in (True, False):
+        with pytest.raises(ValueError):
+            evaluate_isobaric([], strict)
 
 
 @pytest.mark.parametrize("n, k, q_poly, order", [
@@ -183,15 +202,12 @@ def test_evaluate_isobaric_single_index_is_brute_force():
     (6, 1, Polynomial([0, 1, 0, 1]), 25),
 ])
 def test_newton_assembly_matches_partition_formula(n, k, q_poly, order):
-    singles = {
-        s: brute_force(MacMahonSpec(1, n, s * k, power_polynomial(q_poly, s)),
-                       order)
-        for s in range(1, 9)
-    }
+    singles = brute_single_sums(n, k, q_poly, 8, order)
     for t in range(1, 9):
         for strict in (True, False):
-            assert evaluate_isobaric(n, k, q_poly, t, strict, order) == (
-                isobaric_by_partitions(singles.__getitem__, t, strict, order)
+            assert evaluate_isobaric(singles[:t], strict) == (
+                isobaric_by_partitions(lambda s: singles[s - 1], t, strict,
+                                       order)
             ), (t, strict)
 
 
@@ -224,11 +240,8 @@ def test_log_exponential_identities(n, k):
     order = 40
     t_max = 5
     q_poly = admissible_polynomials(n, k)[0]
-    singles = {
-        m: brute_force(MacMahonSpec(1, n, m * k, power_polynomial(q_poly, m)),
-                       order)
-        for m in range(1, t_max + 1)
-    }
+    singles = dict(enumerate(brute_single_sums(n, k, q_poly, t_max, order),
+                             1))
     for strict in (True, False):
         coeffs = [QSeries.zero(order)]
         for m in range(1, t_max + 1):
@@ -247,20 +260,19 @@ def test_strict_weak_bridge_at_two_indices():
         weak = brute_force(MacMahonSpec(2, n, k, q_poly, strict=False), order)
         strict = brute_force(MacMahonSpec(2, n, k, q_poly, strict=True), order)
         single = brute_force(
-            MacMahonSpec(1, n, 2 * k, power_polynomial(q_poly, 2)), order
+            MacMahonSpec(1, n, 2 * k, q_poly ** 2), order
         )
         assert weak - strict == single
 
 
 def test_isobaric_closed_form_equivalence():
     order = 30
-    closed = {s: closed_form(AdmissibleInput(4, s, power_polynomial(X, s)))
-              .evaluate(order) for s in (1, 2, 3)}
+    closed = [closed_form(AdmissibleInput(4, s, X ** s)).evaluate(order)
+              for s in (1, 2, 3)]
     for t in (2, 3):
         for strict in (True, False):
-            assert evaluate_isobaric(
-                4, 1, X, t, strict, order, closed.__getitem__
-            ) == brute_force(MacMahonSpec(t, 4, 1, X, strict), order)
+            assert evaluate_isobaric(closed[:t], strict) == brute_force(
+                MacMahonSpec(t, 4, 1, X, strict), order)
 
 
 def test_certify_identical_series():

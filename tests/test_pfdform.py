@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,7 +18,6 @@ from cyclomac import (
     QSeries,
     SymmetryViolationError,
     admissible_polynomials,
-    c_coefficients,
     closed_form,
     conjugate_relation_violations,
     cyclotomic_polynomial,
@@ -84,6 +84,19 @@ def test_pole_coefficients_level_two_weight_four():
     assert p.a[3] == -1
     assert p.a[2] == 0
     assert p.a[1] == 0
+
+
+def test_pole_data_is_one_shared_read_only_record():
+    inp = AdmissibleInput(3, 2, X2)
+    p = pfd_coefficients(inp)
+    assert pfd_coefficients(AdmissibleInput(3, 2, X2)) is p
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.c = {}
+    with pytest.raises(TypeError):
+        p.c[1] = CycNum.zero()
+    with pytest.raises(TypeError):
+        p.a[1] = CycNum.zero()
+    assert len(p.taylor) == len(p.a) == len(p.c) == inp.k
 
 
 def _solve_linear(rows, rhs):
@@ -174,7 +187,6 @@ def test_pole_taylor_divides_nothing_in_the_field(inp, monkeypatch):
 
     monkeypatch.setattr(CycNum, "inverse", refuse)
     monkeypatch.setattr(QSeries, "inverse", refuse)
-    pfdform._pole_taylor.cache_clear()
     assert pfdform._pole_taylor(inp.N, inp.k, inp.Q) == expected
 
 
@@ -202,20 +214,20 @@ def test_top_pole_coefficient_product_formula(inp):
 
 
 def test_weight_coefficients_reference_values():
-    p2 = c_coefficients(pfd_coefficients(AdmissibleInput(2, 4, X2)))
+    p2 = pfd_coefficients(AdmissibleInput(2, 4, X2))
     assert p2.c[2] == Fraction(-1, 6)
     assert p2.c[4] == Fraction(1, 6)
 
     root3i = zeta(3) - zeta(3, 2)
-    p3 = c_coefficients(pfd_coefficients(AdmissibleInput(3, 2, X2)))
+    p3 = pfd_coefficients(AdmissibleInput(3, 2, X2))
     assert p3.c[1] == root3i * Fraction(1, 9)
     assert p3.c[2] == Fraction(-1, 3)
 
-    p4 = c_coefficients(pfd_coefficients(AdmissibleInput(4, 2, X2)))
+    p4 = pfd_coefficients(AdmissibleInput(4, 2, X2))
     assert p4.c[1] == 0
     assert p4.c[2] == Fraction(-1, 4)
 
-    p6 = c_coefficients(pfd_coefficients(AdmissibleInput(6, 2, X2)))
+    p6 = pfd_coefficients(AdmissibleInput(6, 2, X2))
     assert p6.c[1] == -root3i * Fraction(1, 9)
     assert p6.c[2] == Fraction(-1, 3)
 
@@ -224,7 +236,7 @@ def test_weight_coefficients_reference_values():
 def test_odd_weight_coefficients_vanish(n):
     for k in range(1, 7):
         for q_poly in admissible_polynomials(n, k):
-            p = c_coefficients(pfd_coefficients(AdmissibleInput(n, k, q_poly)))
+            p = pfd_coefficients(AdmissibleInput(n, k, q_poly))
             for ell in range(1, k + 1, 2):
                 assert p.c[ell] == 0, (n, k, str(q_poly), ell)
 
@@ -233,7 +245,7 @@ def test_odd_weight_coefficients_vanish(n):
                          ids=lambda i: f"N{i.N}k{i.k}{i.Q}")
 def test_leading_weight_coefficients(inp):
     n, k = inp.N, inp.k
-    p = c_coefficients(pfd_coefficients(inp))
+    p = pfd_coefficients(inp)
     fact = Fraction(1, math.factorial(k - 1))
     if n == 1:
         assert p.c[k] == Fraction((-1) ** k) * inp.Q(Fraction(1)) * fact
@@ -249,18 +261,19 @@ def test_leading_weight_coefficients(inp):
                                  if i.N >= 3],
                          ids=lambda i: f"N{i.N}k{i.k}{i.Q}")
 def test_conjugate_weight_relation(inp):
-    p = c_coefficients(pfd_coefficients(inp))
-    assert conjugate_relation_violations(p) == []
+    assert conjugate_relation_violations(inp) == []
 
 
 def test_conjugate_relation_catches_asymmetric_pole_data(monkeypatch):
     # Pole data expanded from Q = x breaks the reflection rule that the
     # admissible Q = x^2 (N = 5, k = 1) satisfies.
+    # The uncached builder keeps the corrupted record out of the shared cache.
     expand = pfdform._pole_taylor
     monkeypatch.setattr(pfdform, "_pole_taylor", lambda n, k, q: expand(n, k, X))
+    monkeypatch.setattr(pfdform, "pfd_coefficients",
+                        pfdform.pfd_coefficients.__wrapped__)
     inp = AdmissibleInput(5, 1, X2)
-    bad = conjugate_relation_violations(
-        c_coefficients(pfd_coefficients(inp)))
+    bad = conjugate_relation_violations(inp)
     assert [ell for ell, _, _ in bad] == [1]
     for ell, c, c_bar in bad:
         assert c_bar == c.conjugate() != c * (-1) ** ell

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .polynomial import Polynomial, cyclotomic_polynomial
+from .polynomial import Polynomial, cyclotomic_polynomial, cyclotomic_power
 
 
 class LevelMismatchError(ValueError):
@@ -32,16 +32,19 @@ class NotRationalError(ValueError):
 
 @lru_cache(maxsize=None)
 def _phi(level: int) -> int:
-    return cyclotomic_polynomial(level).degree()
+    from .comb import euler_phi  # comb imports this module
+
+    return euler_phi(level)
 
 
 @lru_cache(maxsize=None)
 def _phi_terms(level: int) -> tuple[tuple[int, int], ...]:
     """The nonzero (i, coefficient) pairs of Phi_level below its leading
-    term.  The coefficients are integers, and most are zero when p^2
-    divides the level: then Phi_L(x) = Phi_{L/p}(x^p)."""
-    return tuple((i, int(m)) for i, m in
-                 enumerate(cyclotomic_polynomial(level).coeffs[:-1]) if m)
+    term.  Most are zero when p^2 divides the level: then
+    Phi_L(x) = Phi_{L/p}(x^p)."""
+    phi = _phi(level)
+    return tuple((i, m) for i, m in
+                 enumerate(cyclotomic_power(level, 1, phi)[:phi]) if m)
 
 
 def _reduce(level: int, rem: list[int]) -> list[int]:

@@ -9,7 +9,6 @@ coefficient-wise identity certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, lcm
 
 from .pfdform import NonPositiveParameterError, NonzeroConstantTermError
@@ -31,17 +30,10 @@ class MacMahonSpec:
 
 
 def weight_series(n_level: int, k: int, q_poly: Polynomial,
-                  order: int) -> tuple[list[int], int]:
-    """Q/Phi_N^k on integers: the numerators of D Q/Phi_N^k, with D the lcm
-    of Q's denominators; Phi_N^-k by `cyclotomic_power`, then times D Q."""
-    g = cyclotomic_power(n_level, -k, order)
-    scale = lcm(*(c.denominator for c in q_poly.coeffs))
-    w = [0] * (order + 1)
-    for i, c in enumerate(q_poly.coeffs[: order + 1]):
-        if c:
-            c = int(c * scale)
-            w[i:] = [a + c * b for a, b in zip(w[i:], g)]
-    return w, scale
+                  order: int) -> QSeries:
+    """Q/Phi_N^k through q^order: Q times Phi_N^-k from `cyclotomic_power`."""
+    return (QSeries(q_poly.coeffs, order)
+            * QSeries(cyclotomic_power(n_level, -k, order)))
 
 
 def validate_spec(spec: MacMahonSpec) -> MacMahonSpec:
@@ -61,7 +53,7 @@ def brute_force(spec: MacMahonSpec, order: int) -> QSeries:
     for weak inequalities, where w_n = r(q^n) and r = Q/Phi_N^k is expanded
     once.  Both products evolve by f_d += w_n f_(d-1): strict runs d down and
     reads the old f_(d-1), weak runs d up and reads the new one.  On the
-    numerators of D r = sum_j r_j q^j, D the lcm of Q's denominators, f_d is
+    numerators of D r = sum_j r_j q^j, D the `den` of the weight series, f_d is
     D^d times the depth-d series, held as one integer sum_e f_d[e] 2^(B e)
     (Kronecker substitution, as in `series`): adding w_n f_(d-1) is a shift,
     multiply and add per r_j != 0 with j n <= order.
@@ -75,7 +67,8 @@ def brute_force(spec: MacMahonSpec, order: int) -> QSeries:
     below (max A)^d (order + 1)^(d-1), so none carries."""
     validate_spec(spec)
     t = spec.t
-    r, scale = weight_series(spec.N, spec.k, spec.Q, order)
+    w = weight_series(spec.N, spec.k, spec.Q, order)
+    r = w.nums
     a = [0] * (order + 1)
     for j in filter(r.__getitem__, range(1, order + 1)):
         a[j::j] = [x + abs(r[j]) for x in a[j::j]]
@@ -106,8 +99,8 @@ def brute_force(spec: MacMahonSpec, order: int) -> QSeries:
                     acc += c * (src << shift)
                 f[d] = ((acc + bias) & mask) - bias
     digits, digit = f[t] + bias, (1 << width) - 1
-    return QSeries([Fraction(((digits >> width * e) & digit) - half, scale**t)
-                    for e in range(order + 1)], order)
+    return QSeries([((digits >> width * e) & digit) - half
+                    for e in range(order + 1)], order, w.den**t)
 
 
 def evaluate_isobaric(singles: list[QSeries], strict: bool) -> QSeries:
@@ -121,8 +114,8 @@ def evaluate_isobaric(singles: list[QSeries], strict: bool) -> QSeries:
     e_(t-i) p_i and t h_t = sum_i h_(t-i) p_i (Macdonald, Symmetric
     Functions and Hall Polynomials, I 2) build them in t(t+1)/2 products.
     These run on integers: P_i = D U_i for D the lcm of the single sums'
-    denominators, and E_j = j! D^j e_j obeys E_j = sum_i (+-1)^(i-1)
-    (j-1)!/(j-i)! D^(i-1) E_(j-i) P_i, so only E_t / (t! D^t) is a Fraction.
+    `den`s, and E_j = j! D^j e_j obeys E_j = sum_i (+-1)^(i-1)
+    (j-1)!/(j-i)! D^(i-1) E_(j-i) P_i, so the result is E_t over t! D^t.
     """
     if not singles:
         raise ValueError("at least one single sum is needed")
@@ -130,9 +123,8 @@ def evaluate_isobaric(singles: list[QSeries], strict: bool) -> QSeries:
     if any(u.order != order for u in singles):
         raise OrderMismatchError(
             f"orders differ: {[u.order for u in singles]}")
-    scale = lcm(*(c.denominator for u in singles for c in u.coeffs))
-    p = [[c.numerator * (scale // c.denominator) for c in u.coeffs]
-         for u in singles]
+    scale = lcm(*(u.den for u in singles))
+    p = [[c * (scale // u.den) for c in u.nums] for u in singles]
     e = [[1] + [0] * order]
     for j in range(1, t + 1):
         acc = [0] * (order + 1)
@@ -142,8 +134,7 @@ def evaluate_isobaric(singles: list[QSeries], strict: bool) -> QSeries:
             acc = [a + weight * b for a, b in zip(acc, prod)]
             weight *= (i - j if strict else j - i) * scale
         e.append(acc)
-    denom = factorial(t) * scale**t
-    return QSeries([Fraction(c, denom) for c in e[t]], order)
+    return QSeries(e[t], order, factorial(t) * scale**t)
 
 
 @dataclass(frozen=True)
@@ -176,16 +167,17 @@ class Certificate:
 def certify(lhs: QSeries, rhs: QSeries, lhs_label: str, rhs_label: str,
             descriptor: str = "") -> Certificate:
     """Compare two series coefficient by coefficient; every coefficient must
-    agree exactly.  Reports the first mismatch."""
+    agree exactly.  Both are in lowest terms, so they agree exactly when
+    their numerators and denominators do; reports the first mismatch."""
     if lhs.order != rhs.order:
         raise OrderMismatchError(
             f"orders differ: {lhs.order} vs {rhs.order}"
         )
     first = None
-    for j in range(lhs.order + 1):
-        if lhs.coeffs[j] != rhs.coeffs[j]:
-            first = (j, lhs.coeffs[j], rhs.coeffs[j])
-            break
+    if (lhs.nums, lhs.den) != (rhs.nums, rhs.den):
+        j = next(j for j, (a, b) in enumerate(zip(lhs.nums, rhs.nums))
+                 if a * rhs.den != b * lhs.den)
+        first = (j, lhs.coefficient(j), rhs.coefficient(j))
     return Certificate(
         descriptor=descriptor,
         order=lhs.order,

@@ -143,19 +143,17 @@ def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
     for _ in range(k):
         f = times(f, cofactor)
     # N^j A_j, so that the product with the integers S_j needs no Fractions.
-    a = QSeries([CycNum.from_exponents(n, (
+    a = [CycNum.from_exponents(n, (
         (-i, (-n) ** j * binomial(i, j) * c)
         for i, c in enumerate(f[j:], j) if c
-    ), den) for j in range(k)], k - 1)
+    ), den) for j in range(k)]
     big_r = [(-1) ** i * binomial(n, i + 1) * n ** (i - 1) for i in range(1, k)]
     big_s = [1]
     for j in range(1, k):
         big_s.append(-sum((j + (k - 1) * i) * big_r[i - 1] * big_s[j - i]
                           for i in range(1, j + 1)) // j)
-    return tuple(
-        c * Fraction((-1) ** k, n ** (k + m)) if c else CycNum.zero(n)
-        for m, c in enumerate((a * QSeries(big_s, k - 1)).coeffs)
-    )
+    return tuple(sum((a[j] * big_s[m - j] for j in range(m + 1)), CycNum.zero(n))
+                 * Fraction((-1) ** k, n ** (k + m)) for m in range(k))
 
 
 def _partial_sums(b: list) -> dict[int, object]:
@@ -254,7 +252,7 @@ class ClosedForm:
     constant: CycNum
 
     def evaluate(self, order: int) -> QSeries:
-        """The form's q-series, with Fraction coefficients.  The terms of one
+        """The form's q-series, a rational QSeries.  The terms of one
         (dilation g, weight w) pair add up to the sum over m, n >= 1 of
         table[m] m^(w-1) q^(mng), where table[m] = sum of coef * chi(m) over
         the pair's terms depends only on m modulo the lcm of their moduli.
@@ -306,7 +304,7 @@ class ClosedForm:
                     v *= m ** (w - 1)
                     for e in range(m * g, order + 1, m * g):
                         out[e] += v
-        return QSeries([Fraction(c, den) for c in out], order)
+        return QSeries(out, order, den)
 
     def to_json(self) -> dict:
         return {

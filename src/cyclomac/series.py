@@ -1,12 +1,13 @@
-"""Truncated q-series with exact coefficients, and the Eisenstein building
-blocks: divisor-sum F-series, their dilations, and the constant terms that
-turn an F-series into a G-series.
+"""Truncated q-series with rational coefficients, and the Eisenstein
+building blocks: divisor-sum F-series, their dilations, and the constant
+terms that turn an F-series into a G-series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .chars import DirichletCharacter
 from .comb import gen_bernoulli
@@ -22,17 +23,18 @@ class NonUnitError(ValueError):
 
 
 class QSeries:
-    """A power series in q truncated at a fixed order M (inclusive).
-
-    Coefficients are Fractions, or CycNums at one level inside the pole
-    expansion; the plain operators combine them, and two different levels
-    raise `LevelMismatchError`.  Operations on series of different orders
-    truncate to the smaller order and never read beyond it.
+    """A power series in q truncated at a fixed order M (inclusive), with
+    rational coefficients held as the integers `nums` over the positive
+    integer `den`, gcd(den, *nums) = 1, as in `CycNum`; `coeffs` reads them
+    as Fractions.  Operations on series of different orders truncate to the
+    smaller order and never read beyond it.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, coeffs, order: int | None = None):
+    def __init__(self, coeffs, order: int | None = None, den: int | None = None):
+        """Rational (int or Fraction) coefficients, or, given `den`, the
+        integer numerators over it; padded with zeros or cut at the order."""
         coeffs = list(coeffs)
         if order is None:
             if not coeffs:
@@ -40,12 +42,21 @@ class QSeries:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("order must be nonnegative")
-        if len(coeffs) > order + 1:
-            coeffs = coeffs[: order + 1]
-        elif len(coeffs) < order + 1:
-            coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
-        self.order = order
-        self.coeffs = tuple(coeffs)
+        del coeffs[order + 1:]
+        if den is None:
+            den = lcm(*(c.denominator for c in coeffs))
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+        elif den < 1:
+            raise ValueError("the denominator must be a positive integer")
+        coeffs.extend([0] * (order + 1 - len(coeffs)))
+        g = gcd(den, *coeffs)
+        self.order, self.den = order, den // g
+        self.nums = tuple(coeffs) if g == 1 else tuple(c // g for c in coeffs)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":
@@ -53,30 +64,27 @@ class QSeries:
 
     @classmethod
     def one(cls, order: int) -> "QSeries":
-        return cls([Fraction(1)], order)
+        return cls([1], order)
 
-    def coefficient(self, j: int):
+    def coefficient(self, j: int) -> Fraction:
         if not 0 <= j <= self.order:
             raise IndexError(f"exponent {j} outside the tracked range")
-        return self.coeffs[j]
+        return Fraction(self.nums[j], self.den)
 
-    def __getitem__(self, j: int):
-        return self.coefficient(j)
+    __getitem__ = coefficient
 
     def __add__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction, CycNum)):
-            out = list(self.coeffs)
-            out[0] = out[0] + other
-            return QSeries(out, self.order)
-        m = min(self.order, other.order)
-        return QSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], m
-        )
+        if isinstance(other, (int, Fraction)):
+            other = QSeries([other], self.order)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return QSeries([a * fa + b * fb for a, b in zip(self.nums, other.nums)],
+                       min(self.order, other.order), den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
-        return QSeries([-c for c in self.coeffs], self.order)
+        return QSeries([-c for c in self.nums], self.order, self.den)
 
     def __sub__(self, other) -> "QSeries":
         return self + (-other)
@@ -85,24 +93,21 @@ class QSeries:
         return (-self) + other
 
     def __mul__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction, CycNum)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         m = min(self.order, other.order)
-        out = [Fraction(0)] * (m + 1)
-        for i in range(m + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(m + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return QSeries(out, m)
+        out = [0] * (m + 1)
+        for i, a in enumerate(self.nums[: m + 1]):
+            if a:
+                out[i:] = [c + a * b for c, b in zip(out[i:], other.nums)]
+        return QSeries(out, m, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "QSeries":
-        return QSeries([c * a for a in self.coeffs], self.order)
+        """The series times an int or Fraction."""
+        return QSeries([c.numerator * a for a in self.nums], self.order,
+                       self.den * c.denominator)
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
@@ -118,27 +123,25 @@ class QSeries:
         return result
 
     def inverse(self) -> "QSeries":
-        """Two-sided inverse up to the order; requires a unit constant term."""
-        a0 = self.coeffs[0]
-        if not a0:
+        """Two-sided inverse up to the order; requires a unit constant term.
+        With a = self.nums, the integers x_0 = 1, x_n = -sum_i a_i a_0^(i-1)
+        x_(n-i) make the inverse's coefficients den x_n / a_0^(n+1)."""
+        a, m = self.nums, self.order
+        if not a[0]:
             raise NonUnitError("series with zero constant term has no inverse")
-        inv0 = Fraction(1) / a0
-        out = [inv0] + [Fraction(0)] * self.order
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                ai = self.coeffs[i]
-                if ai:
-                    acc = acc + ai * out[n - i]
-            out[n] = -inv0 * acc
-        return QSeries(out, self.order)
+        x = [1]
+        for n in range(1, m + 1):
+            x.append(-sum(a[i] * a[0] ** (i - 1) * x[n - i]
+                          for i in range(1, n + 1) if a[i]))
+        s = -1 if a[0] < 0 and m % 2 == 0 else 1  # the sign of a_0^(m+1)
+        return QSeries([s * self.den * c * a[0] ** (m - n)
+                        for n, c in enumerate(x)], m, s * a[0] ** (m + 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return (self.order, self.nums, self.den) == (other.order, other.nums,
+                                                     other.den)
 
     __hash__ = None
 
@@ -183,26 +186,27 @@ def kronecker_product(a: list[int], b: list[int], order: int) -> list[int]:
             for i in range(0, size * n, size)]
 
 
-def f_series(weight: int, chi: DirichletCharacter, dilation: int, order: int) -> QSeries:
-    """The Eisenstein divisor-sum series: coefficient of q^j is the sum of
-    chi(m) * m^(weight-1) over factorizations j = m*n*dilation with m, n >= 1.
-
-    The trivial character modulo 1 gives the classical weight-k sum
-    F_k(dilation * tau); the series always has zero constant term.
+def f_series(weight: int, chi: DirichletCharacter, dilation: int,
+             order: int) -> list:
+    """The coefficients of q^0..q^order of the Eisenstein divisor-sum
+    series: the coefficient of q^j is the sum of chi(m) * m^(weight-1) over
+    factorizations j = m*n*dilation with m, n >= 1.  They are ints for the
+    trivial character, which gives the classical weight-k sum
+    F_k(dilation * tau), and CycNums (or 0) otherwise; the constant term is 0.
     """
     if weight < 1 or dilation < 1:
         raise ValueError("weight and dilation must be positive")
-    out = [Fraction(0)] * (order + 1)
+    out = [0] * (order + 1)
     trivial = chi.modulus == 1
     for m in range(1, order // dilation + 1):
         v = chi.value(m)
         if v.is_zero():
             continue
-        weighted = Fraction(m) ** (weight - 1) if trivial else v * m ** (weight - 1)
+        weighted = m ** (weight - 1) if trivial else v * m ** (weight - 1)
         step = m * dilation
         for e in range(step, order + 1, step):
             out[e] = out[e] + weighted
-    return QSeries(out, order)
+    return out
 
 
 def g_constant(weight: int, chi: DirichletCharacter) -> CycNum:

@@ -92,22 +92,54 @@ def closed_form_per_pole(inp: AdmissibleInput) -> dict:
     return {key: coef for key, coef in acc.items() if coef}
 
 
+def series_mul(a: list, b: list) -> list:
+    """The product of two truncated series given as coefficient lists of one
+    length, over any exact scalars (ints, Fractions, CycNums at one level)."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: len(a) - i], i):
+                if y:
+                    out[j] = out[j] + x * y
+    return out
+
+
+def series_inverse(a: list) -> list:
+    """The inverse of a truncated series with an invertible constant term,
+    over the same scalars as `series_mul`."""
+    inv0 = 1 / a[0]
+    out = [inv0]
+    for n in range(1, len(a)):
+        out.append(-inv0 * sum((a[i] * out[n - i] for i in range(1, n + 1)
+                                if a[i]), 0))
+    return out
+
+
 def pole_taylor_by_horner(n: int, k: int, q_poly: Polynomial) -> tuple:
     """Taylor coefficients b_0..b_{k-1} of (1 - zeta x)^k Q(x)/Phi_N(x)^k
     at x = zeta_N^{-1}, with Phi_N and Q evaluated at x = zeta_N^{-1}(1 - u)
     by Horner's rule on series in u; an oracle for the binomial sums of
     `pfdform._pole_taylor`."""
     pole = zeta(n, -1)
-    x_of_u = QSeries([pole, -pole], k)
-    phi_comp = cyclotomic_polynomial(n)(x_of_u)
-    if phi_comp.coefficient(0):
+    x_of_u = [pole, -pole] + [0] * (k - 1)
+
+    def compose(p: Polynomial) -> list:
+        acc = [0] * (k + 1)
+        for c in reversed(p.coeffs):
+            acc = series_mul(acc, x_of_u)
+            acc[0] = acc[0] + c
+        return acc
+
+    phi_comp = compose(cyclotomic_polynomial(n))
+    if phi_comp[0]:
         raise ArithmeticError("expansion point is not a root of the denominator")
-    h = QSeries(phi_comp.coeffs[1:], k - 1)
-    q_comp = QSeries(q_poly(x_of_u).coeffs, k - 1)
-    a_series = q_comp * (h**k).inverse()
+    h_power = [1] + [0] * (k - 1)
+    for _ in range(k):
+        h_power = series_mul(h_power, phi_comp[1:])
+    a_series = series_mul(compose(q_poly)[:k], series_inverse(h_power))
     return tuple(
         c if isinstance(c, CycNum) else CycNum.from_rational(n, c)
-        for c in a_series.coeffs
+        for c in a_series
     )
 
 
@@ -149,8 +181,7 @@ def substitute_qn(p, n: int, order: int) -> QSeries:
 def nested_enumeration(spec: MacMahonSpec, order: int) -> QSeries:
     """Direct sum over index tuples; exponential in t, test oracle only.
     Tuples with index sum beyond the order cannot contribute."""
-    nums, scale = weight_series(spec.N, spec.k, spec.Q, order)
-    w1 = QSeries([Fraction(c, scale) for c in nums], order)
+    w1 = weight_series(spec.N, spec.k, spec.Q, order)
     weights = {n: substitute_qn(w1, n, order) for n in range(1, order + 1)}
     total = QSeries.zero(order)
 
@@ -264,18 +295,16 @@ def bernoulli_by_generating_function(k: int, chi):
     series division; an oracle independent of the Bernoulli-polynomial sum."""
     f = chi.modulus
     # numerator / t = sum_a chi(a) e^(a t); denominator / t = (e^(f t) - 1) / t.
-    num = QSeries.zero(k)
-    for a in range(1, f + 1):
-        exp_at = QSeries([Fraction(a**i, factorial(i)) for i in range(k + 1)])
-        num = num + exp_at.scale(chi.value(a))
-    den = QSeries([Fraction(f ** (i + 1), factorial(i + 1)) for i in range(k + 1)])
-    return (num * den.inverse())[k] * factorial(k)
+    num = [sum((chi.value(a) * Fraction(a**i, factorial(i))
+                for a in range(1, f + 1)), 0) for i in range(k + 1)]
+    den = [Fraction(f ** (i + 1), factorial(i + 1)) for i in range(k + 1)]
+    return series_mul(num, series_inverse(den))[k] * factorial(k)
 
 
-def reconstruct_series(p, order: int) -> QSeries:
+def reconstruct_series(p, order: int) -> list:
     """Re-expand the partial-fraction sum of pole data `p` (a
-    PfdCoefficients) as a power series in x; must equal the direct series
-    of Q(x)/Phi_N(x)^k."""
+    PfdCoefficients) as the coefficients of a power series in x; they must
+    equal those of the direct series of Q(x)/Phi_N(x)^k."""
     n, k = p.input.N, p.input.k
     coeffs: list = [Fraction(0)] * (order + 1)
 
@@ -304,7 +333,7 @@ def reconstruct_series(p, order: int) -> QSeries:
             add_family({r: p.a[r].galois(j) for r in range(1, k + 1)}, j)
             add_family({r: p.a[r].galois(j).conjugate()
                         for r in range(1, k + 1)}, -j)
-    return QSeries(coeffs, order)
+    return coeffs
 
 
 def rational_function_series(inp: AdmissibleInput, order: int) -> QSeries:
@@ -317,14 +346,15 @@ def rational_function_series(inp: AdmissibleInput, order: int) -> QSeries:
 def verify_reconstruction(p, order: int | None = None) -> bool:
     if order is None:
         order = 4 * p.input.phi_times_k()
-    return reconstruct_series(p, order) == rational_function_series(p.input, order)
+    return reconstruct_series(p, order) == list(
+        rational_function_series(p.input, order).coeffs)
 
 
-def evaluate_term_by_term(cf, order: int) -> QSeries:
-    """A closed form's series as the sum over its terms of coefficient *
-    f_series, plus the constant and, in the G-form, each term's completing
-    constant; every scalar is lifted to the lcm of all levels first.  The
-    coefficients stay CycNums wherever a term brings one."""
+def evaluate_term_by_term(cf, order: int) -> list:
+    """The coefficients of a closed form's series as the sum over its terms
+    of coefficient * f_series, plus the constant and, in the G-form, each
+    term's completing constant; every scalar is lifted to the lcm of all
+    levels first.  The coefficients stay CycNums wherever a term brings one."""
     scalars = [t.coefficient for t in cf.terms] + [cf.constant]
     level = lcm(*(t.character.level for t in cf.terms),
                 *(v.level for v in scalars if isinstance(v, CycNum)))
@@ -332,15 +362,22 @@ def evaluate_term_by_term(cf, order: int) -> QSeries:
     def lift(v):
         return v.embed(level) if isinstance(v, CycNum) else v
 
-    total = QSeries.zero(order)
-    offset = lift(cf.constant)
+    total = [lift(cf.constant)] + [0] * order
     for t in cf.terms:
         c = lift(t.coefficient)
-        series = f_series(t.weight, t.character, t.dilation, order)
-        total = total + QSeries([lift(v) for v in series.coeffs], order).scale(c)
+        for e, v in enumerate(f_series(t.weight, t.character, t.dilation,
+                                       order)):
+            total[e] = total[e] + c * lift(v)
         if cf.form == "G":
-            offset = offset + c * lift(g_constant(t.weight, t.character))
-    return total + offset
+            total[0] = total[0] + c * lift(g_constant(t.weight, t.character))
+    return total
+
+
+def rational_series(values) -> QSeries:
+    """A QSeries from a list of ints, Fractions and rational CycNums, such as
+    `f_series` returns; NotRationalError if a CycNum is not rational."""
+    return QSeries([v.to_rational() if isinstance(v, CycNum) else v
+                    for v in values])
 
 
 # -- test-only algebra ----------------------------------------------------

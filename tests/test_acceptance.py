@@ -42,6 +42,7 @@ from helpers import (
     brute_single_sums,
     eulerian_poly,
     nested_enumeration,
+    rational_series,
     reversed_to,
     sweep_inputs,
     zeta_power_expand,
@@ -61,7 +62,8 @@ def _reference_case(n, k, order):
 
 
 def _f(weight, dilation, order, chi=None):
-    return f_series(weight, chi or trivial_character(), dilation, order)
+    return rational_series(
+        f_series(weight, chi or trivial_character(), dilation, order))
 
 
 def test_acceptance_1a_reference_case_level_two():
@@ -274,10 +276,11 @@ def _check_principal_mobius_identity():
             rhs = QSeries.zero(order)
             for d in range(1, n + 1):
                 if n % d == 0 and mobius(d):
-                    rhs = rhs + f_series(k, trivial_character(), d, order).scale(
+                    rhs = rhs + QSeries(f_series(k, trivial_character(), d,
+                                                 order)).scale(
                         Fraction(mobius(d) * d ** (k - 1))
                     )
-            assert lhs == rhs, (n, k)
+            assert lhs == list(rhs.coeffs), (n, k)
 
 
 def _check_odd_weight_vanishing():

@@ -41,10 +41,15 @@ k = 1, Q = x^24, where Phi_105 has a coefficient -2 and the cofactor
 order at a composite level; N = 2, k = 16, Q = x^4 + x^12, the rational pole
 at a high order; and N = 9, k = 5 with the non-integral numerator 3/7*x^15.
 The recorded digests must only change when the report format is meant to
-change.
+change.  The benchmark's own digests, `perfbench/digests.json`, are replayed
+here too, so that a drift in a benchmark op's output fails the test suite
+and not only the benchmark run.
 """
 
 import hashlib
+import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +179,18 @@ def test_report_bytes_are_unchanged(argv, digest, capsys, monkeypatch):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+BENCHMARK_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json")
+    .read_text())["digests"]
+
+
+@pytest.mark.parametrize("command", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_reports_match_their_recorded_digests(command, capsys,
+                                                       monkeypatch):
+    monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
+    assert main(shlex.split(command)) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == BENCHMARK_DIGESTS[command])

@@ -19,6 +19,7 @@ from cyclomac import (
     trivial_character,
     weight_series,
 )
+from cyclomac.cli import DEFAULT_ORDER_ENV, main
 from helpers import (
     brute_single_sums,
     isobaric_by_partitions,
@@ -95,6 +96,45 @@ def test_brute_force_runs_without_the_isobaric_code(monkeypatch):
         assert brute_force(spec, 16) == expected[strict]
 
 
+def test_isobaric_assembly_shares_no_product_with_brute_force(monkeypatch):
+    # Brute force multiplies its weight series with QSeries.__mul__, so the
+    # Newton assembly, the other side of the isobaric certificates, may not.
+    def fail(*args, **kwargs):
+        raise AssertionError("the isobaric assembly reached QSeries.__mul__")
+
+    order = 40
+    singles = brute_single_sums(6, 1, Polynomial([0, 1, 0, Fraction(-1, 2)]),
+                                5, order)
+    runs = [(t, strict) for t in (3, 5) for strict in (True, False)]
+    expected = {run: evaluate_isobaric(singles[:run[0]], run[1])
+                for run in runs}
+    monkeypatch.setattr(QSeries, "__mul__", fail)
+    monkeypatch.setattr(QSeries, "__rmul__", fail)
+    for t, strict in runs:
+        assert evaluate_isobaric(singles[:t], strict) == expected[t, strict]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--N", "6", "--k", "2", "--Q", "x^2", "--t", "3", "--format",
+     "json"],
+    ["sweep", "--max-N", "6", "--max-k", "2", "--order", "20", "--format",
+     "json"],
+], ids=["verify", "sweep"])
+def test_matching_certificates_build_no_fraction_series(argv, capsys,
+                                                        monkeypatch):
+    # Certificates compare numerators and denominators; Fractions are built
+    # only to report a mismatch.
+    def refuse(self):
+        raise AssertionError("a Fraction view of a series was built")
+
+    monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(QSeries, "coeffs", property(refuse))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_strict_equals_weak_for_single_index():
     for n, k, q_poly in [(1, 2, X), (4, 2, X2), (6, 1, X)]:
         a = brute_force(MacMahonSpec(1, n, k, q_poly, strict=True), 25)
@@ -117,9 +157,8 @@ def test_weight_series_matches_direct_expansion():
                         QSeries(cyclotomic_polynomial(n_level).coeffs,
                                 order).inverse() ** k
                     )
-                    nums, scale = weight_series(n_level, k, q_poly, order)
-                    assert QSeries([Fraction(c, scale) for c in nums],
-                                   order) == direct
+                    assert weight_series(n_level, k, q_poly,
+                                         order) == direct
 
 
 def test_polynomial_power():
@@ -306,8 +345,8 @@ def test_certify_order_mismatch_raises():
 def test_certify_reference_case_level_four():
     order = 60
     brute = brute_force(MacMahonSpec(1, 4, 2, X2), order)
-    manual = f_series(2, trivial_character(), 2, order) - f_series(
-        2, trivial_character(), 4, order
+    manual = QSeries(f_series(2, trivial_character(), 2, order)) - QSeries(
+        f_series(2, trivial_character(), 4, order)
     ).scale(Fraction(4))
     assert certify(brute, manual, "brute", "reference combination").match
 

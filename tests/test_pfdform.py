@@ -140,7 +140,8 @@ def test_reconstruction_of_simple_level_one_input():
     p = pfd_coefficients(AdmissibleInput(1, 2, X))
     assert p.a[1] == 0 and p.a[2] == 1
     order = 8
-    assert reconstruct_series(p, order) == rational_function_series(p.input, order)
+    assert reconstruct_series(p, order) == list(
+        rational_function_series(p.input, order).coeffs)
 
 
 @pytest.mark.parametrize("inp", sweep_inputs(max_n=12, degree_bound=10),
@@ -307,8 +308,8 @@ def test_closed_form_level_one_is_divisor_sum():
 def test_closed_form_level_four_matches_reference_combination():
     order = 60
     cf = closed_form(AdmissibleInput(4, 2, X2))
-    manual = f_series(2, trivial_character(), 2, order) - f_series(
-        2, trivial_character(), 4, order
+    manual = QSeries(f_series(2, trivial_character(), 2, order)) - QSeries(
+        f_series(2, trivial_character(), 4, order)
     ).scale(Fraction(4))
     assert cf.evaluate(order) == manual
     gf = to_g_form(cf)
@@ -360,7 +361,7 @@ def test_evaluate_matches_term_by_term_sum(inp):
     cf = closed_form(inp)
     for form in (cf, to_g_form(cf)):
         series = form.evaluate(12)
-        assert series == evaluate_term_by_term(form, 12), form.form
+        assert list(series.coeffs) == evaluate_term_by_term(form, 12), form.form
         assert all(type(c) is Fraction for c in series.coeffs)
 
 

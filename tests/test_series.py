@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -79,6 +80,51 @@ def test_kronecker_product_edge_cases(a, b, order):
     assert kronecker_product(a, b, order) == _schoolbook(a, b, order)
 
 
+_FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def _is_canonical(s):
+    return (s.den > 0 and math.gcd(s.den, *s.nums) == 1
+            and (any(s.nums) or s.den == 1))
+
+
+def _fraction_inverse(a):
+    out = [1 / a[0]]
+    for n in range(1, len(a)):
+        out.append(-out[0] * sum(a[i] * out[n - i] for i in range(1, n + 1)))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FRACTIONS, max_size=8), st.lists(_FRACTIONS, max_size=8),
+       st.integers(0, 7), st.integers(0, 7), _FRACTIONS, st.integers(1, 30))
+def test_integer_form_matches_fraction_definitions(ca, cb, oa, ob, r, g):
+    a, b = QSeries(ca, oa), QSeries(cb, ob)
+    # The Fraction definitions, on the coefficients padded to the order.
+    fa = (ca + [Fraction(0)] * 8)[: oa + 1]
+    fb = (cb + [Fraction(0)] * 8)[: ob + 1]
+    m = min(oa, ob)
+    assert a.coeffs == tuple(fa) and a.order == oa
+    results = {
+        "+": (a + b, [x + y for x, y in zip(fa, fb)]),
+        "-": (a - b, [x - y for x, y in zip(fa, fb)]),
+        "*": (a * b, _schoolbook(fa, fb, m)),
+        "scale": (a.scale(r), [r * x for x in fa]),
+        "a - a": (a - a, [Fraction(0)] * (oa + 1)),
+    }
+    if fa[0]:
+        results["inverse"] = (a.inverse(), _fraction_inverse(fa))
+    for op, (got, expected) in results.items():
+        assert _is_canonical(got), op
+        assert got.coeffs == tuple(expected), op
+    assert (a - a).den == 1 and not any((a - a).nums)
+    # The integer constructor: numerators over a den, reduced on the way in.
+    same = QSeries([c * g for c in a.nums], oa, a.den * g)
+    assert _is_canonical(same)
+    assert (same.nums, same.den) == (a.nums, a.den) and same == a
+    assert (a == b) == (a.order == b.order and a.coeffs == b.coeffs)
+
+
 def test_mixed_order_truncates_to_smaller():
     a = QSeries([1, 1, 1], 2)
     b = QSeries([1] * 6, 5)
@@ -141,13 +187,13 @@ def sigma(power, n):
 
 def test_f_series_weight_two_is_divisor_sum():
     f2 = f_series(2, trivial_character(), 1, 12)
-    assert list(f2.coeffs)[1:] == [sigma(1, n) for n in range(1, 13)]
-    assert list(f2.coeffs)[:5] == [0, 1, 3, 4, 7]
+    assert f2[1:] == [sigma(1, n) for n in range(1, 13)]
+    assert f2[:5] == [0, 1, 3, 4, 7]
 
 
 def test_f_series_dilation():
     f2d = f_series(2, trivial_character(), 2, 4)
-    assert list(f2d.coeffs) == [0, 0, 1, 0, 3]
+    assert f2d == [0, 0, 1, 0, 3]
 
 
 def test_f_series_character_coefficients():
@@ -157,9 +203,9 @@ def test_f_series_character_coefficients():
     pattern = {0: 0, 1: 1, 2: -1}
     for j in range(1, 10):
         expected = sum(pattern[m % 3] for m in range(1, j + 1) if j % m == 0)
-        assert f1.coeffs[j] == Fraction(expected), j
-    assert f1.coeffs[1] == 1
-    assert not f1.coeffs[2]
+        assert f1[j] == Fraction(expected), j
+    assert f1[1] == 1
+    assert not f1[2]
 
 
 def test_g_constant_values():
@@ -187,10 +233,11 @@ def test_principal_character_mobius_identity(n, k):
     rhs = QSeries.zero(order)
     for d in range(1, n + 1):
         if n % d == 0 and mobius(d) != 0:
-            rhs = rhs + f_series(k, trivial_character(), d, order).scale(
+            rhs = rhs + QSeries(f_series(k, trivial_character(), d,
+                                         order)).scale(
                 Fraction(mobius(d) * d ** (k - 1))
             )
-    assert lhs == rhs
+    assert lhs == list(rhs.coeffs)
 
 
 def test_eulerian_series_identity():

@@ -12,7 +12,8 @@ each value as an exponent of zeta_e, so a sum over character values is one
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from itertools import product
+from math import lcm, prod
 
 from .comb import divisors, euler_phi, factorint
 from .field import CycNum, zeta
@@ -25,8 +26,6 @@ def _crt_pair(a: int, m1: int, b: int, m2: int) -> int:
 
 
 def _primitive_root_mod_prime(p: int) -> int:
-    if p == 2:
-        return 1
     order_factors = factorint(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in order_factors):
@@ -59,17 +58,8 @@ def _unit_group(n: int) -> tuple[tuple[int, ...], tuple[int, ...], dict]:
         for g, order in _component_generators(p, e):
             gens.append(_crt_pair(g, q, 1, rest) if rest > 1 else g % n)
             orders.append(order)
-    dlog: dict[int, tuple[int, ...]] = {}
-
-    def fill(i: int, u: int, exps: tuple[int, ...]):
-        if i == len(gens):
-            dlog[u] = exps
-            return
-        cur = u
-        for t in range(orders[i]):
-            fill(i + 1, cur, exps + (t,))
-            cur = (cur * gens[i]) % n
-    fill(0, 1 % n, ())
+    dlog = {prod(pow(g, t, n) for g, t in zip(gens, exps)) % n: exps
+            for exps in product(*map(range, orders))}
     if len(dlog) != euler_phi(n):
         raise ArithmeticError(f"unit group enumeration failed for modulus {n}")
     return tuple(gens), tuple(orders), dlog
@@ -158,26 +148,15 @@ def enumerate_characters(n: int) -> tuple[DirichletCharacter, ...]:
     """
     if n < 1:
         raise ValueError("modulus must be a positive integer")
-    gens, orders, dlog = _unit_group(n)
+    _, orders, dlog = _unit_group(n)
     level = lcm(*orders) if orders else 1
-
-    def char_for(exponents: tuple[int, ...], index: int) -> DirichletCharacter:
+    out: list[DirichletCharacter] = []
+    for index, exponents in enumerate(product(*map(range, orders))):
         table: list[int | None] = [None] * n
         for u, exps in dlog.items():
             table[u] = sum(t * x * (level // d)
                            for t, x, d in zip(exponents, exps, orders)) % level
-        return DirichletCharacter(n, index, exponents, level, tuple(table))
-
-    out: list[DirichletCharacter] = []
-
-    def walk(i: int, exps: tuple[int, ...]):
-        if i == len(orders):
-            out.append(char_for(exps, len(out)))
-            return
-        for t in range(orders[i]):
-            walk(i + 1, exps + (t,))
-
-    walk(0, ())
+        out.append(DirichletCharacter(n, index, exponents, level, tuple(table)))
     return tuple(out)
 
 

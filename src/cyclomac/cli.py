@@ -16,6 +16,8 @@ import os
 import string
 import sys
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from .comb import euler_phi
 from .field import NotRationalError
@@ -344,32 +346,33 @@ def _cmd_closed_form(args) -> int:
     return 0
 
 
+def _single_sums(n: int, k: int, q_poly: Polynomial, t: int, order: int,
+                 desc: str):
+    """The single sums U_s = sum_m Q(q^m)^s / Phi_N(q^m)^(s k), s = 1..t, by
+    brute force and by their evaluated closed forms, with U_1's closed form
+    and its F-form certificate against brute force."""
+    powers = list(enumerate(accumulate(repeat(q_poly, t), mul), 1))
+    brute = [brute_force(MacMahonSpec(1, n, s * k, q), order) for s, q in powers]
+    forms = [closed_form(AdmissibleInput(n, s * k, q)) for s, q in powers]
+    closed = [cf.evaluate(order) for cf in forms]
+    cert = certify(closed[0], brute[0], "closed-form-F", "brute-force(t=1)",
+                   descriptor=desc)
+    return forms[0], brute, closed, cert
+
+
 def _cmd_verify(args) -> int:
     q_poly = parse_polynomial(args.Q)
-    inp = validate(AdmissibleInput(args.N, args.k, q_poly))
+    validate(AdmissibleInput(args.N, args.k, q_poly))
     order = args.order
     desc = f"N={args.N} k={args.k} Q={format_polynomial(q_poly)} order={order}"
-    brute1 = brute_force(MacMahonSpec(1, args.N, args.k, q_poly), order)
-    cf = closed_form(inp)
-    gf = to_g_form(cf)
-    closed1 = cf.evaluate(order)
+    cf, singles, closed, cert = _single_sums(args.N, args.k, q_poly, args.t,
+                                             order, desc)
     certs = [
-        certify(closed1, brute1,
-                "closed-form-F", "brute-force(t=1)", descriptor=desc),
-        certify(gf.evaluate(order), brute1,
+        cert,
+        certify(to_g_form(cf).evaluate(order), singles[0],
                 "closed-form-G", "brute-force(t=1)", descriptor=desc),
     ]
     if args.t > 1:
-        # The single sums U_1..U_t by brute force and by closed form; U_1 of
-        # each route is the one certified above.
-        powers = [(s * args.k, q_poly ** s) for s in range(2, args.t + 1)]
-        singles = [brute1] + [
-            brute_force(MacMahonSpec(1, args.N, sk, q), order) for sk, q in powers
-        ]
-        closed = [closed1] + [
-            closed_form(AdmissibleInput(args.N, sk, q)).evaluate(order)
-            for sk, q in powers
-        ]
         nested = {}
         for strict in (True, False):
             tag = "strict" if strict else "weak"
@@ -410,17 +413,10 @@ def _cmd_examples(args) -> int:
     cases = []
     all_ok = True
     for case in REFERENCE_CASES:
-        brute1 = brute_force(MacMahonSpec(1, case["N"], case["k"], q_poly),
-                             args.order)
-        cf = closed_form(AdmissibleInput(case["N"], case["k"], q_poly))
+        desc = f"a={case['a']} N={case['N']} k={case['k']}"
+        cf, _, _, cert = _single_sums(case["N"], case["k"], q_poly, 1,
+                                      args.order, desc)
         gf = to_g_form(cf)
-        cert = certify(
-            cf.evaluate(args.order),
-            brute1,
-            "closed-form-F",
-            "brute-force(t=1)",
-            descriptor=f"a={case['a']} N={case['N']} k={case['k']}",
-        )
         const_ok = gf.constant == case["constant"]
         ok = cert.match and const_ok
         all_ok = all_ok and ok
@@ -456,12 +452,10 @@ def _cmd_sweep(args) -> int:
                 continue
             for q_poly in admissible_polynomials(n, k):
                 total += 1
-                inp = AdmissibleInput(n, k, q_poly)
                 desc = f"N={n} k={k} Q={format_polynomial(q_poly)}"
-                brute1 = brute_force(MacMahonSpec(1, n, k, q_poly), args.order)
-                cf = closed_form(inp)
+                rational_ok = True
                 try:
-                    evaluated = cf.evaluate(args.order)
+                    *_, cert = _single_sums(n, k, q_poly, 1, args.order, desc)
                 except NotRationalError:
                     rational_ok = False
                     cert = Certificate(
@@ -472,16 +466,8 @@ def _cmd_sweep(args) -> int:
                         match=False,
                         first_mismatch=None,
                     )
-                else:
-                    rational_ok = True
-                    cert = certify(
-                        evaluated,
-                        brute1,
-                        "closed-form-F",
-                        "brute-force(t=1)",
-                        descriptor=desc,
-                    )
-                conj_ok = not conjugate_relation_violations(inp)
+                conj_ok = not conjugate_relation_violations(
+                    AdmissibleInput(n, k, q_poly))
                 ok = cert.match and rational_ok and conj_ok
                 passed += ok
                 items.append(

@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .polynomial import Polynomial, cyclotomic_polynomial, cyclotomic_power
+from .polynomial import (Polynomial, cyclotomic_polynomial, cyclotomic_power,
+                         format_terms)
 
 
 class LevelMismatchError(ValueError):
@@ -289,25 +290,8 @@ class CycNum:
         return f"CycNum({self.level}, {list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.nums):
-            if c == 0:
-                continue
-            g = gcd(c, self.den)
-            top, bottom = abs(c) // g, self.den // g
-            mag = str(top) if bottom == 1 else f"{top}/{bottom}"
-            if i == 0:
-                body = mag
-            else:
-                z = f"z{self.level}" if i == 1 else f"z{self.level}^{i}"
-                body = z if mag == "1" else f"{mag}*{z}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_terms(((i, c, self.den) for i, c in enumerate(self.nums)),
+                            f"z{self.level}")
 
 
 def zeta(level: int, exponent: int = 1) -> CycNum:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import gcd
 from typing import Iterable
 
 NEG_INFINITY = float("-inf")
@@ -151,25 +152,30 @@ class Polynomial:
         return format_polynomial(self)
 
 
-def format_polynomial(p: Polynomial, var: str = "x") -> str:
+def format_polynomial(p: Polynomial) -> str:
     """Canonical text form, ascending degree, re-parseable by the CLI parser."""
-    if p.is_zero():
-        return "0"
+    return format_terms(
+        ((i, c.numerator, c.denominator) for i, c in enumerate(p.coeffs)), "x")
+
+
+def format_terms(terms, var: str) -> str:
+    """The text form of sum(num/den * var^i) over (i, num, den) triples in
+    ascending i, den > 0: the one printed form of polynomials and of
+    cyclotomic numbers."""
     parts: list[str] = []
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
+    for i, num, den in terms:
+        if num == 0:
             continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
+        g = gcd(num, den)
+        body = str(abs(num) // g) if den == g else f"{abs(num) // g}/{den // g}"
+        if i:
+            power = var if i == 1 else f"{var}^{i}"
+            body = power if body == "1" else f"{body}*{power}"
+        if parts:
+            parts.append(f"- {body}" if num < 0 else f"+ {body}")
         else:
-            xpow = var if i == 1 else f"{var}^{i}"
-            body = xpow if mag == 1 else f"{mag}*{xpow}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+            parts.append(f"-{body}" if num < 0 else body)
+    return " ".join(parts) or "0"
 
 
 def cyclotomic_power(n: int, e: int, order: int) -> list[int]:

@@ -89,9 +89,6 @@ class QSeries:
     def __sub__(self, other) -> "QSeries":
         return self + (-other)
 
-    def __rsub__(self, other) -> "QSeries":
-        return (-self) + other
-
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)

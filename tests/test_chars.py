@@ -13,6 +13,7 @@ from cyclomac import (
     trivial_character,
     zeta,
 )
+from cyclomac.chars import _unit_group
 from helpers import (
     gauss_sum_per_residue,
     induced_character,
@@ -219,3 +220,23 @@ def test_primitivity_census(m):
     # a primitive character modulo m exists exactly when m is not 2 mod 4
     exists = any(chi.is_primitive for chi in enumerate_characters(m))
     assert exists == (m % 4 != 2)
+
+
+@pytest.mark.parametrize("n", range(1, 121))
+def test_enumeration_order_is_mixed_radix(n):
+    # JSON reports print `exponents`, so this order is part of the output.
+    gens, orders, dlog = _unit_group(n)
+    chars = enumerate_characters(n)
+    assert [chi.index for chi in chars] == list(range(euler_phi(n)))
+    for chi in chars:
+        assert all(0 <= t < d for t, d in zip(chi.exponents, orders))
+        radix = 0
+        for t, d in zip(chi.exponents, orders):
+            radix = radix * d + t
+        assert radix == chi.index
+        conj = chi.conjugate()
+        assert all(conj.table[a] == (-chi.table[a]) % chi.level
+                   for a in units(n))
+    assert sorted(dlog) == units(n)
+    for u, exps in dlog.items():
+        assert u == math.prod(pow(g, t, n) for g, t in zip(gens, exps)) % n

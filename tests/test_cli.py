@@ -250,9 +250,11 @@ def _counting(calls, name, fn):
 
 
 def test_verify_with_nested_index_certificates(capsys, monkeypatch):
-    calls = {"closed_form": 0, "evaluate": 0}
+    calls = {"closed_form": 0, "evaluate": 0, "brute_force": 0}
     monkeypatch.setattr(cli, "closed_form", _counting(
         calls, "closed_form", pfdform.closed_form))
+    monkeypatch.setattr(cli, "brute_force", _counting(
+        calls, "brute_force", cli.brute_force))
     monkeypatch.setattr(ClosedForm, "evaluate", _counting(
         calls, "evaluate", ClosedForm.evaluate))
     code, out, _ = run_cli(
@@ -267,8 +269,9 @@ def test_verify_with_nested_index_certificates(capsys, monkeypatch):
     assert "isobaric-closed-form(t=3)" in labels
     # One closed form per weight k s, s = 1..t; the F certificate's evaluated
     # U_1 is reused by the isobaric closed form, so only the G-form and
-    # U_2, ..., U_t are evaluated besides it.
-    assert calls == {"closed_form": 3, "evaluate": 4}
+    # U_2, ..., U_t are evaluated besides it.  Brute force builds the t
+    # single sums, then the strict and the weak nested series.
+    assert calls == {"closed_form": 3, "evaluate": 4, "brute_force": 5}
 
 
 def test_verify_symmetry_violation_exits_two(capsys):

@@ -15,7 +15,7 @@ from cyclomac import (
     zeta,
 )
 from cyclomac.field import coerce_pair
-from cyclomac.polynomial import Polynomial
+from cyclomac.polynomial import Polynomial, format_polynomial
 from helpers import NotInSubfieldError, project
 
 
@@ -213,6 +213,18 @@ def test_embed_is_ring_homomorphism(data):
     b = data.draw(_cyc_numbers(level))
     assert (a * b).embed(target) == a.embed(target) * b.embed(target)
     assert (a + b).embed(target) == a.embed(target) + b.embed(target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20]))
+def test_cyclotomic_numbers_print_like_polynomials(data, level):
+    phi = len(CycNum.one(level).coeffs)
+    cs = data.draw(st.one_of(
+        st.just([0] * phi),
+        st.lists(_small_fractions(), min_size=phi, max_size=phi),
+    ))
+    assert str(CycNum(level, cs)) == (
+        format_polynomial(Polynomial(cs)).replace("x", f"z{level}"))
 
 
 def _is_canonical(v):

@@ -40,6 +40,11 @@ k = 1, Q = x^24, where Phi_105 has a coefficient -2 and the cofactor
 (x^105 - 1)/Phi_105 has degree 57; N = 30, k = 4, Q = x^16, a fourth pole
 order at a composite level; N = 2, k = 16, Q = x^4 + x^12, the rational pole
 at a high order; and N = 9, k = 5 with the non-integral numerator 3/7*x^15.
+The N = 3, k = 100 closed form with Q = x^100 pins the pole data and weight
+coefficients at weight 100, the largest single k.  The N = 3, k = 8, t = 12
+verify pins the isobaric closed form built from single sums up to weight
+k t = 96.  The sweep at --max-N 10000, --max-k 100 and degree bound 1 pins
+the empty report at the caps, where phi(N) k > 1 for every N and k.
 The recorded digests must only change when the report format is meant to
 change.  The benchmark's own digests, `perfbench/digests.json`, are replayed
 here too, so that a drift in a benchmark op's output fails the test suite
@@ -139,6 +144,12 @@ GOLDEN = [
     (["closed-form", "--N", "9", "--k", "5", "--Q", "3/7*x^15", "--format",
       "json"],
      "5d596f1165ae91b72d6bbfe916d28ecb4f0d42c22f5dc4e9589f03f8e4373861"),
+    (["closed-form", "--N", "3", "--k", "100", "--Q", "x^100", "--format",
+      "json"],
+     "6806198ca438a6c68686257904bc7c25f5ba13bef7826301d46e9ed71b155c37"),
+    (["sweep", "--max-N", "10000", "--max-k", "100", "--degree-bound", "1",
+      "--order", "1", "--format", "json"],
+     "39af3745ea4ceafec01431e0df5bd0b17512714636e9889e197794b22d3bfb80"),
 ]
 
 # Runs at t >= 4; their ids carry t, as N and k alone repeat the ids of
@@ -165,6 +176,9 @@ GOLDEN_NESTED = [
     (["expand", "--N", "2", "--k", "1", "--Q", "x", "--t", "6", "--order",
       "20", "--format", "json"],
      "24c0fde599ec44af9dcf3a659b8d4e535648da6d4036205221646bfc6a0afb66"),
+    (["verify", "--N", "3", "--k", "8", "--Q", "x^8", "--t", "12", "--order",
+      "30", "--format", "json"],
+     "371012f5c7c01d63cbf2ce2222a222f7dbaf8392d35101ef78ebda8877e27b03"),
 ]
 
 

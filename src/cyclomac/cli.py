@@ -311,39 +311,26 @@ def _text_report(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _certs_ok(certs: list[Certificate]) -> bool:
-    return all(c.match for c in certs)
+def _status(oks) -> str:
+    return "ok" if all(oks) else "mismatch"
 
 
 # -- commands ------------------------------------------------------------
+#
+# Each command returns its report body; `main` names the command, adds the
+# params of the commands that take --Q, prints the report and sets the exit
+# code from its status.
 
 
-def _cmd_expand(args) -> int:
-    q_poly = parse_polynomial(args.Q)
-    spec = MacMahonSpec(args.t, args.N, args.k, q_poly, strict=not args.weak)
-    series = brute_force(spec, args.order)
-    report = {
-        "command": "expand",
-        "params": _params(args, q_poly),
-        "series": series.to_json(),
-    }
-    _emit(report, args)
-    return 0
+def _cmd_expand(args) -> dict:
+    spec = MacMahonSpec(args.t, args.N, args.k, args.q_poly, strict=not args.weak)
+    return {"series": brute_force(spec, args.order).to_json()}
 
 
-def _cmd_closed_form(args) -> int:
-    q_poly = parse_polynomial(args.Q)
-    inp = validate(AdmissibleInput(args.N, args.k, q_poly))
+def _cmd_closed_form(args) -> dict:
+    inp = validate(AdmissibleInput(args.N, args.k, args.q_poly))
     cf = closed_form(inp)
-    gf = to_g_form(cf)
-    report = {
-        "command": "closed-form",
-        "params": _params(args, q_poly),
-        "closed_form": cf.to_json(),
-        "g_form": gf.to_json(),
-    }
-    _emit(report, args)
-    return 0
+    return {"closed_form": cf.to_json(), "g_form": to_g_form(cf).to_json()}
 
 
 def _single_sums(n: int, k: int, q_poly: Polynomial, t: int, order: int,
@@ -360,8 +347,8 @@ def _single_sums(n: int, k: int, q_poly: Polynomial, t: int, order: int,
     return forms[0], brute, closed, cert
 
 
-def _cmd_verify(args) -> int:
-    q_poly = parse_polynomial(args.Q)
+def _cmd_verify(args) -> dict:
+    q_poly = args.q_poly
     validate(AdmissibleInput(args.N, args.k, q_poly))
     order = args.order
     desc = f"N={args.N} k={args.k} Q={format_polynomial(q_poly)} order={order}"
@@ -397,29 +384,20 @@ def _cmd_verify(args) -> int:
                 descriptor=desc,
             )
         )
-    ok = _certs_ok(certs)
-    report = {
-        "command": "verify",
-        "params": _params(args, q_poly),
+    return {
         "certificates": [c.to_json() for c in certs],
-        "status": "ok" if ok else "mismatch",
+        "status": _status(c.match for c in certs),
     }
-    _emit(report, args)
-    return 0 if ok else 1
 
 
-def _cmd_examples(args) -> int:
+def _cmd_examples(args) -> dict:
     q_poly = Polynomial.monomial(2)
     cases = []
-    all_ok = True
     for case in REFERENCE_CASES:
         desc = f"a={case['a']} N={case['N']} k={case['k']}"
         cf, _, _, cert = _single_sums(case["N"], case["k"], q_poly, 1,
                                       args.order, desc)
         gf = to_g_form(cf)
-        const_ok = gf.constant == case["constant"]
-        ok = cert.match and const_ok
-        all_ok = all_ok and ok
         cases.append(
             {
                 "a": case["a"],
@@ -429,29 +407,22 @@ def _cmd_examples(args) -> int:
                 "g_constant": str(gf.constant),
                 "expected_constant": str(case["constant"]),
                 "certificate": cert.to_json(),
-                "ok": ok,
+                "ok": cert.match and gf.constant == case["constant"],
             }
         )
-    report = {
-        "command": "examples",
+    return {
         "params": {"order": args.order},
         "cases": cases,
-        "status": "ok" if all_ok else "mismatch",
+        "status": _status(c["ok"] for c in cases),
     }
-    _emit(report, args)
-    return 0 if all_ok else 1
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict:
     items = []
-    passed = 0
-    total = 0
     for n in range(1, args.max_N + 1):
-        for k in range(1, args.max_k + 1):
-            if euler_phi(n) * k > args.degree_bound:
-                continue
+        # Only k <= degree-bound / phi(N) keeps phi(N) k within the bound.
+        for k in range(1, min(args.max_k, args.degree_bound // euler_phi(n)) + 1):
             for q_poly in admissible_polynomials(n, k):
-                total += 1
                 desc = f"N={n} k={k} Q={format_polynomial(q_poly)}"
                 rational_ok = True
                 try:
@@ -468,8 +439,6 @@ def _cmd_sweep(args) -> int:
                     )
                 conj_ok = not conjugate_relation_violations(
                     AdmissibleInput(n, k, q_poly))
-                ok = cert.match and rational_ok and conj_ok
-                passed += ok
                 items.append(
                     {
                         "N": n,
@@ -478,11 +447,11 @@ def _cmd_sweep(args) -> int:
                         "certificate": cert.to_json(),
                         "coefficients_rational": rational_ok,
                         "conjugate_relation": conj_ok,
-                        "ok": ok,
+                        "ok": cert.match and rational_ok and conj_ok,
                     }
                 )
-    report = {
-        "command": "sweep",
+    passed = sum(item["ok"] for item in items)
+    return {
         "params": {
             "max_N": args.max_N,
             "max_k": args.max_k,
@@ -490,15 +459,13 @@ def _cmd_sweep(args) -> int:
             "order": args.order,
         },
         "items": items,
-        "summary": {"total": total, "passed": passed},
-        "status": "ok" if passed == total else "mismatch",
+        "summary": {"total": len(items), "passed": passed},
+        "status": _status(item["ok"] for item in items),
     }
-    _emit(report, args)
-    return 0 if passed == total else 1
 
 
-def _params(args, q_poly) -> dict:
-    out = {"N": args.N, "k": args.k, "Q": format_polynomial(q_poly),
+def _params(args) -> dict:
+    out = {"N": args.N, "k": args.k, "Q": format_polynomial(args.q_poly),
            "order": args.order}
     if hasattr(args, "t"):
         out["t"] = args.t
@@ -570,7 +537,12 @@ def main(argv=None) -> int:
                 f"CSV output carries a rational series; {args.command} "
                 "reports need JSON or text"
             )
-        return args.fn(args)
+        report = {"command": args.command}
+        if hasattr(args, "Q"):
+            args.q_poly = parse_polynomial(args.Q)
+            report["params"] = _params(args)
+        report.update(args.fn(args))
+        _emit(report, args)
     except (ValidationError, PolynomialSyntaxError) as exc:
         error = {
             "type": type(exc).__name__,
@@ -584,6 +556,7 @@ def main(argv=None) -> int:
                 f"error [{error['type']}] {error['clause']}: {exc}\n"
             )
         return 2
+    return 0 if report.get("status", "ok") == "ok" else 1
 
 
 if __name__ == "__main__":

@@ -175,9 +175,6 @@ class CycNum:
             return NotImplemented
         return self + -o
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return _canonical(self.level,

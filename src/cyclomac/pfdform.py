@@ -394,7 +394,7 @@ def to_g_form(cf: ClosedForm) -> ClosedForm:
     acc: dict = {}
     for t in cf.terms:
         chi = t.character
-        psi = primitive_character(chi) if chi.modulus > 1 else chi
+        psi = primitive_character(chi)
         for d in divisors(chi.modulus):
             mu = mobius(d)
             if mu == 0:
@@ -436,10 +436,9 @@ def admissible_polynomials(n: int, k: int) -> list[Polynomial]:
     out: list[Polynomial] = []
     sign = (-1) ** k if n == 1 else 1
     for r in range(1, (d + 1) // 2):
-        if d - r != r:
-            out.append(
-                Polynomial.monomial(r) + sign * Polynomial.monomial(d - r)
-            )
-    if d % 2 == 0 and d >= 2 and (n > 1 or k % 2 == 0):
+        out.append(
+            Polynomial.monomial(r) + sign * Polynomial.monomial(d - r)
+        )
+    if d % 2 == 0:
         out.append(Polynomial.monomial(d // 2))
     return out

@@ -81,9 +81,6 @@ class Polynomial:
     def __sub__(self, other) -> "Polynomial":
         return self + (-other if isinstance(other, Polynomial) else Polynomial([-other]))
 
-    def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
-
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return Polynomial([c * other for c in self.coeffs])

@@ -410,7 +410,7 @@ def eulerian_poly(k: int) -> Polynomial:
         return Polynomial([1])
     prev = eulerian_poly(k - 1)
     x = Polynomial([0, 1])
-    return (1 + (k - 1) * x) * prev + x * (1 - x) * derivative(prev)
+    return (1 + (k - 1) * x) * prev + x * (-x + 1) * derivative(prev)
 
 
 def principal_character(n: int):

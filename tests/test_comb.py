@@ -15,6 +15,7 @@ from cyclomac import (
     stirling_first_unsigned,
     trivial_character,
 )
+from cyclomac import comb
 from cyclomac.polynomial import Polynomial, cyclotomic_power
 from helpers import (
     Partition,
@@ -56,6 +57,19 @@ def test_stirling_row_sums_are_factorials():
 
 def test_stirling_vanishes_above_diagonal():
     assert stirling_first_unsigned(2, 5) == 0
+
+
+def test_stirling_on_a_cold_cache_does_not_recurse_per_unit_of_n(monkeypatch):
+    # A cold cache once meant one nested call per unit of n, and a
+    # RecursionError near n = 1000.
+    monkeypatch.setattr(comb, "_STIRLING", {})
+    stirling_first_unsigned.cache_clear()
+    assert stirling_first_unsigned(1500, 1) == factorial(1499)
+    assert stirling_first_unsigned(1500, 1499) == binomial(1500, 2)
+    for n in range(31):
+        p = rising_factorial(n)
+        for k in range(n + 2):
+            assert stirling_first_unsigned(n, k) == p.coefficient(k)
 
 
 def test_eulerian_first_values():

@@ -43,7 +43,7 @@ def test_mul_third_roots():
 
 def test_mul_conjugate_pair_at_level_four():
     a = 1 + zeta(4)
-    b = 1 - zeta(4)
+    b = -zeta(4) + 1
     assert a * b == 2
 
 
@@ -64,7 +64,7 @@ def test_inverse_of_root_of_unity_is_conjugate_power():
 def test_inverse_product_check():
     a = 1 + zeta(4)
     inv = a.inverse()
-    assert inv == (1 - zeta(4)) / 2
+    assert inv == (-zeta(4) + 1) / 2
     assert a * inv == 1
 
 

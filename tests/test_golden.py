@@ -45,6 +45,9 @@ coefficients at weight 100, the largest single k.  The N = 3, k = 8, t = 12
 verify pins the isobaric closed form built from single sums up to weight
 k t = 96.  The sweep at --max-N 10000, --max-k 100 and degree bound 1 pins
 the empty report at the caps, where phi(N) k > 1 for every N and k.
+One CSV report, the weak t = 2 expand at N = 12 in CSV, pins the CSV bytes
+themselves: the header, one `exponent,coefficient` row per exponent, and the
+CRLF line ends.
 The recorded digests must only change when the report format is meant to
 change.  The benchmark's own digests, `perfbench/digests.json`, are replayed
 here too, so that a drift in a benchmark op's output fails the test suite
@@ -190,6 +193,20 @@ GOLDEN_NESTED = [
                             for argv, _ in GOLDEN_NESTED])
 def test_report_bytes_are_unchanged(argv, digest, capsys, monkeypatch):
     monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CSV_GOLDEN = (
+    ["expand", "--N", "12", "--k", "3", "--Q", "1/2*x^2 - x", "--t", "2",
+     "--weak", "--order", "50", "--format", "csv"],
+    "355ed84ab97e5473e28d92f57ed57043ae5bd32f155c8420c1e71ca8b43d89ce")
+
+
+def test_csv_report_bytes_are_unchanged(capsys, monkeypatch):
+    monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
+    argv, digest = CSV_GOLDEN
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -9,13 +9,11 @@ Exit codes: 0 when every requested certificate matches, 1 on a mismatch,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
-import string
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -93,17 +91,22 @@ class PolynomialSyntaxError(ValueError):
         self.offset = offset
 
 
+# The polynomial parser's ASCII whitespace and digits, as in `string`.
+_WHITESPACE = " \t\n\r\x0b\x0c"
+_DIGITS = "0123456789"
+
+
 def _tokenize(src: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
     i = 0
     while i < len(src):
         ch = src[i]
-        if ch in string.whitespace:
+        if ch in _WHITESPACE:
             i += 1
             continue
-        if ch in string.digits:
+        if ch in _DIGITS:
             j = i
-            while j < len(src) and src[j] in string.digits:
+            while j < len(src) and src[j] in _DIGITS:
                 j += 1
             try:
                 value = int(src[i:j])
@@ -242,12 +245,11 @@ def _check_output(path) -> None:
 
 
 def _series_csv(series_json: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["exponent", "coefficient"])
-    for e, c in enumerate(series_json["coefficients"]):
-        writer.writerow([e, c])
-    return buf.getvalue()
+    """One `exponent,coefficient` row per exponent, CRLF-terminated as the
+    csv module writes them; no coefficient string holds a comma or a quote,
+    so no field needs quoting."""
+    return "exponent,coefficient\r\n" + "".join(
+        f"{e},{c}\r\n" for e, c in enumerate(series_json["coefficients"]))
 
 
 def _emit(report: dict, args) -> None:
@@ -487,7 +489,10 @@ def _add_common(sub, with_nk: bool = True) -> None:
     sub.add_argument("--output", type=str, default=None)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; `parse_args` returns a
+    fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="cyclomac",
         description="Exact MacMahon-type q-series with cyclotomic denominators: "

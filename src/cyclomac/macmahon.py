@@ -8,16 +8,15 @@ coefficient-wise identity certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, lcm
+from typing import NamedTuple
 
 from .pfdform import NonPositiveParameterError, NonzeroConstantTermError
 from .polynomial import Polynomial, cyclotomic_power
 from .series import OrderMismatchError, QSeries, kronecker_product
 
 
-@dataclass(frozen=True)
-class MacMahonSpec:
+class MacMahonSpec(NamedTuple):
     """Parameters of one nested series; `strict` picks n_1 < ... < n_t over
     weak inequalities.  Brute-force evaluation needs only Q(0) = 0, not the
     closed-form symmetry condition."""
@@ -137,8 +136,7 @@ def evaluate_isobaric(singles: list[QSeries], strict: bool) -> QSeries:
     return QSeries(e[t], order, factorial(t) * scale**t)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Outcome of a coefficient-wise comparison of two series."""
 
     descriptor: str

@@ -10,12 +10,12 @@ G-form term lists.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .chars import (
     enumerate_characters,
@@ -63,8 +63,7 @@ class InternalMismatchError(ArithmeticError):
     """The two independent weight-coefficient formulas disagreed (a bug)."""
 
 
-@dataclass(frozen=True)
-class AdmissibleInput:
+class AdmissibleInput(NamedTuple):
     """Parameters (N, k, Q) subject to the degree, vanishing, and symmetry rules."""
 
     N: int
@@ -192,8 +191,7 @@ def _c_from_taylor(b: list, k: int) -> dict[int, object]:
     return out
 
 
-@dataclass(frozen=True)
-class PfdCoefficients:
+class PfdCoefficients(NamedTuple):
     """Checked pole data for Q(x)/Phi_N(x)^k at the pole zeta_N^{-1}: Taylor
     data, a-coefficients per pole order, and the weight coefficients c.
     Q is rational, so the data at the pole zeta_N^{-j} is the image under
@@ -235,8 +233,7 @@ def pfd_coefficients(inp: AdmissibleInput) -> PfdCoefficients:
                            MappingProxyType(c_coefficients(b, a)))
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     """A finite combination of Eisenstein series equal to the single sum
     over n of Q(q^n)/Phi_N(q^n)^k.
 

@@ -5,9 +5,9 @@ terms that turn an F-series into a G-series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .chars import DirichletCharacter
 from .comb import gen_bernoulli
@@ -226,8 +226,7 @@ def g_constant(weight: int, chi: DirichletCharacter) -> CycNum:
     return gen_bernoulli(weight, chi) * Fraction(-1, 2 * weight)
 
 
-@dataclass(frozen=True)
-class EisensteinTerm:
+class EisensteinTerm(NamedTuple):
     """One summand coefficient * F_weight(character; dilation * tau)."""
 
     weight: int

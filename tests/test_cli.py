@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -139,6 +138,28 @@ def test_expand_json_schema(capsys):
     assert report["params"] == {
         "N": 1, "k": 2, "Q": "x", "order": 5, "t": 1, "strict": True,
     }
+
+
+def test_main_builds_the_parser_once_and_parses_each_argv_afresh(capsys):
+    # The second run drops --t and --weak: its options come from its own
+    # argv, not from the first run's namespace.
+    cli.build_parser.cache_clear()
+    code, out, _ = run_cli(
+        capsys, "expand", "--N", "1", "--k", "2", "--Q", "x", "--t", "2",
+        "--weak", "--order", "5", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["params"]["strict"] is False
+    code, out, _ = run_cli(
+        capsys, "expand", "--N", "1", "--k", "2", "--Q", "x",
+        "--order", "5", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["params"] == {
+        "N": 1, "k": 2, "Q": "x", "order": 5, "t": 1, "strict": True,
+    }
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_expand_at_the_largest_prime_level_and_k_costs_only_the_order(capsys):
@@ -509,8 +530,8 @@ def test_corrupt_closed_form_makes_verify_report_the_mismatch(capsys, monkeypatc
     def corrupt(inp):
         cf = real(inp)
         first, *rest = cf.terms
-        doubled = dataclasses.replace(first, coefficient=first.coefficient * 2)
-        return dataclasses.replace(cf, terms=(doubled, *rest))
+        doubled = first._replace(coefficient=first.coefficient * 2)
+        return cf._replace(terms=(doubled, *rest))
 
     monkeypatch.setattr(cli, "closed_form", corrupt)
     code, out, _ = run_cli(

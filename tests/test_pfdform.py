@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -90,7 +89,7 @@ def test_pole_data_is_one_shared_read_only_record():
     inp = AdmissibleInput(3, 2, X2)
     p = pfd_coefficients(inp)
     assert pfd_coefficients(AdmissibleInput(3, 2, X2)) is p
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         p.c = {}
     with pytest.raises(TypeError):
         p.c[1] = CycNum.zero()

@@ -20,11 +20,15 @@ def test_star_import_succeeds():
     assert set(cyclomac.__all__) <= set(namespace)
 
 
-def _records():
+# Records whose fields all hash; the others hold CycNums or read-only maps.
+HASHABLE = {"MacMahonSpec", "Certificate", "AdmissibleInput"}
+
+
+def test_records_are_read_only_and_compare_and_hash_by_their_fields():
     x2 = cyclomac.Polynomial.monomial(2)
     inp = cyclomac.AdmissibleInput(3, 2, x2)
     cf = cyclomac.closed_form(inp)
-    return [
+    records = [
         cyclomac.MacMahonSpec(2, 3, 2, x2, strict=False),
         cyclomac.certify(cyclomac.QSeries([0, 1], 1), cyclomac.QSeries([0, 2], 1),
                          "lhs", "rhs", descriptor="d"),
@@ -33,17 +37,7 @@ def _records():
         cf,
         cf.terms[0],
     ]
-
-
-# Records whose fields all hash; the others hold CycNums or read-only maps.
-HASHABLE = {"MacMahonSpec", "Certificate", "AdmissibleInput"}
-
-
-def test_records_are_read_only_and_compare_and_hash_by_their_fields():
-    records = _records()
-    assert sorted(type(r).__name__ for r in records) == sorted(
-        ["MacMahonSpec", "Certificate", "AdmissibleInput", "PfdCoefficients",
-         "ClosedForm", "EisensteinTerm"])
+    assert len({type(r) for r in records}) == 6
     for r in records:
         name = type(r).__name__
         assert repr(r).startswith(f"{name}({r._fields[0]}=")

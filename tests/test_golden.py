@@ -48,6 +48,11 @@ the empty report at the caps, where phi(N) k > 1 for every N and k.
 One CSV report, the weak t = 2 expand at N = 12 in CSV, pins the CSV bytes
 themselves: the header, one `exponent,coefficient` row per exponent, and the
 CRLF line ends.
+The six help texts (`--help` and each command's `--help`) and four usage
+errors (a bad int, an option the command lacks, a numerator that starts
+with `-` after a space, and a missing required option) are pinned too, at
+COLUMNS=80, the width argparse wraps them to: their stdout, or stderr and
+exit code 2.
 The recorded digests must only change when the report format is meant to
 change.  The benchmark's own digests, `perfbench/digests.json`, are replayed
 here too, so that a drift in a benchmark op's output fails the test suite
@@ -225,3 +230,55 @@ def test_benchmark_reports_match_their_recorded_digests(command, capsys,
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest()
             == BENCHMARK_DIGESTS[command])
+
+
+HELP_GOLDEN = [
+    (["--help"],
+     "c96c64982153e80ab00b6ccd34cbd68c8f8f8ee1f43720e17df0820a3f88ca14"),
+    (["expand", "--help"],
+     "968fb3d72a3cc43fe32e95b081351c7b7aa8be728716a2fc1290a71af88a79da"),
+    (["closed-form", "--help"],
+     "620e5bfa6100530012bcae734ffecdfca63f08c8e94f5a183cad08d806e5fa0c"),
+    (["verify", "--help"],
+     "a6f206f510082f826ddcf28ebec4b963bb13dff6f4836e60eb0c82d57d87acd2"),
+    (["examples", "--help"],
+     "3ced2509a2b8172b7812fe85ddb536b0fcb8a96446884613fa1744587a9c131a"),
+    (["sweep", "--help"],
+     "4780b570d10c7f10c38d695aaca20087955a8933892b0cb64824ce113222babe"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", HELP_GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in HELP_GOLDEN])
+def test_help_bytes_are_unchanged(argv, digest, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+USAGE_ERROR_GOLDEN = [
+    (["expand", "--N", "x", "--k", "1", "--Q", "x"],
+     "85ecf317d29972b0e7c70a2e78118d0188333b7ef098b616a3dc4b2667d597dc"),
+    (["verify", "--N", "3", "--k", "1", "--Q", "x", "--weak"],
+     "6e4200685f173c70f9d4f99fe5ad01aa48213b2ae750829a4e7280cff5d687ee"),
+    (["closed-form", "--N", "3", "--k", "1", "--Q", "-x"],
+     "0ca64cfe8254a4fab76d57327af8211cf71b5be73bd996701b817a95c5d8867b"),
+    (["expand", "--N", "3", "--k", "1"],
+     "f7f314f7c2cc042ebf6eb8fe2d3341aae6720a6ea81389f834798d4352e30f98"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", USAGE_ERROR_GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in USAGE_ERROR_GOLDEN])
+def test_usage_error_bytes_are_unchanged(argv, digest, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == digest

@@ -8,7 +8,6 @@ Exit codes: 0 when every requested certificate matches, 1 on a mismatch,
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -16,6 +15,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, repeat
 from operator import mul
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .comb import euler_phi
 from .field import NotRationalError
@@ -476,63 +477,137 @@ def _params(args) -> dict:
     return out
 
 
-def _add_common(sub, with_nk: bool = True) -> None:
-    if with_nk:
-        sub.add_argument("--N", type=int, required=True)
-        sub.add_argument("--k", type=int, required=True)
-        sub.add_argument("--Q", type=str, required=True,
-                         help='numerator polynomial, e.g. "x^2" or "1/2*x - x^3"')
-    sub.add_argument("--order", type=int, default=None,
-                     help=f"truncation order, at most {MAX_ORDER} "
-                          f"(default ${DEFAULT_ORDER_ENV} or 60)")
-    sub.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    sub.add_argument("--output", type=str, default=None)
+class _Command(NamedTuple):
+    """One subcommand: its function, its --help line, namespace defaults of
+    its own, and its options in --help order, each `flag: (kind, default,
+    required, help)`.  A kind of int or str converts the option's word, a
+    tuple lists the words it accepts, and None marks a flag that stores
+    True."""
+    fn: object
+    help: str
+    defaults: dict
+    options: dict
+
+
+_NK_OPTIONS = {
+    "--N": (int, None, True, None),
+    "--k": (int, None, True, None),
+    "--Q": (str, None, True,
+            'numerator polynomial, e.g. "x^2" or "1/2*x - x^3"'),
+}
+_COMMON_OPTIONS = {
+    "--order": (int, None, False, f"truncation order, at most {MAX_ORDER} "
+                                  f"(default ${DEFAULT_ORDER_ENV} or 60)"),
+    "--format": (("json", "csv", "text"), "text", False, None),
+    "--output": (str, None, False, None),
+}
+_T_OPTION = {"--t": (int, 1, False, None)}
+
+_COMMANDS = {
+    "expand": _Command(
+        _cmd_expand, "print series coefficients", {},
+        {**_NK_OPTIONS, **_COMMON_OPTIONS, **_T_OPTION,
+         "--weak": (None, False, False,
+                    "use weak inequalities between indices")}),
+    "closed-form": _Command(
+        _cmd_closed_form, "print the Eisenstein term list", {},
+        {**_NK_OPTIONS, **_COMMON_OPTIONS}),
+    "verify": _Command(
+        _cmd_verify, "certify closed form against brute force", {},
+        {**_NK_OPTIONS, **_COMMON_OPTIONS, **_T_OPTION}),
+    "examples": _Command(
+        _cmd_examples, "reproduce the four reference cases",
+        {"default_order": 100}, _COMMON_OPTIONS),
+    "sweep": _Command(
+        _cmd_sweep, "run the invariant corpus", {},
+        {**_COMMON_OPTIONS,
+         "--max-N": (int, 8, False, None),
+         "--max-k": (int, 4, False, None),
+         "--degree-bound": (int, 12, False, None)}),
+}
+
+
+def _dest(flag: str) -> str:
+    """The namespace attribute of an option, named as argparse names it."""
+    return flag[2:].replace("-", "_")
+
+
+def _fast_parse(argv):
+    """The namespace argparse would return for `argv`, when argv names a
+    command and then only that command's full option names, each value in
+    the next word; None for anything else (help, abbreviations,
+    `--opt=value`, a value that starts with '-', an option the command does
+    not have, a bad int or choice, a missing required option), which
+    argparse then parses or reports."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {"command": argv[0], **command.defaults}
+    values.update((_dest(flag), option[1])
+                  for flag, option in command.options.items())
+    missing = {flag for flag, option in command.options.items() if option[2]}
+    words = iter(argv[1:])
+    for flag in words:
+        option = command.options.get(flag)
+        if option is None:
+            return None
+        kind = option[0]
+        if kind is None:
+            value = True
+        else:
+            # argparse reads a word that starts with '-' as an option, or
+            # as a negative number; an absent word reads the same way here.
+            value = next(words, "-")
+            if value.startswith("-"):
+                return None
+            if isinstance(kind, tuple):
+                if value not in kind:
+                    return None
+            else:
+                try:
+                    value = kind(value)
+                except ValueError:
+                    return None
+        values[_dest(flag)] = value
+        missing.discard(flag)
+    return None if missing else SimpleNamespace(**values)
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; `parse_args` returns a
-    fresh namespace on every call."""
+def build_parser():
+    """The CLI's argparse parser, built from the command table once per
+    process, and only for an argv the fast parse leaves to it: help,
+    abbreviated options and usage errors.  `parse_args` returns a fresh
+    namespace on every call."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cyclomac",
         description="Exact MacMahon-type q-series with cyclotomic denominators: "
                     "expansion, Eisenstein closed forms, and identity certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", help="print series coefficients")
-    _add_common(p)
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--weak", action="store_true",
-                   help="use weak inequalities between indices")
-    p.set_defaults(fn=_cmd_expand)
-
-    p = sub.add_parser("closed-form", help="print the Eisenstein term list")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_closed_form)
-
-    p = sub.add_parser("verify", help="certify closed form against brute force")
-    _add_common(p)
-    p.add_argument("--t", type=int, default=1)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("examples", help="reproduce the four reference cases")
-    _add_common(p, with_nk=False)
-    p.set_defaults(fn=_cmd_examples, default_order=100)
-
-    p = sub.add_parser("sweep", help="run the invariant corpus")
-    _add_common(p, with_nk=False)
-    p.add_argument("--max-N", type=int, default=8)
-    p.add_argument("--max-k", type=int, default=4)
-    p.add_argument("--degree-bound", type=int, default=12)
-    p.set_defaults(fn=_cmd_sweep)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, (kind, default, required, help_) in command.options.items():
+            if kind is None:
+                kwargs = {"action": "store_true"}
+            elif isinstance(kind, tuple):
+                kwargs = {"choices": kind}
+            else:
+                kwargs = {"type": kind}
+            p.add_argument(flag, default=default, required=required,
+                           help=help_, **kwargs)
+        p.set_defaults(**command.defaults)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         args.order = _resolve_order(args)
         _check_parameters(args)
@@ -546,7 +621,7 @@ def main(argv=None) -> int:
         if hasattr(args, "Q"):
             args.q_poly = parse_polynomial(args.Q)
             report["params"] = _params(args)
-        report.update(args.fn(args))
+        report.update(_COMMANDS[args.command].fn(args))
         _emit(report, args)
     except (ValidationError, PolynomialSyntaxError) as exc:
         error = {

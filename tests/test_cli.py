@@ -141,25 +141,100 @@ def test_expand_json_schema(capsys):
 
 
 def test_main_builds_the_parser_once_and_parses_each_argv_afresh(capsys):
-    # The second run drops --t and --weak: its options come from its own
-    # argv, not from the first run's namespace.
+    # The second run of each pair drops --t and --weak: its options come from
+    # its own argv, not from the first run's namespace.  Full option names
+    # take the fast parse and build no parser; the abbreviation --ord needs
+    # argparse, whose parser is built once and then reused.
     cli.build_parser.cache_clear()
-    code, out, _ = run_cli(
-        capsys, "expand", "--N", "1", "--k", "2", "--Q", "x", "--t", "2",
-        "--weak", "--order", "5", "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["params"]["strict"] is False
-    code, out, _ = run_cli(
-        capsys, "expand", "--N", "1", "--k", "2", "--Q", "x",
+    for order_flag, builds in (("--order", (0, 0)), ("--ord", (1, 1))):
+        code, out, _ = run_cli(
+            capsys, "expand", "--N", "1", "--k", "2", "--Q", "x", "--t", "2",
+            "--weak", order_flag, "5", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["params"]["strict"] is False
+        code, out, _ = run_cli(
+            capsys, "expand", "--N", "1", "--k", "2", "--Q", "x",
+            order_flag, "5", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["params"] == {
+            "N": 1, "k": 2, "Q": "x", "order": 5, "t": 1, "strict": True,
+        }
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == builds
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    # The installed `cyclomac` script calls main() with no argv.
+    monkeypatch.setattr("sys.argv", [
+        "cyclomac", "expand", "--N", "1", "--k", "2", "--Q", "x",
         "--order", "5", "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["params"] == {
-        "N": 1, "k": 2, "Q": "x", "order": 5, "t": 1, "strict": True,
-    }
-    info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    ])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["series"]["coefficients"] == [
+        "0", "1", "3", "4", "7", "6"]
+    monkeypatch.setattr("sys.argv", ["cyclomac", "expand", "--N", "x"])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == 2
+    assert "argument --N: invalid int value: 'x'" in capsys.readouterr().err
+
+
+_ALL_OPTIONS = {flag: option for command in cli._COMMANDS.values()
+                for flag, option in command.options.items()}
+# Words argparse reads in its own way in place of an option: help,
+# abbreviations, `--opt=value`, `--`, `-` and words that are no option.
+_ODD_WORDS = ["-h", "--help", "--ord", "--max", "--we", "--N=3", "--Q=-x",
+              "--format=json", "--", "-", "", "x", "expand"]
+
+
+def _value_words(kind) -> tuple[list[str], list[str]]:
+    """Words that parse as a value of an option's kind, among them ones int()
+    reads loosely, and words that do not, among them ones that start with
+    '-'."""
+    if kind is int:
+        return (["1", "2", "3", "12", "60", "0", " 4", "1_0", "+5"],
+                ["x", "", "1.5", "-2"])
+    if kind is str:
+        return (["x", "x^2", "x + x^3", "out.json", ""],
+                ["-x", "-x + x^3", "-h x", "--N"])
+    return list(kind), ["yaml", "JSON", "", "-x"]
+
+
+@st.composite
+def _table_argv(draw):
+    """A command (or an unknown word) with most of its required options and
+    a few more of its own or of other commands, repeats allowed.  A value
+    is now and then bad or missing, and an odd word may go anywhere."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "bogus"]))
+    own = cli._COMMANDS[command].options if command in cli._COMMANDS else {}
+    flags = [flag for flag, option in own.items()
+             if option[2] and draw(st.integers(0, 9))]
+    flags += draw(st.lists(st.sampled_from(sorted(own or _ALL_OPTIONS))
+                           | st.sampled_from(sorted(_ALL_OPTIONS)), max_size=6))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        kind = _ALL_OPTIONS[flag][0]
+        if kind is not None:
+            good, bad = _value_words(kind)
+            slot = draw(st.integers(0, 19))  # 0: no value, 1 or 2: a bad one
+            if slot:
+                argv.append(draw(st.sampled_from(bad if slot <= 2 else good)))
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(_ODD_WORDS)))
+    return argv
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_table_argv())
+def test_fast_parse_returns_what_argparse_returns_or_none(argv):
+    fast = cli._fast_parse(argv)
+    if fast is not None:
+        assert vars(fast) == vars(cli.build_parser().parse_args(argv))
 
 
 def test_expand_at_the_largest_prime_level_and_k_costs_only_the_order(capsys):

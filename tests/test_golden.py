@@ -66,6 +66,7 @@ from pathlib import Path
 
 import pytest
 
+from cyclomac import cli
 from cyclomac.cli import DEFAULT_ORDER_ENV, main
 
 GOLDEN = [
@@ -230,6 +231,23 @@ def test_benchmark_reports_match_their_recorded_digests(command, capsys,
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest()
             == BENCHMARK_DIGESTS[command])
+
+
+def test_every_guarded_argv_takes_the_fast_parse():
+    # Every benchmark argv and every argv above parses without argparse, to
+    # the namespace argparse returns; only the two whose numerator starts
+    # with '-' are left to argparse, as every such value is.
+    argvs = ([argv for argv, _ in GOLDEN + GOLDEN_NESTED] + [CSV_GOLDEN[0]]
+             + [shlex.split(command) for command in BENCHMARK_DIGESTS])
+    declined = []
+    for argv in argvs:
+        fast = cli._fast_parse(argv)
+        if fast is None:
+            declined.append(argv)
+        else:
+            assert vars(fast) == vars(cli.build_parser().parse_args(argv))
+    assert [argv[argv.index("--Q") + 1] for argv in declined] == [
+        "-7/3*x - 1000*x^11"] * 2
 
 
 HELP_GOLDEN = [

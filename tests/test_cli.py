@@ -191,9 +191,9 @@ _ODD_WORDS = ["-h", "--help", "--ord", "--max", "--we", "--N=3", "--Q=-x",
 
 
 def _value_words(kind) -> tuple[list[str], list[str]]:
-    """Words that parse as a value of an option's kind, among them ones int()
-    reads loosely, and words that do not, among them ones that start with
-    '-'."""
+    """Words the fast parse takes as a value of an option's kind, among them
+    ones int() reads loosely, and words it leaves to argparse, among them
+    ones that start with '-'."""
     if kind is int:
         return (["1", "2", "3", "12", "60", "0", " 4", "1_0", "+5"],
                 ["x", "", "1.5", "-2"])

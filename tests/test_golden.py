@@ -41,9 +41,11 @@ k = 1, Q = x^24, where Phi_105 has a coefficient -2 and the cofactor
 order at a composite level; N = 2, k = 16, Q = x^4 + x^12, the rational pole
 at a high order; and N = 9, k = 5 with the non-integral numerator 3/7*x^15.
 The N = 3, k = 100 closed form with Q = x^100 pins the pole data and weight
-coefficients at weight 100, the largest single k.  The N = 3, k = 8, t = 12
-verify pins the isobaric closed form built from single sums up to weight
-k t = 96.  The sweep at --max-N 10000, --max-k 100 and degree bound 1 pins
+coefficients at weight 100, the largest single k.  Two more closed forms pin
+the weight coefficients at phi(N) = 4: N = 12, k = 20 with the rational
+numerator 1/3*x^20 + x^40 + 1/3*x^60, and N = 5, k = 30 with x^60.  The
+N = 3, k = 8, t = 12 verify pins the isobaric closed form built from single
+sums up to weight k t = 96.  The sweep at --max-N 10000, --max-k 100 and degree bound 1 pins
 the empty report at the caps, where phi(N) k > 1 for every N and k.
 One CSV report, the weak t = 2 expand at N = 12 in CSV, pins the CSV bytes
 themselves: the header, one `exponent,coefficient` row per exponent, and the
@@ -156,6 +158,12 @@ GOLDEN = [
     (["closed-form", "--N", "3", "--k", "100", "--Q", "x^100", "--format",
       "json"],
      "6806198ca438a6c68686257904bc7c25f5ba13bef7826301d46e9ed71b155c37"),
+    (["closed-form", "--N", "12", "--k", "20", "--Q",
+      "1/3*x^20 + x^40 + 1/3*x^60", "--format", "json"],
+     "9a9e4b03ad3006f81019cf9cbaccf488ede8e265e21585ab51603232da427c04"),
+    (["closed-form", "--N", "5", "--k", "30", "--Q", "x^60", "--format",
+      "json"],
+     "08e6a84f63c26cb60f125d1ec57b94d02774ccb0c2644de58b2d33dea5f82986"),
     (["sweep", "--max-N", "10000", "--max-k", "100", "--degree-bound", "1",
       "--order", "1", "--format", "json"],
      "39af3745ea4ceafec01431e0df5bd0b17512714636e9889e197794b22d3bfb80"),

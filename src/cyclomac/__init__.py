@@ -22,7 +22,6 @@ from .comb import (
     factorint,
     gen_bernoulli,
     mobius,
-    stirling_first_unsigned,
 )
 from .field import (
     CycNum,
@@ -111,7 +110,6 @@ __all__ = [
     "pfd_coefficients",
     "pole_exponents",
     "primitive_character",
-    "stirling_first_unsigned",
     "to_g_form",
     "trivial_character",
     "validate",

@@ -1,5 +1,5 @@
-"""Integer and rational combinatorics: Stirling numbers, multiplicative
-arithmetic functions, and (generalized) Bernoulli numbers.
+"""Integer and rational combinatorics: multiplicative arithmetic functions
+and (generalized) Bernoulli numbers.
 """
 
 from __future__ import annotations
@@ -58,39 +58,6 @@ def euler_phi(n: int) -> int:
     for p, e in factorint(n).items():
         phi *= (p - 1) * p ** (e - 1)
     return phi
-
-
-# s(m, j) for 1 <= j <= m, as far as stirling_first_unsigned has needed it.
-_STIRLING: dict[tuple[int, int], int] = {}
-
-
-def _stirling_known(m: int, j: int):
-    """s(m, j) on the boundary or once computed, else None."""
-    if j == 0 or j > m:
-        return int(m == j)
-    return _STIRLING.get((m, j))
-
-
-@lru_cache(maxsize=None)
-def stirling_first_unsigned(n: int, k: int) -> int:
-    """Coefficient of x^k in the rising factorial x(x+1)...(x+n-1).
-
-    The recurrence s(m, j) = s(m-1, j-1) + (m-1) s(m-1, j) runs on an
-    explicit stack of the entries still missing, so the call depth does not
-    grow with n, and only the band of entries that s(n, k) needs is kept."""
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    if k == 0 or k > n:
-        return int(n == k)
-    todo = [(n, k)]
-    while todo:
-        m, j = todo[-1]
-        a, b = _stirling_known(m - 1, j - 1), _stirling_known(m - 1, j)
-        if a is None or b is None:
-            todo += [(m - 1, j - 1)] * (a is None) + [(m - 1, j)] * (b is None)
-        else:
-            _STIRLING[todo.pop()] = a + (m - 1) * b
-    return _STIRLING[n, k]
 
 
 @lru_cache(maxsize=None)

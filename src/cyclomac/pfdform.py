@@ -29,7 +29,6 @@ from .comb import (
     euler_phi,
     factorial,
     mobius,
-    stirling_first_unsigned,
 )
 from .field import CycNum, coerce_pair
 from .polynomial import Polynomial, cyclotomic_power
@@ -161,34 +160,44 @@ def _partial_sums(b: list) -> dict[int, object]:
     return {r: sums[len(b) - r] for r in range(1, len(b) + 1)}
 
 
-def _c_from_a(a: dict[int, object], k: int) -> dict[int, object]:
-    out = {}
-    for ell in range(1, k + 1):
-        acc = Fraction(0)
-        for r in range(ell, k + 1):
-            st = stirling_first_unsigned(r - 1, ell - 1)
-            if st:
-                acc = acc + a[r] * Fraction(st, factorial(r - 1))
-        out[ell] = acc
-    return out
+def _c_from_a(a: Mapping[int, CycNum], k: int) -> dict[int, CycNum]:
+    """Route 1: sum_ell c(ell) x^(ell-1) = sum_r a(r)/(r-1)! x(x+1)...(x+r-2),
+    the unsigned Stirling numbers being the coefficients of the rising
+    factorial.  Horner's rule runs on rows of integers over den (k-1)!."""
+    level, den = a[1].level, lcm(*(v.den for v in a.values()))
+    zero = [0] * len(a[1].nums)
+    h: list[list[int]] = []
+    scale = 1                                   # (k-1)!/(r-1)!
+    for r in range(k, 0, -1):
+        # h <- h (x + r - 1) + a(r) (k-1)!/(r-1)!
+        h = [[(r - 1) * u + v for u, v in zip(hi, lo)]
+             for hi, lo in zip(h + [zero], [zero] + h)]
+        step = scale * (den // a[r].den)
+        h[0] = [u + step * v for u, v in zip(h[0], a[r].nums)]
+        scale *= r - 1
+    den *= factorial(k - 1)
+    return {ell: CycNum.from_exponents(level, enumerate(row), den)
+            for ell, row in enumerate(h, 1)}
 
 
-def _c_from_taylor(b: list, k: int) -> dict[int, object]:
-    """The derivative-based closed form for the weight coefficients, kept as
-    an independent route and cross-asserted against the Stirling sum."""
-    out = {}
-    for ell in range(1, k + 1):
-        acc = Fraction(0)
-        for r in range(ell, k + 1):
-            st = stirling_first_unsigned(r, ell)
-            if not st:
-                continue
-            w = Fraction(
-                factorial(k - r) * binomial(k - 1, r - 1) * st, factorial(k - 1)
-            )
-            acc = acc + b[k - r] * w
-        out[ell] = acc
-    return out
+def _c_from_taylor(b: tuple[CycNum, ...], k: int) -> dict[int, CycNum]:
+    """Route 2, from the Taylor data directly: sum_ell c(ell) x^ell =
+    sum_r b_(k-r)/(r-1)! x(x+1)...(x+r-1).  Its own Horner loop, on rows of
+    integers over den (k-1)!, so that neither route checks itself."""
+    level, den = b[0].level, lcm(*(v.den for v in b))
+    zero = [0] * len(b[0].nums)
+    h: list[list[int]] = []
+    scale = 1                                   # (k-1)!/(r-1)!
+    for r in range(k, 0, -1):
+        # h <- h (x + r) + b_(k-r) (k-1)!/(r-1)!; the sum is then x h.
+        h = [[r * u + v for u, v in zip(hi, lo)]
+             for hi, lo in zip(h + [zero], [zero] + h)]
+        step = scale * (den // b[k - r].den)
+        h[0] = [u + step * v for u, v in zip(h[0], b[k - r].nums)]
+        scale *= r - 1
+    den *= factorial(k - 1)
+    return {ell: CycNum.from_exponents(level, enumerate(row), den)
+            for ell, row in enumerate(h, 1)}
 
 
 class PfdCoefficients(NamedTuple):
@@ -206,8 +215,8 @@ class PfdCoefficients(NamedTuple):
 
 
 def c_coefficients(taylor: tuple, a: Mapping) -> dict[int, CycNum]:
-    """The weight coefficients c(ell) by the Stirling sum over a(r),
-    cross-checked against the direct Taylor formula.  Both routes are
+    """The weight coefficients c(ell) from the a(r), cross-checked against
+    the direct formula in the Taylor data.  Both routes are
     Q-linear in the Taylor data and every sigma_j fixes Q, so agreement at
     zeta_N^{-1} is agreement at every pole."""
     k = len(taylor)

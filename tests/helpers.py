@@ -413,6 +413,60 @@ def eulerian_poly(k: int) -> Polynomial:
     return (1 + (k - 1) * x) * prev + x * (-x + 1) * derivative(prev)
 
 
+@lru_cache(maxsize=None)
+def rising_factorial(n: int) -> Polynomial:
+    """x(x+1)...(x+n-1), and 1 at n = 0."""
+    if n == 0:
+        return Polynomial([1])
+    return rising_factorial(n - 1) * Polynomial([n - 1, 1])
+
+
+def stirling_first_unsigned(n: int, k: int) -> int:
+    """The unsigned Stirling number of the first kind s(n, k), the
+    coefficient of x^k in the rising factorial x(x+1)...(x+n-1)."""
+    return int(rising_factorial(n).coefficient(k))
+
+
+def c_by_stirling_sum(a, k: int) -> dict:
+    """The weight coefficients c(ell) = sum over r >= ell of
+    a(r) s(r-1, ell-1)/(r-1)!, one Stirling number per term; an oracle for
+    the Horner routes of `c_coefficients`."""
+    out = {}
+    for ell in range(1, k + 1):
+        acc = Fraction(0)
+        for r in range(ell, k + 1):
+            st = stirling_first_unsigned(r - 1, ell - 1)
+            if st:
+                acc = acc + a[r] * Fraction(st, factorial(r - 1))
+        out[ell] = acc
+    return out
+
+
+def _divide_exactly(num: list[int], den: tuple[int, ...]) -> list[int]:
+    """num / den for a monic den that divides num, lowest coefficient
+    first."""
+    num = list(num)
+    quotient = [0] * (len(num) - len(den) + 1)
+    for i in range(len(quotient) - 1, -1, -1):
+        c = quotient[i] = num[i + len(den) - 1]
+        for j, v in enumerate(den, i):
+            num[j] -= c * v
+    assert not any(num), "the division leaves a remainder"
+    return quotient
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(n: int) -> tuple[int, ...]:
+    """The integer coefficients of Phi_n, lowest first: x^n - 1 divided by
+    Phi_d for each divisor d < n, each Phi_d built here in turn.  It calls
+    nothing from the package, so it is an oracle for `cyclotomic_power`."""
+    out = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            out = _divide_exactly(out, cyclotomic_by_division(d))
+    return tuple(out)
+
+
 def principal_character(n: int):
     return enumerate_characters(n)[0]
 

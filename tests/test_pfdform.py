@@ -11,6 +11,7 @@ from cyclomac import (
     CycNum,
     DegreeTooLargeError,
     EisensteinTerm,
+    InternalMismatchError,
     NonzeroConstantTermError,
     NotRationalError,
     Polynomial,
@@ -31,6 +32,7 @@ from cyclomac import (
     zeta,
 )
 from helpers import (
+    c_by_stirling_sum,
     closed_form_per_pole,
     evaluate_term_by_term,
     pole_taylor_by_horner,
@@ -277,6 +279,33 @@ def test_conjugate_relation_catches_asymmetric_pole_data(monkeypatch):
     assert [ell for ell, _, _ in bad] == [1]
     for ell, c, c_bar in bad:
         assert c_bar == c.conjugate() != c * (-1) ** ell
+
+
+@pytest.mark.parametrize("inp", [
+    *sweep_inputs(),
+    AdmissibleInput(3, 100, Polynomial.monomial(100)),
+    AdmissibleInput(5, 30, Polynomial.monomial(60)),
+], ids=lambda i: f"N{i.N}k{i.k}{i.Q}")
+def test_weight_coefficients_match_the_stirling_sum(inp):
+    p = pfd_coefficients(inp)
+    assert dict(p.c) == c_by_stirling_sum(p.a, inp.k)
+
+
+@pytest.mark.parametrize("route", ["_c_from_a", "_c_from_taylor"])
+def test_weight_coefficient_routes_are_cross_checked(route, monkeypatch):
+    # Either route, off by one at ell = 2, fails the comparison.  The
+    # uncached builder keeps the failed input out of the shared cache.
+    compute = getattr(pfdform, route)
+
+    def off_by_one(data, k):
+        c = compute(data, k)
+        c[2] = c[2] + 1
+        return c
+
+    monkeypatch.setattr(pfdform, route, off_by_one)
+    with pytest.raises(InternalMismatchError, match=r"at ell=2:"):
+        pfdform.pfd_coefficients.__wrapped__(
+            AdmissibleInput(5, 3, Polynomial.monomial(6)))
 
 
 def test_closed_form_level_two_weight_four_terms():

@@ -21,18 +21,19 @@ tables at level 420, the N = 35 closed form in text format prints every
 coefficient and the constant through `str`, and the N = 7, k = 5 expand
 inverts a high power of Phi_N with a non-integral numerator.  Two expand runs
 pin the common denominator of the integer brute-force recurrence: at N = 1,
-k = 3 (weak, t = 3) the k-th power of Phi_1 = x - 1 has constant term -1, and
-at N = 2 (strict, t = 4) the numerator 3/4*x + x^3 puts 4^4 into the
-denominators of the nested series.  Three runs pin rational numerators
-flowing through the pole data into lowest-terms cyclotomic coefficients: the
-N = 7, k = 2 closed form with numerator 1/3*x + 5/7*x^6 + 1/3*x^11, the
-N = 10, k = 3 closed form with 2/9*x^6, and the N = 12, k = 2, t = 2 verify
-with 1/2*x^2 + 1/2*x^6.  Three verify runs pin the isobaric assembly at
-t >= 4: N = 6, k = 2 at t = 5 and order 100, the rational numerator
-1/2*x^2 + 1/2*x^6 at N = 12, t = 4, and N = 1, where Phi_1 = x - 1 is
-negated, at t = 6.  Four expand runs pin the edges of the packed brute-force
-recurrence: the weak t = 20 series at N = 3, whose coefficients are the
-widest; the signed, fractional numerator -7/3*x - 1000*x^11 at N = 5, k = 3,
+k = 3 (weak, t = 3) the k-th power of Phi_1 = x - 1 has constant term -1, as
+it has in the depth-1 run with the same numerator at order 60, and at N = 2
+(strict, t = 4) the numerator 3/4*x + x^3 puts 4^4 into the denominators of
+the nested series.  Three runs pin rational numerators flowing through the
+pole data into lowest-terms cyclotomic coefficients: the N = 7, k = 2 closed
+form with numerator 1/3*x + 5/7*x^6 + 1/3*x^11, the N = 10, k = 3 closed form
+with 2/9*x^6, and the N = 12, k = 2, t = 2 verify with 1/2*x^2 + 1/2*x^6.
+Three verify runs pin the isobaric assembly at t >= 4: N = 6, k = 2 at t = 5
+and order 100, the rational numerator 1/2*x^2 + 1/2*x^6 at N = 12, t = 4, and
+N = 1, where Phi_1 = x - 1 is negated, at t = 6.  Five expand runs pin the
+edges of the packed brute-force recurrence: the weak t = 20 series at N = 3,
+whose coefficients are the widest, and the strict one at order 400, zero below
+q^210; the signed, fractional numerator -7/3*x - 1000*x^11 at N = 5, k = 3,
 t = 4 and order 300, strict and weak; and the strict t = 6 series at N = 2,
 all zero below its order because the least index sum is 21.  Four closed
 forms pin the pole Taylor data where its algebra is least typical: N = 105,
@@ -131,6 +132,9 @@ GOLDEN = [
     (["expand", "--N", "1", "--k", "3", "--Q", "1/2*x - 2/3*x^2", "--t", "3",
       "--weak", "--order", "60", "--format", "json"],
      "38de1947f164aa7562e906a21083ef5174ffaada2e078c161824fa60c9a76fa0"),
+    (["expand", "--N", "1", "--k", "3", "--Q", "1/2*x - 2/3*x^2", "--t", "1",
+      "--order", "60", "--format", "json"],
+     "a1dee6309983dcfbf4d6aaad2928d3a8a76007417da6002b25c5ec9a40c509db"),
     (["expand", "--N", "2", "--k", "1", "--Q", "3/4*x + x^3", "--t", "4",
       "--order", "60", "--format", "json"],
      "9d88d2ccfcaf99e77d6e48e1b32c6c248d97c263017c2ace32475a089a7815de"),
@@ -184,6 +188,9 @@ GOLDEN_NESTED = [
     (["expand", "--N", "3", "--k", "1", "--Q", "x", "--t", "20", "--weak",
       "--order", "100", "--format", "json"],
      "54b940ff00e4e0bfdb77a8dbfda211eb3cba231013ff7a50b955d99f3d555489"),
+    (["expand", "--N", "3", "--k", "1", "--Q", "x", "--t", "20", "--order",
+      "400", "--format", "json"],
+     "f06a456e4cfd00af2821a04aa69dd35ce4cf838ac033b380eb35cee9efbc8676"),
     (["expand", "--N", "5", "--k", "3", "--Q", "-7/3*x - 1000*x^11", "--t",
       "4", "--order", "300", "--format", "json"],
      "8456eac0c215f2d0eb8498b8ffd901aa3b9248e3493d0845dd987cebd6ac04dd"),

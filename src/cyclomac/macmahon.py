@@ -50,55 +50,70 @@ def validate_spec(spec: MacMahonSpec) -> MacMahonSpec:
 def brute_force(spec: MacMahonSpec, order: int) -> QSeries:
     """The z^t coefficient of prod_n (1 + z w_n), or of prod_n 1/(1 - z w_n)
     for weak inequalities, where w_n = r(q^n) and r = Q/Phi_N^k is expanded
-    once.  Both products evolve by f_d += w_n f_(d-1): strict runs d down and
-    reads the old f_(d-1), weak runs d up and reads the new one.  On the
-    numerators of D r = sum_j r_j q^j, D the `den` of the weight series, f_d is
-    D^d times the depth-d series, held as one integer sum_e f_d[e] 2^(B e)
-    (Kronecker substitution, as in `series`): adding w_n f_(d-1) is a shift,
-    multiply and add per r_j != 0 with j n <= order.
+    once, on the numerators of D r = sum_j r_j q^j, D the `den` of the
+    weight series.
+
+    At depth t = 1 both are p_1 = sum_n w_n, whose q^e coefficient is the
+    divisor sum of the r_j over j | e.  Deeper, both products evolve by
+    f_d += w_n f_(d-1): strict runs d down and reads the old f_(d-1), weak
+    runs d up and reads the new one.  f_d is D^d times the depth-d series,
+    held as one integer sum_e f_d[e] 2^(B (order - e)) (Kronecker
+    substitution, as in `series`, with q^0 in the top digit).  Times q^(j n)
+    is then a right shift by B j n, which drops exactly the terms past
+    q^order, rounded to the nearest integer as ((f >> (B j n - 1)) + 1) >> 1.
+    The rounding is exact: while every digit has |c| < 2^(B-1), the dropped
+    digits add up to less than (2^(B-1) - 1)/(2^B - 1) < 1/2 of a unit.  So
+    adding w_n f_(d-1) is a shift, multiply and add per r_j != 0 with
+    j n <= order, summed smallest first, and the signed digits are read off
+    once at the end, each offset by 2^(B-1).
 
     The width B: after the indices 1..n, f_d is e_d (strict) or h_d (weak)
-    of w_1..w_n, whose monomials all occur in p_1^d, so |[q^e] f_d| <=
-    [q^e] A^d at every n, where A = p_1(|w_1|, |w_2|, ...) has A_e = sum over
-    j | e of |r_j|.  B = 2 + bits(max of [q^e] A^d, d <= t, e <= order) makes
-    each low digit + 2^(B-1) unsigned, whatever the digits above the order
-    hold, so a mask truncates exactly.  A^d runs packed in bytes, each digit
+    of w_1..w_n.  Every monomial of h_d occurs in p_1^d, and every monomial
+    of e_d occurs there d! times, so |[q^e] f_d| <= [q^e] A^d, over d! when
+    strict, at every n, where A = p_1(|w_1|, |w_2|, ...) has A_e = sum over
+    j | e of |r_j|.  With b_d the bits of the largest [q^e] A^d, e <= order,
+    and L_d = floor(log2 d!) when strict (0 when weak), every digit of f_d is
+    below 2^(b_d - L_d); B = 2 + max over d <= t of b_d - L_d keeps every
+    |c| < 2^(B-2), a bit to spare.  A^d runs packed in bytes, each digit
     below (max A)^d (order + 1)^(d-1), so none carries."""
     validate_spec(spec)
     t = spec.t
     w = weight_series(spec.N, spec.k, spec.Q, order)
     r = w.nums
+    rows = r if t == 1 else [abs(c) for c in r]
     a = [0] * (order + 1)
-    for j in filter(r.__getitem__, range(1, order + 1)):
-        a[j::j] = [x + abs(r[j]) for x in a[j::j]]
+    for j in filter(rows.__getitem__, range(1, order + 1)):
+        a[j::j] = [x + rows[j] for x in a[j::j]]
+    if t == 1:
+        return QSeries(a, order, w.den)
     size = (t * max(a).bit_length()
             + (t - 1) * (order + 1).bit_length()) // 8 + 1  # bytes per digit
     packed = int.from_bytes(b"".join(c.to_bytes(size, "little") for c in a),
                             "little")
     power, bits = 1, 0
-    for _ in range(t):
+    for d in range(1, t + 1):
         power = (power * packed) & ((1 << 8 * size * (order + 1)) - 1)
         raw = power.to_bytes(size * (order + 1), "little")
         # The largest digit's bits, from the largest byte at each place.
-        bits = max(bits, *((max(raw[p::size]) << 8 * p).bit_length()
-                           for p in range(size)))
+        top = max((max(raw[p::size]) << 8 * p).bit_length()
+                  for p in range(size))
+        bits = max(bits, top - (factorial(d).bit_length() - 1
+                                if spec.strict else 0))
     width = bits + 2
-    mask = (1 << width * (order + 1)) - 1
-    half = 1 << width - 1
-    bias = half * (mask // ((1 << width) - 1))
     depths = range(t, 0, -1) if spec.strict else range(1, t + 1)
-    f = [1] + [0] * t
+    f = [1 << width * order] + [0] * t
     for n in range(1, order + 1):
-        steps = [(r[j], width * j * n) for j in range(1, order // n + 1)
+        steps = [(r[j], width * j * n - 1) for j in range(order // n, 0, -1)
                  if r[j]]
         for d in depths:
             if src := f[d - 1]:
-                acc = f[d]
+                acc = 0
                 for c, shift in steps:
-                    acc += c * (src << shift)
-                f[d] = ((acc + bias) & mask) - bias
-    digits, digit = f[t] + bias, (1 << width) - 1
-    return QSeries([((digits >> width * e) & digit) - half
+                    acc += c * (((src >> shift) + 1) >> 1)
+                f[d] += acc
+    half, digit = 1 << width - 1, (1 << width) - 1
+    digits = f[t] + half * (((1 << width * (order + 1)) - 1) // digit)
+    return QSeries([((digits >> width * (order - e)) & digit) - half
                     for e in range(order + 1)], order, w.den**t)
 
 

@@ -61,11 +61,20 @@ def test_brute_force_matches_nested_enumeration_small():
     ]:
         order = 14
         assert brute_force(spec, order) == nested_enumeration(spec, order)
+    # Depth 1 returns the divisor sums of the weight series' numerators,
+    # here with Phi_1^k negated (odd k), Q = 0, and at order 1.
+    for spec in [
+        MacMahonSpec(1, 1, 3, half_x, strict=True),
+        MacMahonSpec(1, 1, 1, third, strict=False),
+        MacMahonSpec(1, 12, 3, Polynomial([0]), strict=True),
+    ]:
+        for order in (1, 14):
+            assert brute_force(spec, order) == nested_enumeration(spec, order)
 
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "weak"])
 @pytest.mark.parametrize("t, n_level, k, order", [
-    (4, 5, 3, 24), (5, 3, 1, 22), (6, 1, 2, 24),
+    (4, 5, 3, 24), (5, 3, 1, 22), (6, 1, 2, 24), (1, 1, 3, 24), (1, 5, 2, 1),
 ])
 def test_brute_force_matches_nested_enumeration_deep(t, n_level, k, order,
                                                      strict):
@@ -205,6 +214,18 @@ def test_evaluate_isobaric_matches_brute_force():
                              True) == brute_force(
         MacMahonSpec(3, 4, 1, X, True), order
     )
+    # The Newton assembly of depth-1 brute forces checks the packed width at
+    # depth, where nested enumeration is exponential.  The strict width
+    # divides the majorant A^d by d!.  At t = 2, N = 1 that bound is tight
+    # at depth 2, so a width two bits narrower gives wrong digits.
+    signed = Polynomial([0, Fraction(-7, 3), 0, 1000, Fraction(1, 2)])
+    for t, n, k, q_poly, order in [(20, 3, 1, X, 240), (8, 1, 1, signed, 100),
+                                   (8, 12, 2, signed, 100),
+                                   (2, 1, 1, signed, 100)]:
+        singles = brute_single_sums(n, k, q_poly, t, order)
+        for strict in (True, False):
+            assert evaluate_isobaric(singles, strict) == brute_force(
+                MacMahonSpec(t, n, k, q_poly, strict), order), (t, n, strict)
 
 
 def test_evaluate_isobaric_single_index_is_brute_force():

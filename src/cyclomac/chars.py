@@ -99,14 +99,6 @@ class DirichletCharacter:
             return -1
         raise ArithmeticError("character value at -1 is not a sign")
 
-    @property
-    def is_principal(self) -> bool:
-        return all(t == 0 for t in self.exponents)
-
-    @property
-    def is_primitive(self) -> bool:
-        return self.conductor == self.modulus
-
     def _conductor(self) -> int:
         n = self.modulus
         for f in divisors(n):

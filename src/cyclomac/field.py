@@ -15,8 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .polynomial import (Polynomial, cyclotomic_polynomial, cyclotomic_power,
-                         format_terms)
+from .polynomial import cyclotomic_power, format_terms
 
 
 class LevelMismatchError(ValueError):
@@ -77,22 +76,10 @@ def _canonical(level: int, nums, den: int) -> "CycNum":
 
 class CycNum:
     """An element of Q(zeta_L) in reduced power-basis form: the integers
-    `nums` over the positive integer `den`, with gcd(den, *nums) = 1."""
+    `nums` over the positive integer `den`, with gcd(den, *nums) = 1.
+    Values come from `from_exponents`, `from_rational`, `zero` and `one`."""
 
     __slots__ = ("level", "nums", "den")
-
-    def __init__(self, level: int, coeffs):
-        if level < 1:
-            raise ValueError("level must be a positive integer")
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != _phi(level):
-            raise ValueError(
-                f"level {level} needs exactly {_phi(level)} basis coefficients"
-            )
-        # The lcm of reduced denominators leaves the numerators coprime to it.
-        den = lcm(*(c.denominator for c in coeffs))
-        self.level, self.den = level, den
-        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -220,21 +207,16 @@ class CycNum:
         return result
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_L."""
+        """Multiplicative inverse by the Galois norm: x times the product P
+        of its other conjugates sigma_s(x), s in (Z/L)^x, is the norm N(x),
+        a nonzero rational, so 1/x = P / N(x)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        mod = cyclotomic_polynomial(self.level)
-        # Invariants: old_s * self + (..) * mod = old_r.
-        old_r, r = Polynomial(self.coeffs), mod
-        old_s, s = Polynomial([1]), Polynomial()
-        while not r.is_zero():
-            q, rem = divmod(old_r, r)
-            old_r, r = r, rem
-            old_s, s = s, old_s - q * s
-        # Phi_L is irreducible over Q, so the gcd is a nonzero constant.
-        g = old_r.coefficient(0)
-        inv_poly = old_s * (Fraction(1) / g)
-        return CycNum.from_exponents(self.level, enumerate(inv_poly.coeffs))
+        others = CycNum.one(self.level)
+        for s in range(2, self.level):
+            if gcd(s, self.level) == 1:
+                others = others * self.galois(s)
+        return others * (1 / (self * others).to_rational())
 
     # -- structure maps -----------------------------------------------
 

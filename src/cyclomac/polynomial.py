@@ -50,9 +50,6 @@ class Polynomial:
             return self.coeffs[i]
         return Fraction(0)
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Polynomial([other])
@@ -109,29 +106,6 @@ class Polynomial:
             base = base * base
             n >>= 1
         return result
-
-    def __divmod__(self, other: "Polynomial"):
-        """Exact rational division: self = q*other + r with deg r < deg other."""
-        if not isinstance(other, Polynomial) or other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = len(other.coeffs) - 1
-        lead = other.coeffs[-1]
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-        return Polynomial(q), Polynomial(rem)
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
 
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be any commutative ring element."""

@@ -58,14 +58,6 @@ class QSeries:
         """The coefficients as Fractions."""
         return tuple(Fraction(c, self.den) for c in self.nums)
 
-    @classmethod
-    def zero(cls, order: int) -> "QSeries":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "QSeries":
-        return cls([1], order)
-
     def coefficient(self, j: int) -> Fraction:
         if not 0 <= j <= self.order:
             raise IndexError(f"exponent {j} outside the tracked range")
@@ -109,7 +101,7 @@ class QSeries:
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
             return self.inverse() ** (-n)
-        result = QSeries.one(self.order)
+        result = QSeries([1], self.order)
         base = self
         while n:
             if n & 1:

@@ -183,7 +183,7 @@ def nested_enumeration(spec: MacMahonSpec, order: int) -> QSeries:
     Tuples with index sum beyond the order cannot contribute."""
     w1 = weight_series(spec.N, spec.k, spec.Q, order)
     weights = {n: substitute_qn(w1, n, order) for n in range(1, order + 1)}
-    total = QSeries.zero(order)
+    total = QSeries([], order)
 
     def recurse(start: int, depth: int, budget: int, prod: QSeries):
         nonlocal total
@@ -194,7 +194,7 @@ def nested_enumeration(spec: MacMahonSpec, order: int) -> QSeries:
             recurse(n + (1 if spec.strict else 0), depth - 1, budget - n,
                     prod * weights[n])
 
-    recurse(1, spec.t, order, QSeries.one(order))
+    recurse(1, spec.t, order, QSeries([1], order))
     return total
 
 
@@ -280,9 +280,9 @@ def isobaric_by_partitions(single_sum, t: int, strict: bool,
     """The nested series as the published isobaric polynomial in the single
     sums, one Fraction series product per part of every partition of t; an
     oracle for the Newton assembly of `evaluate_isobaric`."""
-    total = QSeries.zero(order)
+    total = QSeries([], order)
     for term in isobaric_decomposition(t, strict):
-        prod = QSeries.one(order)
+        prod = QSeries([1], order)
         for s, m in term.partition.multiplicities:
             prod = prod * (single_sum(s) ** m)
         total = total + prod.scale(term.weight * term.sign)
@@ -508,7 +508,7 @@ def project(v: CycNum, new_level: int) -> CycNum:
     solution = _solve_exact(basis, v.coeffs)
     if solution is None:
         raise NotInSubfieldError(f"{v} does not lie in Q(zeta_{new_level})")
-    return CycNum(new_level, solution)
+    return CycNum.from_exponents(new_level, enumerate(solution))
 
 
 def _solve_exact(columns, target):

@@ -219,7 +219,7 @@ def _check_stirling_eulerian_expansion():
     one_minus = QSeries([1, -1], order)
     geom_powers = {ell: one_minus.inverse() ** ell for ell in range(1, 9)}
     for r in range(1, 9):
-        acc = QSeries.zero(order)
+        acc = QSeries([], order)
         for ell in range(1, r + 1):
             st = stirling_first_unsigned(r - 1, ell - 1)
             if not st:
@@ -273,7 +273,7 @@ def _check_principal_mobius_identity():
         principal = enumerate_characters(n)[0]
         for k in range(1, 5):
             lhs = f_series(k, principal, 1, order)
-            rhs = QSeries.zero(order)
+            rhs = QSeries([], order)
             for d in range(1, n + 1):
                 if n % d == 0 and mobius(d):
                     rhs = rhs + QSeries(f_series(k, trivial_character(), d,

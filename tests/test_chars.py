@@ -30,13 +30,14 @@ def test_modulus_one_single_character():
     chars = enumerate_characters(1)
     assert len(chars) == 1
     assert chars[0].value(17) == 1
-    assert chars[0].is_principal and chars[0].is_primitive
+    assert not any(chars[0].exponents)
+    assert chars[0].conductor == chars[0].modulus
 
 
 def test_modulus_three_characters():
     chars = enumerate_characters(3)
     assert len(chars) == 2
-    assert chars[0].is_principal
+    assert not any(chars[0].exponents)
     quad = chars[1]
     assert quad.value(2) == -1
     assert quad.parity == -1
@@ -63,7 +64,7 @@ def test_character_count_and_distinctness(n):
         values = [chi.value(a) for a in range(n)]
         assert values not in seen
         seen.append(values)
-    assert chars[0].is_principal
+    assert not any(chars[0].exponents)
 
 
 @pytest.mark.parametrize("n", [*range(1, 21), 24, 35, 40])
@@ -119,7 +120,7 @@ def test_gauss_sum_odd_character_mod_three():
 @pytest.mark.parametrize("n", range(1, 16))
 def test_gauss_product_for_primitive_characters(n):
     for chi in enumerate_characters(n):
-        if not chi.is_primitive:
+        if chi.conductor != chi.modulus:
             continue
         g = gauss_sum(chi)
         gbar = gauss_sum(chi.conjugate())
@@ -137,7 +138,7 @@ def test_character_census(n):
         assert g.level == oracle.level and g == oracle, (n, chi.index)
         assert chi.value(-1) == chi.parity, (n, chi.index)
         psi = primitive_character(chi)
-        assert psi.modulus == chi.conductor and psi.is_primitive
+        assert psi.modulus == chi.conductor and psi.conductor == psi.modulus
         for a in units(n):
             assert psi.value(a) == chi.value(a), (n, chi.index, a)
 
@@ -184,7 +185,7 @@ def test_induced_character_three_to_six():
     assert chi6.value(3).is_zero()
     assert chi6.value(4).is_zero()
     assert chi6.conductor == 3
-    assert not chi6.is_primitive
+    assert chi6.conductor != chi6.modulus
 
 
 def test_induced_character_identity_cases():
@@ -206,7 +207,7 @@ def test_conductor_of_principal_character():
 def test_conductor_primitive_mod_three():
     chi = enumerate_characters(3)[1]
     assert chi.conductor == 3
-    assert chi.is_primitive
+    assert chi.conductor == chi.modulus
 
 
 def test_primitive_character_round_trip():
@@ -218,7 +219,7 @@ def test_primitive_character_round_trip():
 @pytest.mark.parametrize("m", range(1, 25))
 def test_primitivity_census(m):
     # a primitive character modulo m exists exactly when m is not 2 mod 4
-    exists = any(chi.is_primitive for chi in enumerate_characters(m))
+    exists = any(chi.conductor == chi.modulus for chi in enumerate_characters(m))
     assert exists == (m % 4 != 2)
 
 

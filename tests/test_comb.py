@@ -17,6 +17,7 @@ from cyclomac import (
 from cyclomac.polynomial import Polynomial, cyclotomic_power
 from helpers import (
     Partition,
+    _divide_exactly,
     bernoulli_by_generating_function,
     cyclotomic_by_division,
     eulerian_poly,
@@ -99,9 +100,11 @@ def _poly_times_series(a, b, order):
 def test_cyclotomic_small_cases():
     assert cyclotomic_polynomial(1) == Polynomial([-1, 1])
     x4 = Polynomial.monomial(4) - 1
-    q, r = divmod(x4, Polynomial([-1, 1]) * Polynomial([1, 1]))
-    assert r.is_zero()
-    assert cyclotomic_polynomial(4) == q
+    # _divide_exactly asserts that the remainder is zero.
+    x2 = Polynomial([-1, 1]) * Polynomial([1, 1])
+    q = _divide_exactly([int(c) for c in x4.coeffs],
+                        tuple(int(c) for c in x2.coeffs))
+    assert cyclotomic_polynomial(4) == Polynomial(q)
     assert cyclotomic_polynomial(4) == Polynomial([1, 0, 1])
     assert cyclotomic_polynomial(6) == Polynomial([1, -1, 1])
 
@@ -234,7 +237,7 @@ def test_gen_bernoulli_weight_one_odd_character():
 def test_gen_bernoulli_weight_zero_nontrivial_vanishes():
     for n in (3, 4, 5, 7, 8):
         for chi in enumerate_characters(n):
-            if chi.is_principal:
+            if not any(chi.exponents):
                 continue
             value = gen_bernoulli(0, chi)
             assert value == 0 or value.is_zero()

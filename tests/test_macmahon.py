@@ -274,11 +274,11 @@ def test_newton_assembly_matches_partition_formula(n, k, q_poly, order):
 def _exp_of_x_polynomial(coeffs: list[QSeries], t: int, order: int):
     """exp of sum_m coeffs[m] X^m truncated at X^t, an oracle independent of
     the partition decomposition."""
-    result = [QSeries.one(order)] + [QSeries.zero(order) for _ in range(t)]
-    power = [QSeries.one(order)] + [QSeries.zero(order) for _ in range(t)]
+    result = [QSeries([1], order)] + [QSeries([], order) for _ in range(t)]
+    power = [QSeries([1], order)] + [QSeries([], order) for _ in range(t)]
     fact = 1
     for i in range(1, t + 1):
-        new_power = [QSeries.zero(order) for _ in range(t + 1)]
+        new_power = [QSeries([], order) for _ in range(t + 1)]
         for d1 in range(t + 1):
             for d2 in range(1, t + 1 - d1):
                 new_power[d1 + d2] = new_power[d1 + d2] + power[d1] * coeffs[d2]
@@ -303,7 +303,7 @@ def test_log_exponential_identities(n, k):
     singles = dict(enumerate(brute_single_sums(n, k, q_poly, t_max, order),
                              1))
     for strict in (True, False):
-        coeffs = [QSeries.zero(order)]
+        coeffs = [QSeries([], order)]
         for m in range(1, t_max + 1):
             sign = Fraction((-1) ** (m - 1)) if strict else Fraction(1)
             coeffs.append(singles[m].scale(sign / m))

@@ -354,7 +354,8 @@ def test_g_form_evaluates_to_same_series():
 def test_g_form_uses_primitive_or_trivial_characters():
     gf = to_g_form(closed_form(AdmissibleInput(6, 2, X2)))
     for t in gf.terms:
-        assert t.character.modulus == 1 or t.character.is_primitive
+        assert (t.character.modulus == 1
+                or t.character.conductor == t.character.modulus)
 
 
 def test_closed_form_keeps_parity_matched_characters():

@@ -214,7 +214,7 @@ def _resolve_order(args) -> int:
                 f"{DEFAULT_ORDER_ENV} must be an integer: {raw!r}"
             ) from None
     if order is None:
-        order = getattr(args, "default_order", None) or 60
+        order = args.default_order
     if not 1 <= order <= MAX_ORDER:
         raise OrderBoundError(f"order {order} is outside 1..{MAX_ORDER}")
     return order
@@ -478,14 +478,15 @@ def _params(args) -> dict:
 
 
 class _Command(NamedTuple):
-    """One subcommand: its function, its --help line, namespace defaults of
-    its own, and its options in --help order, each `flag: (kind, default,
-    required, help)`.  A kind of int or str converts the option's word, a
-    tuple lists the words it accepts, and None marks a flag that stores
-    True."""
+    """One subcommand: its function, its --help line, the order it runs at
+    without --order and $CYCLOMAC_ORDER, and its options in --help order,
+    each `flag: (kind, default, required, help)`.  A kind of int or str
+    converts the option's word, a tuple lists the words it accepts, and None
+    marks a flag that stores True.  The --order help is a template for the
+    default order."""
     fn: object
     help: str
-    defaults: dict
+    default_order: int
     options: dict
 
 
@@ -497,7 +498,7 @@ _NK_OPTIONS = {
 }
 _COMMON_OPTIONS = {
     "--order": (int, None, False, f"truncation order, at most {MAX_ORDER} "
-                                  f"(default ${DEFAULT_ORDER_ENV} or 60)"),
+                                  f"(default ${DEFAULT_ORDER_ENV} or {{}})"),
     "--format": (("json", "csv", "text"), "text", False, None),
     "--output": (str, None, False, None),
 }
@@ -505,21 +506,21 @@ _T_OPTION = {"--t": (int, 1, False, None)}
 
 _COMMANDS = {
     "expand": _Command(
-        _cmd_expand, "print series coefficients", {},
+        _cmd_expand, "print series coefficients", 60,
         {**_NK_OPTIONS, **_COMMON_OPTIONS, **_T_OPTION,
          "--weak": (None, False, False,
                     "use weak inequalities between indices")}),
     "closed-form": _Command(
-        _cmd_closed_form, "print the Eisenstein term list", {},
+        _cmd_closed_form, "print the Eisenstein term list", 60,
         {**_NK_OPTIONS, **_COMMON_OPTIONS}),
     "verify": _Command(
-        _cmd_verify, "certify closed form against brute force", {},
+        _cmd_verify, "certify closed form against brute force", 60,
         {**_NK_OPTIONS, **_COMMON_OPTIONS, **_T_OPTION}),
     "examples": _Command(
-        _cmd_examples, "reproduce the four reference cases",
-        {"default_order": 100}, _COMMON_OPTIONS),
+        _cmd_examples, "reproduce the four reference cases", 100,
+        _COMMON_OPTIONS),
     "sweep": _Command(
-        _cmd_sweep, "run the invariant corpus", {},
+        _cmd_sweep, "run the invariant corpus", 60,
         {**_COMMON_OPTIONS,
          "--max-N": (int, 8, False, None),
          "--max-k": (int, 4, False, None),
@@ -542,7 +543,7 @@ def _fast_parse(argv):
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
-    values = {"command": argv[0], **command.defaults}
+    values = {"command": argv[0], "default_order": command.default_order}
     values.update((_dest(flag), option[1])
                   for flag, option in command.options.items())
     missing = {flag for flag, option in command.options.items() if option[2]}
@@ -590,6 +591,8 @@ def build_parser():
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for flag, (kind, default, required, help_) in command.options.items():
+            if flag == "--order":
+                help_ = help_.format(command.default_order)
             if kind is None:
                 kwargs = {"action": "store_true"}
             elif isinstance(kind, tuple):
@@ -598,7 +601,7 @@ def build_parser():
                 kwargs = {"type": kind}
             p.add_argument(flag, default=default, required=required,
                            help=help_, **kwargs)
-        p.set_defaults(**command.defaults)
+        p.set_defaults(default_order=command.default_order)
     return parser
 
 

@@ -441,6 +441,30 @@ def test_env_var_sets_default_order(capsys, monkeypatch):
     assert json.loads(out)["params"]["order"] == 7
 
 
+# A cheap argv of each command without --order.
+_DEFAULT_ORDER_RUNS = {
+    "expand": ["--N", "1", "--k", "2", "--Q", "x"],
+    "closed-form": ["--N", "1", "--k", "2", "--Q", "x"],
+    "verify": ["--N", "1", "--k", "2", "--Q", "x"],
+    "examples": [],
+    "sweep": ["--max-N", "1", "--max-k", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_help_states_the_order_a_run_without_order_reports(
+        command, capsys, monkeypatch):
+    monkeypatch.delenv("CYCLOMAC_ORDER", raising=False)
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    stated = help_text.split("(default $CYCLOMAC_ORDER or ")[1].split(")")[0]
+    code, out, _ = run_cli(capsys, command, *_DEFAULT_ORDER_RUNS[command],
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"]["order"] == int(stated)
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

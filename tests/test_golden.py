@@ -275,7 +275,7 @@ HELP_GOLDEN = [
     (["verify", "--help"],
      "a6f206f510082f826ddcf28ebec4b963bb13dff6f4836e60eb0c82d57d87acd2"),
     (["examples", "--help"],
-     "3ced2509a2b8172b7812fe85ddb536b0fcb8a96446884613fa1744587a9c131a"),
+     "f9a57baaf7fe2fe87f9c57e38d696d3156e260726fbba4e1e8f0de0fa189b000"),
     (["sweep", "--help"],
      "4780b570d10c7f10c38d695aaca20087955a8933892b0cb64824ce113222babe"),
 ]

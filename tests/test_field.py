@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,26 @@ def test_inverse_product_check():
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         CycNum.zero(3).inverse()
+
+
+@pytest.mark.parametrize("level", [1, 2, 7, 9, 12, 16, 20, 36, 45, 60, 105,
+                                   420])
+def test_inverse_at_prime_powers_and_composite_levels(level):
+    # x = 2/3 y with y integral and nonzero: N(y) is a nonzero integer, so
+    # N(x) = (2/3)^phi N(y) is no unit, and x has Fraction coefficients.
+    # Level 1 and 2 have no other conjugate; 9, 16, 20, 36, 45, 60 and 420
+    # have a square prime factor.
+    rng = random.Random(level)
+    y = CycNum.from_exponents(level, [(i, rng.randint(-9, 9))
+                                      for i in range(level)])
+    if y.is_zero():
+        y = y + 1
+    x = y * Fraction(2, 3)
+    inv = x.inverse()
+    assert x * inv == 1 and inv * x == 1
+    assert inv.level == level
+    with pytest.raises(ZeroDivisionError):
+        CycNum.zero(level).inverse()
 
 
 def test_embed_square_root_of_unity():

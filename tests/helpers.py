@@ -1,10 +1,17 @@
 """Shared corpus construction, slow oracles and test-only algebra for the
 test suite."""
 
+import importlib
+import pkgutil
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
+from pathlib import Path
+from types import CodeType
+
+import cyclomac
 
 from cyclomac import (
     AdmissibleInput,
@@ -28,6 +35,9 @@ from cyclomac import (
     zeta,
 )
 from cyclomac.field import coerce_pair
+
+PACKAGE_MODULES = [importlib.import_module(f"cyclomac.{info.name}")
+                   for info in pkgutil.iter_modules(cyclomac.__path__)]
 
 
 def sweep_inputs(max_n: int = 12, max_k: int = 4, degree_bound: int = 12):
@@ -541,3 +551,57 @@ def _solve_exact(columns, target):
     for row, c in enumerate(pivot_cols):
         solution[c] = mat[row][ncols]
     return solution
+
+
+# -- which package code runs ---------------------------------------------
+
+
+def _qualnames(code: CodeType, prefix: str, out: dict) -> dict:
+    """Key each function's code under `code` to its `module.qualname`;
+    comprehensions, generator expressions and lambdas count as part of the
+    function around them."""
+    for const in code.co_consts:
+        if isinstance(const, CodeType) and not const.co_name.startswith("<"):
+            name = prefix + const.co_name
+            if const.co_flags & 1:  # CO_OPTIMIZED: a function, not a class body
+                out[const.co_filename, const.co_firstlineno] = name
+                _qualnames(const, name + ".<locals>.", out)
+            else:
+                _qualnames(const, name + ".", out)
+    return out
+
+
+def package_functions() -> dict:
+    """{(file, first line): 'module.qualname'} of every function the package
+    defines, read from its compiled source, nested functions included."""
+    out = {}
+    for module in PACKAGE_MODULES:
+        path = module.__file__
+        code = compile(Path(path).read_text(), path, "exec")
+        _qualnames(code, module.__name__.removeprefix("cyclomac.") + ".", out)
+    return out
+
+
+def entered_functions(fn) -> set:
+    """The `module.qualname` of every package function that fn() enters,
+    run under sys.setprofile after the package's lru caches are cleared."""
+    names = package_functions()
+    for module in PACKAGE_MODULES:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            name = names.get((code.co_filename, code.co_firstlineno))
+            if name is not None:
+                entered.add(name)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return entered

@@ -266,7 +266,8 @@ class CycNum:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"CycNum({self.level}, {list(self.coeffs)!r})"
+        return (f"CycNum.from_exponents({self.level}, "
+                f"{dict(enumerate(self.coeffs))!r})")
 
     def __str__(self) -> str:
         return format_terms(((i, c, self.den) for i, c in enumerate(self.nums)),

@@ -12,7 +12,6 @@ from pathlib import Path
 from types import CodeType
 
 import cyclomac
-
 from cyclomac import (
     AdmissibleInput,
     CycNum,
@@ -556,7 +555,7 @@ def _solve_exact(columns, target):
 # -- which package code runs ---------------------------------------------
 
 
-def _qualnames(code: CodeType, prefix: str, out: dict) -> dict:
+def _qualnames(code: CodeType, prefix: str, out: dict) -> None:
     """Key each function's code under `code` to its `module.qualname`;
     comprehensions, generator expressions and lambdas count as part of the
     function around them."""
@@ -568,7 +567,6 @@ def _qualnames(code: CodeType, prefix: str, out: dict) -> dict:
                 _qualnames(const, name + ".<locals>.", out)
             else:
                 _qualnames(const, name + ".", out)
-    return out
 
 
 def package_functions() -> dict:

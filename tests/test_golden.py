@@ -48,6 +48,11 @@ numerator 1/3*x^20 + x^40 + 1/3*x^60, and N = 5, k = 30 with x^60.  The
 N = 3, k = 8, t = 12 verify pins the isobaric closed form built from single
 sums up to weight k t = 96.  The sweep at --max-N 10000, --max-k 100 and degree bound 1 pins
 the empty report at the caps, where phi(N) k > 1 for every N and k.
+Two runs pin numerators that the parser must bring to lowest terms: the
+N = 4, k = 2 expand with 2/4*x + x^3 - x^3 + 3*x^2 - 6/2*x^2 (a reducible
+fraction, a cancelled top degree and a cancelled middle term, so Q = 1/2*x),
+and the N = 8, k = 1 verify in text format with 2/4*x^2 + x^4 - x^4 +
+1/2*x^2, which adds up to the admissible Q = x^2.
 One CSV report, the weak t = 2 expand at N = 12 in CSV, pins the CSV bytes
 themselves: the header, one `exponent,coefficient` row per exponent, and the
 CRLF line ends.
@@ -171,6 +176,13 @@ GOLDEN = [
     (["sweep", "--max-N", "10000", "--max-k", "100", "--degree-bound", "1",
       "--order", "1", "--format", "json"],
      "39af3745ea4ceafec01431e0df5bd0b17512714636e9889e197794b22d3bfb80"),
+    (["expand", "--N", "4", "--k", "2", "--Q",
+      "2/4*x + x^3 - x^3 + 3*x^2 - 6/2*x^2", "--t", "2", "--order", "12",
+      "--format", "json"],
+     "1cff37feef2a45437c25dc7f71b33e9d2d2308162f25e913bea5add2ed24ee3f"),
+    (["verify", "--N", "8", "--k", "1", "--Q",
+      "2/4*x^2 + x^4 - x^4 + 1/2*x^2", "--t", "2", "--order", "20"],
+     "4f9b748783ecd6447face6a0c96716ef14c9913f6ce4c30f4d499c9d6f8063f2"),
 ]
 
 # Runs at t >= 4; their ids carry t, as N and k alone repeat the ids of

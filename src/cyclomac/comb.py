@@ -7,6 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb as binomial, factorial  # noqa: F401  (re-exported API)
+from math import lcm
 from typing import TYPE_CHECKING
 
 from .field import CycNum
@@ -83,14 +84,13 @@ def gen_bernoulli(k: int, chi: "DirichletCharacter"):
         raise ValueError("index must be nonnegative")
     f = chi.modulus
     table = chi.table
-
-    def bernoulli_poly(x: Fraction) -> Fraction:
-        return sum(binomial(k, j) * _bernoulli(j) * x ** (k - j)
-                   for j in range(k + 1))
-
-    # chi(a) = zeta_level^r(a): the sum is one reduction at the value level.
-    total = CycNum.from_exponents(chi.level, (
-        (table[a % f], bernoulli_poly(Fraction(a, f)))
+    # D f^k B_k(a/f) = sum_j binom(k, j) (D B_j) a^(k-j) f^j is an integer
+    # for D the common denominator of B_0..B_k, and B_{k,chi} is the sum of
+    # chi(a) times it over D f: one reduction at the value level.
+    den = lcm(*(_bernoulli(j).denominator for j in range(k + 1)))
+    scaled = [binomial(k, j) * _bernoulli(j).numerator
+              * (den // _bernoulli(j).denominator) * f ** j for j in range(k + 1)]
+    return CycNum.from_exponents(chi.level, (
+        (table[a % f], sum(c * a ** (k - j) for j, c in enumerate(scaled)))
         for a in range(1, f + 1) if table[a % f] is not None
-    ))
-    return total * Fraction(f) ** (k - 1)
+    ), den * f)

@@ -91,16 +91,11 @@ class CycNum:
     @classmethod
     def from_exponents(cls, level: int, terms, den: int = 1) -> "CycNum":
         """sum(c * zeta_level^e) / den over a dict {e: c} or an iterable of
-        (e, c) pairs, with arbitrary integer exponents e and rational c;
+        (e, c) pairs, with arbitrary integer exponents e and integers c;
         repeated exponents add.  den is a positive integer."""
         dense = [0] * level
         for e, c in terms.items() if isinstance(terms, dict) else terms:
             dense[e % level] += c
-        # A Fraction entry, even one with denominator 1, must become an int.
-        if not all(type(c) is int for c in dense):
-            scale = lcm(*(c.denominator for c in dense))
-            dense = [c.numerator * (scale // c.denominator) for c in dense]
-            den *= scale
         return _canonical(level, _reduce(level, dense), den)
 
     @classmethod
@@ -267,7 +262,7 @@ class CycNum:
 
     def __repr__(self) -> str:
         return (f"CycNum.from_exponents({self.level}, "
-                f"{dict(enumerate(self.coeffs))!r})")
+                f"{dict(enumerate(self.nums))!r}, {self.den})")
 
     def __str__(self) -> str:
         return format_terms(((i, c, self.den) for i, c in enumerate(self.nums)),

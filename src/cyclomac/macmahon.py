@@ -31,7 +31,7 @@ class MacMahonSpec(NamedTuple):
 def weight_series(n_level: int, k: int, q_poly: Polynomial,
                   order: int) -> QSeries:
     """Q/Phi_N^k through q^order: Q times Phi_N^-k from `cyclotomic_power`."""
-    return (QSeries(q_poly.coeffs, order)
+    return (QSeries(q_poly.nums, order, q_poly.den)
             * QSeries(cyclotomic_power(n_level, -k, order)))
 
 
@@ -42,7 +42,7 @@ def validate_spec(spec: MacMahonSpec) -> MacMahonSpec:
     for name in ("t", "N", "k"):
         if getattr(spec, name) < 1:
             raise NonPositiveParameterError(f"{name} must be a positive integer")
-    if spec.Q.coefficient(0) != 0:
+    if any(spec.Q.nums[:1]):
         raise NonzeroConstantTermError("Q(0) = 0 is required for sound truncation")
     return spec
 

@@ -83,14 +83,14 @@ def validate(inp: AdmissibleInput) -> AdmissibleInput:
         raise DegreeTooLargeError(
             f"deg Q = {inp.Q.degree()} is not below phi(N)*k = {bound}"
         )
-    if inp.Q.coefficient(0) != 0:
+    q = inp.Q.nums
+    if any(q[:1]):
         raise NonzeroConstantTermError("Q must vanish at 0")
     # x^bound Q(1/x) has coefficient Q[bound - i] at x^i; deg Q < bound, so
     # comparing every coefficient of Q with its mirror checks both sides.
     sign = (-1) ** inp.k if inp.N == 1 else 1
-    q = inp.Q
-    if any(q.coefficient(i) != sign * q.coefficient(bound - i)
-           for i in range(len(q.coeffs))):
+    if any(c != sign * (q[bound - i] if bound - i < len(q) else 0)
+           for i, c in enumerate(q)):
         raise SymmetryViolationError(
             f"Q = {inp.Q} breaks the reflection rule for N = {inp.N}, k = {inp.k}"
         )
@@ -116,12 +116,13 @@ def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
         (1 - zeta x)^k Q/Phi_N^k = (-1)^k Q P^k / r(u)^k.
     As x^i = zeta_N^{-i} (1 - u)^i, the u^j coefficient A_j of
     Q P^k = sum_i c_i x^i is (-1)^j sum_i c_i binomial(i, j) zeta_N^{-i}:
-    one reduction per j, over the common denominator of Q's coefficients.  The
+    one reduction per j, to an integer row over Q's denominator.  The
     factor r^{-k} is rational: R(v) = r(N v)/N = 1 + sum_{i>=1} r_i N^(i-1)
     v^i has integer coefficients and constant term 1, so R^{-k} does too,
     and its coefficients S_j = N^(k+j) [u^j] r^{-k} follow from
     R (R^{-k})' = -k R' R^{-k}:  j S_j = -sum_{i=1..j} (j + (k-1) i) R_i S_(j-i).
-    So b_m = (-1)^k N^(-k-m) sum_{j<=m} (N^j A_j) S_(m-j).  At N = 1 (P = 1,
+    So b_m = (-1)^k N^(-k-m) sum_{j<=m} (N^j A_j) S_(m-j), an integer
+    combination of the rows and one CycNum per m.  At N = 1 (P = 1,
     r = 1) this gives b_m = (-1)^(m+k) Q^(m)(1)/m!, and at N = 2 (P = x - 1,
     r = 2 - u) it gives b_m = Q^(m)(-1)/m!.
     """
@@ -136,22 +137,27 @@ def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
         return out
 
     cofactor = [-c for c in cyclotomic_power(n, -1, n - euler_phi(n))]
-    den = lcm(*(c.denominator for c in q_poly.coeffs))
-    f = [int(c * den) for c in q_poly.coeffs]
+    den, f = q_poly.den, list(q_poly.nums)
     for _ in range(k):
         f = times(f, cofactor)
-    # N^j A_j, so that the product with the integers S_j needs no Fractions.
-    a = [CycNum.from_exponents(n, (
-        (-i, (-n) ** j * binomial(i, j) * c)
-        for i, c in enumerate(f[j:], j) if c
-    ), den) for j in range(k)]
+    # N^j A_j as integer rows over den, so that the products with the
+    # integers S_j need no Fractions.
+    rows = []
+    for j in range(k):
+        a = CycNum.from_exponents(n, (
+            (-i, (-n) ** j * binomial(i, j) * c)
+            for i, c in enumerate(f[j:], j) if c
+        ), den)
+        rows.append([v * (den // a.den) for v in a.nums])
     big_r = [(-1) ** i * binomial(n, i + 1) * n ** (i - 1) for i in range(1, k)]
     big_s = [1]
     for j in range(1, k):
         big_s.append(-sum((j + (k - 1) * i) * big_r[i - 1] * big_s[j - i]
                           for i in range(1, j + 1)) // j)
-    return tuple(sum((a[j] * big_s[m - j] for j in range(m + 1)), CycNum.zero(n))
-                 * Fraction((-1) ** k, n ** (k + m)) for m in range(k))
+    sign = (-1) ** k
+    return tuple(CycNum.from_exponents(n, enumerate(
+        sign * sum(big_s[m - j] * row[i] for j, row in enumerate(rows[:m + 1]))
+        for i in range(len(rows[0]))), den * n ** (k + m)) for m in range(k))
 
 
 def _partial_sums(b: list) -> dict[int, object]:
@@ -262,8 +268,10 @@ class ClosedForm(NamedTuple):
         (dilation g, weight w) pair add up to the sum over m, n >= 1 of
         table[m] m^(w-1) q^(mng), where table[m] = sum of coef * chi(m) over
         the pair's terms depends only on m modulo the lcm of their moduli.
-        Every entry of every table must be rational, else NotRationalError;
-        the divisor sums then run on integers over one common denominator.
+        Every entry of every table must be rational, else NotRationalError.
+        Over one common denominator, the integers table[m] m^(w-1) of all
+        pairs add up in b[m g], and one divisor-sum pass over b gives the
+        series: its q^e coefficient is the sum of b[d] over d | e.
         """
         groups: dict[tuple[int, int], list[EisensteinTerm]] = {}
         for t in self.terms:
@@ -295,21 +303,25 @@ class ClosedForm(NamedTuple):
                     r = chi.table[m % chi.modulus]
                     if r is not None:
                         pairs.extend((e + r * step, v) for e, v in coef)
-                table.append(
-                    CycNum.from_exponents(level, pairs, den).to_rational())
+                # No character is defined at m: the entry is 0.
+                table.append(CycNum.from_exponents(level, pairs, den)
+                             .to_rational() if pairs else 0)
             tables.append((g, w, table))
         offset = offset.to_rational()
         den = lcm(offset.denominator,
                   *(v.denominator for _, _, table in tables for v in table))
-        out = [offset.numerator * (den // offset.denominator)] + [0] * order
+        b = [0] * (order + 1)
         for g, w, table in tables:
             table = [v.numerator * (den // v.denominator) for v in table]
             for m in range(1, order // g + 1):
                 v = table[m % len(table)]
                 if v:
-                    v *= m ** (w - 1)
-                    for e in range(m * g, order + 1, m * g):
-                        out[e] += v
+                    b[m * g] += v * m ** (w - 1)
+        out = [offset.numerator * (den // offset.denominator)] + [0] * order
+        for d in range(1, order + 1):
+            if b[d]:
+                for e in range(d, order + 1, d):
+                    out[e] += b[d]
         return QSeries(out, order, den)
 
     def to_json(self) -> dict:
@@ -366,27 +378,31 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
             acc[(1, one, ell)] = -c
     else:
         poles = pole_exponents(n)
-        for ell in range(1, k + 1):
-            c = p.c[ell]
-            # c(j, ell) = sigma_j(c(1, ell)) = sum of v_i zeta_N^(i j) / den.
-            nums = [(i, v) for i, v in enumerate(c.nums) if v]
-            for g in divisors(n):
-                reduced = n // g
-                scale = Fraction(2 * g ** (ell - 1), euler_phi(reduced))
-                for chi in enumerate_characters(reduced):
-                    if chi.parity != (-1) ** ell:
-                        continue
-                    # The pole data (level N) summed against chi_bar(j) =
-                    # zeta_e^(-r(j)) is one reduction at L = lcm(N, e); then
-                    # one product with the Gauss sum, embedded at L.
-                    level = lcm(n, chi.level)
-                    step_n, step_e = level // n, level // chi.level
+        # c(j, ell) = sigma_j(c(1, ell)) = sum of v_i zeta_N^(i j) / den.
+        rows = {ell: ([(i, v) for i, v in enumerate(c.nums) if v], c.den)
+                for ell, c in p.c.items()}
+        for g in divisors(n):
+            reduced = n // g
+            phi = euler_phi(reduced)
+            for chi in enumerate_characters(reduced):
+                weights = range(1 if chi.parity < 0 else 2, k + 1, 2)
+                if not weights:
+                    continue
+                # The pole data (level N) summed against chi_bar(j) =
+                # zeta_e^(-r(j)), times 2 g^(ell-1)/phi(N/g), is one
+                # reduction at L = lcm(N, e); then one product with the
+                # Gauss sum, embedded at L once per character.
+                level = lcm(n, chi.level)
+                shifts = [(j * (level // n), chi.table[j % reduced]
+                           * (level // chi.level)) for j in poles]
+                gauss = gauss_sum(chi).embed(level)
+                for ell in weights:
+                    nums, den = rows[ell]
+                    scale = 2 * g ** (ell - 1)
                     pole_sum = CycNum.from_exponents(level, (
-                        (i * j * step_n - chi.table[j % reduced] * step_e, v)
-                        for j in poles for i, v in nums
-                    ), c.den)
-                    acc[(g, chi.conjugate(), ell)] = (
-                        gauss_sum(chi).embed(level) * (pole_sum * scale))
+                        (i * j - r, v * scale) for j, r in shifts for i, v in nums
+                    ), den * phi)
+                    acc[(g, chi.conjugate(), ell)] = gauss * pole_sum
     return ClosedForm(inp, "F", _collect(acc), CycNum.zero())
 
 

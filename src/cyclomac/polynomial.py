@@ -1,38 +1,47 @@
 """Dense univariate polynomials over the rationals, plus cyclotomic polynomials.
 
-Coefficients are `fractions.Fraction` throughout, so every operation here is
-exact.  The zero polynomial has degree ``-inf``.
+A polynomial holds integer numerators over one positive denominator in lowest
+terms, the storage of `QSeries` and `CycNum`, so every operation here is exact
+integer arithmetic.  The zero polynomial has degree ``-inf``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import gcd
+from itertools import accumulate, zip_longest
+from math import gcd, lcm
 from typing import Iterable
 
 NEG_INFINITY = float("-inf")
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
-
-
 class Polynomial:
-    """A polynomial sum(c_i * x^i) with exact rational coefficients c_i."""
+    """A polynomial sum(c_i * x^i) with rational c_i, held as the integers
+    `nums` over the positive integer `den`, gcd(den, *nums) = 1, with no
+    trailing zero; `coeffs` and `coefficient` read them as Fractions."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+    def __init__(self, coeffs: Iterable = (), den: int | None = None):
+        """Rational (int or Fraction) coefficients, or, given `den`, the
+        integer numerators over it."""
+        cs = list(coeffs)
+        if den is None:
+            if not all(isinstance(c, (int, Fraction)) for c in cs):
+                raise TypeError("expected integer or Fraction coefficients")
+            den = lcm(*(c.denominator for c in cs))
+            cs = [c.numerator * (den // c.denominator) for c in cs]
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        g = gcd(den, *cs)
+        self.den = den // g
+        self.nums: tuple[int, ...] = tuple(cs) if g == 1 else tuple(c // g for c in cs)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "Polynomial":
@@ -40,38 +49,36 @@ class Polynomial:
 
     def degree(self):
         """Degree of the polynomial; -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.nums) - 1 if self.nums else NEG_INFINITY
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        return Fraction(self.nums[i] if 0 <= i < len(self.nums) else 0, self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial([-c for c in self.nums], self.den)
 
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return Polynomial([a * fa + b * fb for a, b in
+                           zip_longest(self.nums, other.nums, fillvalue=0)], den)
 
     __radd__ = __add__
 
@@ -80,18 +87,18 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
+            return Polynomial([c * other.numerator for c in self.nums],
+                              self.den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums, i):
+                    out[j] += a * b
+        return Polynomial(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -125,8 +132,7 @@ class Polynomial:
 
 def format_polynomial(p: Polynomial) -> str:
     """Canonical text form, ascending degree, re-parseable by the CLI parser."""
-    return format_terms(
-        ((i, c.numerator, c.denominator) for i, c in enumerate(p.coeffs)), "x")
+    return format_terms(((i, c, p.den) for i, c in enumerate(p.nums)), "x")
 
 
 def format_terms(terms, var: str) -> str:

@@ -499,6 +499,16 @@ def induced_character(chi, m: int):
     raise ArithmeticError("induction produced no matching character")
 
 
+def from_rationals(level: int, terms) -> CycNum:
+    """`CycNum.from_exponents` over rational coefficients, which it does
+    not take: the (e, c) pairs, or a dict {e: c}, scaled to integers over
+    their common denominator."""
+    pairs = list(terms.items() if isinstance(terms, dict) else terms)
+    den = lcm(*(Fraction(c).denominator for _, c in pairs))
+    return CycNum.from_exponents(level, [(e, int(c * den)) for e, c in pairs],
+                                 den)
+
+
 class NotInSubfieldError(ValueError):
     """Raised when projecting a value to a level that cannot represent it."""
 
@@ -517,7 +527,7 @@ def project(v: CycNum, new_level: int) -> CycNum:
     solution = _solve_exact(basis, v.coeffs)
     if solution is None:
         raise NotInSubfieldError(f"{v} does not lie in Q(zeta_{new_level})")
-    return CycNum.from_exponents(new_level, enumerate(solution))
+    return from_rationals(new_level, enumerate(solution))
 
 
 def _solve_exact(columns, target):
@@ -550,6 +560,59 @@ def _solve_exact(columns, target):
     for row, c in enumerate(pivot_cols):
         solution[c] = mat[row][ncols]
     return solution
+
+
+# -- a Fraction-list oracle for Polynomial ---------------------------------
+# Coefficient lists in ascending degree, without trailing zeros.
+
+
+def frac_trim(cs) -> list[Fraction]:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def frac_add(a: list, b: list) -> list[Fraction]:
+    n = max(len(a), len(b))
+    return frac_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                      for i in range(n)])
+
+
+def frac_neg(a: list) -> list[Fraction]:
+    return [-c for c in a]
+
+
+def frac_mul(a: list, b: list) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return frac_trim(out)
+
+
+def frac_pow(a: list, n: int) -> list[Fraction]:
+    out = [Fraction(1)]
+    for _ in range(n):
+        out = frac_mul(out, a)
+    return out
+
+
+def frac_str(a: list) -> str:
+    """The printed form: ascending degree, `c*x^i`, signs between terms."""
+    out = ""
+    for i, c in enumerate(a):
+        if c == 0:
+            continue
+        body = str(abs(c))
+        if i:
+            power = "x" if i == 1 else f"x^{i}"
+            body = power if body == "1" else f"{body}*{power}"
+        if out:
+            out += (" - " if c < 0 else " + ") + body
+        else:
+            out = ("-" if c < 0 else "") + body
+    return out or "0"
 
 
 # -- which package code runs ---------------------------------------------

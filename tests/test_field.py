@@ -17,7 +17,7 @@ from cyclomac import (
 )
 from cyclomac.field import coerce_pair
 from cyclomac.polynomial import Polynomial, format_polynomial
-from helpers import NotInSubfieldError, project
+from helpers import NotInSubfieldError, from_rationals, project
 
 
 def test_make_basis_element():
@@ -36,6 +36,21 @@ def test_make_sum_of_primitive_fifth_roots():
 
 def test_make_empty_map_is_zero():
     assert CycNum.from_exponents(7, {}).is_zero()
+
+
+def test_make_takes_integer_coefficients_only():
+    with pytest.raises(TypeError):
+        CycNum.from_exponents(3, {1: Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        CycNum.from_exponents(3, {1: Fraction(2)})
+    assert from_rationals(3, {1: Fraction(1, 2)}) == zeta(3) / 2
+
+
+def test_repr_is_the_from_exponents_call():
+    # zeta^5 = zeta^3 - zeta modulo Phi_12 = x^4 - x^2 + 1.
+    v = from_rationals(12, {1: Fraction(1, 2), 5: Fraction(-2, 3)})
+    assert repr(v) == "CycNum.from_exponents(12, {0: 0, 1: 7, 2: 0, 3: -4}, 6)"
+    assert eval(repr(v)) == v
 
 
 def test_mul_third_roots():
@@ -192,7 +207,7 @@ def _small_fractions():
 
 def _cyc_numbers(level):
     return st.builds(
-        lambda cs: CycNum.from_exponents(level, enumerate(cs)),
+        lambda cs: from_rationals(level, enumerate(cs)),
         st.lists(
             _small_fractions(),
             min_size=len(CycNum.one(level).coeffs),
@@ -244,7 +259,7 @@ def test_cyclotomic_numbers_print_like_polynomials(data, level):
         st.just([0] * phi),
         st.lists(_small_fractions(), min_size=phi, max_size=phi),
     ))
-    assert str(CycNum.from_exponents(level, enumerate(cs))) == (
+    assert str(from_rationals(level, enumerate(cs))) == (
         format_polynomial(Polynomial(cs)).replace("x", f"z{level}"))
 
 
@@ -265,7 +280,7 @@ def _from_exponents(level, terms):
         c = dense[top]
         for i, m in enumerate(modulus, top - phi):
             dense[i] -= c * m
-    return CycNum.from_exponents(level, enumerate(dense[:phi]))
+    return from_rationals(level, enumerate(dense[:phi]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -279,11 +294,11 @@ def test_integer_form_matches_fraction_definitions(data, level):
         results.append(a / r)
     assert all(_is_canonical(v) for v in results)
     assert (a - a).nums == (0,) * len(a.nums) and (a - a).den == 1
-    assert a + b == CycNum.from_exponents(
+    assert a + b == from_rationals(
         level, enumerate([x + y for x, y in zip(a.coeffs, b.coeffs)]))
     product = Polynomial(a.coeffs) * Polynomial(b.coeffs)
     assert a * b == _from_exponents(level, list(enumerate(product.coeffs)))
-    assert a * r == CycNum.from_exponents(
+    assert a * r == from_rationals(
         level, enumerate([x * r for x in a.coeffs]))
     units = [s for s in range(1, level + 1) if math.gcd(s, level) == 1]
     s = data.draw(st.sampled_from(units))

@@ -46,11 +46,15 @@ EXCEPTIONS = {
     "field.CycNum.__repr__": REPR,
     "field.CycNum.__rtruediv__": ALGEBRA,
     "field.CycNum.__truediv__": ALGEBRA,
-    "field.CycNum.coeffs": REPR + ", which prints the Fraction view",
+    "field.CycNum.coeffs": "the Fraction view, for tests and the "
+                           "benchmark's coefficient_bits",
     "field.CycNum.inverse": SPANS,
     "field.CycNum.one": ALGEBRA + "; inverse and __pow__ start from it",
     "field.NotRationalError.__init__": ERROR,
     "polynomial.Polynomial.__call__": SPANS,
+    "polynomial.Polynomial.coefficient": "a Fraction view of one "
+                                         "coefficient; the package reads nums",
+    "polynomial.Polynomial.coeffs": REPR + ", which prints the Fraction view",
     "polynomial.Polynomial.__neg__": ALGEBRA,
     "polynomial.Polynomial.__pow__": ALGEBRA,
     "polynomial.Polynomial.__repr__": REPR,

@@ -63,7 +63,6 @@ _INPUT_SHARED = {
     "comb.factorint": "trial-division factorization of small integers; "
                       "tested alone in test_comb",
     "comb.mobius": "mu from the factorization; tested alone in test_comb",
-    "polynomial.Polynomial.coefficient": "reads one coefficient of Q",
     "series.QSeries.__init__": "stores integers over one denominator in "
                                "lowest terms; no other arithmetic",
     "polynomial.cyclotomic_power": "Phi_N^-k in weight_series and the pole "

@@ -77,7 +77,7 @@ def _canonical(level: int, nums, den: int) -> "CycNum":
 class CycNum:
     """An element of Q(zeta_L) in reduced power-basis form: the integers
     `nums` over the positive integer `den`, with gcd(den, *nums) = 1.
-    Values come from `from_exponents`, `from_rational`, `zero` and `one`."""
+    Values come from `from_exponents`, `from_rational` and `zero`."""
 
     __slots__ = ("level", "nums", "den")
 
@@ -107,10 +107,6 @@ class CycNum:
     @classmethod
     def zero(cls, level: int = 1) -> "CycNum":
         return cls.from_rational(level, 0)
-
-    @classmethod
-    def one(cls, level: int = 1) -> "CycNum":
-        return cls.from_rational(level, 1)
 
     # -- predicates ---------------------------------------------------
 
@@ -176,38 +172,13 @@ class CycNum:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (1 / Fraction(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = CycNum.one(self.level)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def inverse(self) -> "CycNum":
         """Multiplicative inverse by the Galois norm: x times the product P
         of its other conjugates sigma_s(x), s in (Z/L)^x, is the norm N(x),
         a nonzero rational, so 1/x = P / N(x)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        others = CycNum.one(self.level)
+        others = CycNum.from_rational(self.level, 1)
         for s in range(2, self.level):
             if gcd(s, self.level) == 1:
                 others = others * self.galois(s)

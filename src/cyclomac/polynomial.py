@@ -67,23 +67,13 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nums, self.den))
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.nums], self.den)
-
     def __add__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         return Polynomial([a * fa + b * fb for a, b in
                            zip_longest(self.nums, other.nums, fillvalue=0)], den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-other if isinstance(other, Polynomial) else Polynomial([-other]))
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -101,18 +91,6 @@ class Polynomial:
         return Polynomial(out, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = Polynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be any commutative ring element."""

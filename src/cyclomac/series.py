@@ -26,8 +26,8 @@ class QSeries:
     """A power series in q truncated at a fixed order M (inclusive), with
     rational coefficients held as the integers `nums` over the positive
     integer `den`, gcd(den, *nums) = 1, as in `CycNum`; `coeffs` reads them
-    as Fractions.  Operations on series of different orders truncate to the
-    smaller order and never read beyond it.
+    as Fractions.  The product of series of different orders truncates to
+    the smaller order and never reads beyond it.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -65,51 +65,15 @@ class QSeries:
 
     __getitem__ = coefficient
 
-    def __add__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            other = QSeries([other], self.order)
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        return QSeries([a * fa + b * fb for a, b in zip(self.nums, other.nums)],
-                       min(self.order, other.order), den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QSeries":
-        return QSeries([-c for c in self.nums], self.order, self.den)
-
-    def __sub__(self, other) -> "QSeries":
-        return self + (-other)
-
     def __mul__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, QSeries):
+            return NotImplemented
         m = min(self.order, other.order)
         out = [0] * (m + 1)
         for i, a in enumerate(self.nums[: m + 1]):
             if a:
                 out[i:] = [c + a * b for c, b in zip(out[i:], other.nums)]
         return QSeries(out, m, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "QSeries":
-        """The series times an int or Fraction."""
-        return QSeries([c.numerator * a for a in self.nums], self.order,
-                       self.den * c.denominator)
-
-    def __pow__(self, n: int) -> "QSeries":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = QSeries([1], self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def inverse(self) -> "QSeries":
         """Two-sided inverse up to the order; requires a unit constant term.

@@ -116,7 +116,7 @@ def series_mul(a: list, b: list) -> list:
 def series_inverse(a: list) -> list:
     """The inverse of a truncated series with an invertible constant term,
     over the same scalars as `series_mul`."""
-    inv0 = 1 / a[0]
+    inv0 = a[0].inverse() if isinstance(a[0], CycNum) else 1 / a[0]
     out = [inv0]
     for n in range(1, len(a)):
         out.append(-inv0 * sum((a[i] * out[n - i] for i in range(1, n + 1)
@@ -191,20 +191,21 @@ def nested_enumeration(spec: MacMahonSpec, order: int) -> QSeries:
     """Direct sum over index tuples; exponential in t, test oracle only.
     Tuples with index sum beyond the order cannot contribute."""
     w1 = weight_series(spec.N, spec.k, spec.Q, order)
-    weights = {n: substitute_qn(w1, n, order) for n in range(1, order + 1)}
-    total = QSeries([], order)
+    weights = {n: list(substitute_qn(w1, n, order).coeffs)
+               for n in range(1, order + 1)}
+    total = [Fraction(0)] * (order + 1)
 
-    def recurse(start: int, depth: int, budget: int, prod: QSeries):
-        nonlocal total
+    def recurse(start: int, depth: int, budget: int, prod: list):
         if depth == 0:
-            total = total + prod
+            for e, c in enumerate(prod):
+                total[e] += c
             return
         for n in range(start, budget + 1):
             recurse(n + (1 if spec.strict else 0), depth - 1, budget - n,
-                    prod * weights[n])
+                    series_mul(prod, weights[n]))
 
-    recurse(1, spec.t, order, QSeries([1], order))
-    return total
+    recurse(1, spec.t, order, [Fraction(1)] + [Fraction(0)] * order)
+    return QSeries(total, order)
 
 
 @dataclass(frozen=True)
@@ -280,7 +281,9 @@ def brute_single_sums(n: int, k: int, q_poly: Polynomial, t: int,
                       order: int) -> list[QSeries]:
     """The single sums U_1..U_t of (N, k, Q) by brute force, U_s at weight
     s k with numerator Q^s: the input `evaluate_isobaric` assembles."""
-    return [brute_force(MacMahonSpec(1, n, s * k, q_poly ** s), order)
+    return [brute_force(MacMahonSpec(1, n, s * k,
+                                     Polynomial(frac_pow(q_poly.coeffs, s))),
+                        order)
             for s in range(1, t + 1)]
 
 
@@ -289,13 +292,13 @@ def isobaric_by_partitions(single_sum, t: int, strict: bool,
     """The nested series as the published isobaric polynomial in the single
     sums, one Fraction series product per part of every partition of t; an
     oracle for the Newton assembly of `evaluate_isobaric`."""
-    total = QSeries([], order)
+    total = [Fraction(0)] * (order + 1)
     for term in isobaric_decomposition(t, strict):
-        prod = QSeries([1], order)
-        for s, m in term.partition.multiplicities:
-            prod = prod * (single_sum(s) ** m)
-        total = total + prod.scale(term.weight * term.sign)
-    return total
+        prod = [term.weight * term.sign] + [Fraction(0)] * order
+        for s in term.partition.parts():
+            prod = series_mul(prod, single_sum(s).coeffs)
+        total = [a + b for a, b in zip(total, prod)]
+    return QSeries(total, order)
 
 
 def bernoulli_by_generating_function(k: int, chi):
@@ -345,18 +348,22 @@ def reconstruct_series(p, order: int) -> list:
     return coeffs
 
 
-def rational_function_series(inp: AdmissibleInput, order: int) -> QSeries:
-    """The direct power-series expansion of Q(x)/Phi_N(x)^k."""
-    phi_series = QSeries(cyclotomic_polynomial(inp.N).coeffs, order)
-    q_series = QSeries(inp.Q.coeffs, order)
-    return q_series * (phi_series.inverse() ** inp.k)
+def rational_function_series(inp: AdmissibleInput, order: int) -> list:
+    """The coefficients of the direct power-series expansion of
+    Q(x)/Phi_N(x)^k, by Fraction list products."""
+    out = list(QSeries(inp.Q.coeffs, order).coeffs)
+    phi_inverse = series_inverse(
+        QSeries(cyclotomic_polynomial(inp.N).coeffs, order).coeffs)
+    for _ in range(inp.k):
+        out = series_mul(out, phi_inverse)
+    return out
 
 
 def verify_reconstruction(p, order: int | None = None) -> bool:
     if order is None:
         order = 4 * p.input.phi_times_k()
-    return reconstruct_series(p, order) == list(
-        rational_function_series(p.input, order).coeffs)
+    return reconstruct_series(p, order) == rational_function_series(
+        p.input, order)
 
 
 def evaluate_term_by_term(cf, order: int) -> list:
@@ -418,8 +425,8 @@ def eulerian_poly(k: int) -> Polynomial:
     if k == 0:
         return Polynomial([1])
     prev = eulerian_poly(k - 1)
-    x = Polynomial([0, 1])
-    return (1 + (k - 1) * x) * prev + x * (-x + 1) * derivative(prev)
+    return Polynomial(frac_add(frac_mul([1, k - 1], prev.coeffs),
+                               frac_mul([0, 1, -1], derivative(prev).coeffs)))
 
 
 @lru_cache(maxsize=None)
@@ -524,14 +531,15 @@ def project(v: CycNum, new_level: int) -> CycNum:
     step = v.level // new_level
     basis = [CycNum.from_exponents(v.level, {i * step: 1}).coeffs
              for i in range(euler_phi(new_level))]
-    solution = _solve_exact(basis, v.coeffs)
+    solution, _ = _solve_exact(basis, v.coeffs)
     if solution is None:
         raise NotInSubfieldError(f"{v} does not lie in Q(zeta_{new_level})")
     return from_rationals(new_level, enumerate(solution))
 
 
 def _solve_exact(columns, target):
-    """Solve sum(y_i * columns[i]) = target over Q; None when inconsistent."""
+    """Solve sum(y_i * columns[i]) = target over Q: a solution, or None
+    when inconsistent, and the rank of the columns."""
     rows = len(target)
     ncols = len(columns)
     mat = [[columns[j][i] for j in range(ncols)] + [target[i]]
@@ -555,11 +563,27 @@ def _solve_exact(columns, target):
             break
     for i in range(r, rows):
         if mat[i][ncols] != 0:
-            return None
+            return None, r
     solution = [Fraction(0)] * ncols
     for row, c in enumerate(pivot_cols):
         solution[c] = mat[row][ncols]
-    return solution
+    return solution, r
+
+
+def quasimodular_fit(coeffs, weight: int):
+    """Fit coefficients of q^0..q^order to the monomials E2^a E4^b E6^c,
+    2a + 4b + 6c <= weight, which span the quasimodular forms on SL2(Z) of
+    mixed weight at most `weight`: (a solution or None, the rank)."""
+    order = len(coeffs) - 1
+    columns = [(0, [Fraction(1)] + [Fraction(0)] * order)]
+    for w, c in ((2, -24), (4, 240), (6, -504)):
+        e = [Fraction(1)] + [c * sum(d ** (w - 1) for d in range(1, n + 1)
+                                     if n % d == 0) for n in range(1, order + 1)]
+        for u, col in columns[:]:
+            while u + w <= weight:
+                u, col = u + w, series_mul(col, e)
+                columns.append((u, col))
+    return _solve_exact([col for _, col in columns], coeffs)
 
 
 # -- a Fraction-list oracle for Polynomial ---------------------------------
@@ -577,10 +601,6 @@ def frac_add(a: list, b: list) -> list[Fraction]:
     n = max(len(a), len(b))
     return frac_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
                       for i in range(n)])
-
-
-def frac_neg(a: list) -> list[Fraction]:
-    return [-c for c in a]
 
 
 def frac_mul(a: list, b: list) -> list[Fraction]:

@@ -685,7 +685,7 @@ def test_sweep_validates_each_input_once(capsys, monkeypatch):
 def test_sweep_reports_a_closed_form_that_is_not_rational(capsys, monkeypatch):
     # A lone weight-1 term on a character mod 5 with chi(2) = zeta_4.
     term = EisensteinTerm(weight=1, character=enumerate_characters(5)[1],
-                          dilation=1, coefficient=CycNum.one())
+                          dilation=1, coefficient=CycNum.from_rational(1, 1))
     monkeypatch.setattr(
         cli, "closed_form",
         lambda inp: ClosedForm(inp, "F", (term,), CycNum.zero()),

@@ -99,7 +99,7 @@ def _poly_times_series(a, b, order):
 
 def test_cyclotomic_small_cases():
     assert cyclotomic_polynomial(1) == Polynomial([-1, 1])
-    x4 = Polynomial.monomial(4) - 1
+    x4 = Polynomial([-1, 0, 0, 0, 1])
     # _divide_exactly asserts that the remainder is zero.
     x2 = Polynomial([-1, 1]) * Polynomial([1, 1])
     q = _divide_exactly([int(c) for c in x4.coeffs],
@@ -115,7 +115,7 @@ def test_cyclotomic_product_identity():
         for d in range(1, n + 1):
             if n % d == 0:
                 prod = prod * cyclotomic_polynomial(d)
-        assert prod == Polynomial.monomial(n) - 1, n
+        assert prod == Polynomial([-1] + [0] * (n - 1) + [1]), n
 
 
 @pytest.mark.parametrize("e", [-3, -2, -1, 0, 1, 2, 3])
@@ -123,7 +123,9 @@ def test_cyclotomic_power_matches_series_powers(e):
     order = 25
     for n in range(1, 41):
         phi = QSeries(cyclotomic_polynomial(n).coeffs, order)
-        expected = (phi.inverse() if e < 0 else phi) ** abs(e)
+        base, expected = phi.inverse() if e < 0 else phi, QSeries([1], order)
+        for _ in range(abs(e)):
+            expected = expected * base
         got = cyclotomic_power(n, e, order)
         assert all(type(c) is int for c in got), n
         assert QSeries(got, order) == expected, n

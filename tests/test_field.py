@@ -43,7 +43,7 @@ def test_make_takes_integer_coefficients_only():
         CycNum.from_exponents(3, {1: Fraction(1, 2)})
     with pytest.raises(TypeError):
         CycNum.from_exponents(3, {1: Fraction(2)})
-    assert from_rationals(3, {1: Fraction(1, 2)}) == zeta(3) / 2
+    assert from_rationals(3, {1: Fraction(1, 2)}) == zeta(3) * Fraction(1, 2)
 
 
 def test_repr_is_the_from_exponents_call():
@@ -80,7 +80,7 @@ def test_inverse_of_root_of_unity_is_conjugate_power():
 def test_inverse_product_check():
     a = 1 + zeta(4)
     inv = a.inverse()
-    assert inv == (-zeta(4) + 1) / 2
+    assert inv == (-zeta(4) + 1) * Fraction(1, 2)
     assert a * inv == 1
 
 
@@ -120,7 +120,7 @@ def test_embed_rational_unchanged():
 def test_embed_power_check():
     e = zeta(3).embed(12)
     assert e == zeta(12, 4)
-    assert e**3 == 1
+    assert e * e * e == 1
     assert e != 1
 
 
@@ -180,7 +180,7 @@ def test_coerce_pair_embeds_at_the_lcm():
 @pytest.mark.parametrize("level", range(1, 31))
 def test_root_of_unity_relations(level):
     z = zeta(level)
-    assert z**level == 1
+    assert math.prod([z] * level) == 1
     phi = cyclotomic_polynomial(level)
     assert phi(z) == 0
 
@@ -210,8 +210,8 @@ def _cyc_numbers(level):
         lambda cs: from_rationals(level, enumerate(cs)),
         st.lists(
             _small_fractions(),
-            min_size=len(CycNum.one(level).coeffs),
-            max_size=len(CycNum.one(level).coeffs),
+            min_size=len(CycNum.zero(level).nums),
+            max_size=len(CycNum.zero(level).nums),
         ),
     )
 
@@ -254,7 +254,7 @@ def test_embed_is_ring_homomorphism(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20]))
 def test_cyclotomic_numbers_print_like_polynomials(data, level):
-    phi = len(CycNum.one(level).coeffs)
+    phi = len(CycNum.zero(level).nums)
     cs = data.draw(st.one_of(
         st.just([0] * phi),
         st.lists(_small_fractions(), min_size=phi, max_size=phi),
@@ -290,8 +290,6 @@ def test_integer_form_matches_fraction_definitions(data, level):
     b = data.draw(_cyc_numbers(level))
     r = data.draw(_small_fractions())
     results = [a + b, a - b, a * b, a - a, a * 0, a * r, -a]
-    if r:
-        results.append(a / r)
     assert all(_is_canonical(v) for v in results)
     assert (a - a).nums == (0,) * len(a.nums) and (a - a).den == 1
     assert a + b == from_rationals(

@@ -13,7 +13,6 @@ from cyclomac import (
     brute_force,
     certify,
     closed_form,
-    cyclotomic_polynomial,
     evaluate_isobaric,
     f_series,
     trivial_character,
@@ -22,9 +21,13 @@ from cyclomac import (
 from cyclomac.cli import DEFAULT_ORDER_ENV, main
 from helpers import (
     brute_single_sums,
+    frac_pow,
     isobaric_by_partitions,
     isobaric_decomposition,
     nested_enumeration,
+    quasimodular_fit,
+    rational_function_series,
+    series_mul,
 )
 
 X = Polynomial.monomial(1)
@@ -118,7 +121,6 @@ def test_isobaric_assembly_shares_no_product_with_brute_force(monkeypatch):
     expected = {run: evaluate_isobaric(singles[:run[0]], run[1])
                 for run in runs}
     monkeypatch.setattr(QSeries, "__mul__", fail)
-    monkeypatch.setattr(QSeries, "__rmul__", fail)
     for t, strict in runs:
         assert evaluate_isobaric(singles[:t], strict) == expected[t, strict]
 
@@ -162,20 +164,21 @@ def test_weight_series_matches_direct_expansion():
         for k in (1, 2, 3, 4, 9):
             for q_poly in (X, X2, rational):
                 for order in (1, 3, 24):
-                    direct = QSeries(q_poly.coeffs, order) * (
-                        QSeries(cyclotomic_polynomial(n_level).coeffs,
-                                order).inverse() ** k
-                    )
+                    direct = rational_function_series(
+                        AdmissibleInput(n_level, k, q_poly), order)
                     assert weight_series(n_level, k, q_poly,
-                                         order) == direct
+                                         order).coeffs == tuple(direct)
 
 
 def test_polynomial_power():
-    # The numerators Q^s of the single sums U_s.
-    assert X ** 3 == Polynomial.monomial(3)
-    assert (X + Polynomial.monomial(3)) ** 2 == Polynomial([0, 0, 1, 0, 2, 0, 1])
-    for s in (1, 2, 5):
-        assert (X2 ** s).degree() == 2 * s
+    # The numerators Q^s of the single sums U_s, as repeated products.
+    assert X * X * X == Polynomial.monomial(3)
+    q_poly = X + Polynomial.monomial(3)
+    assert q_poly * q_poly == Polynomial([0, 0, 1, 0, 2, 0, 1])
+    power = X2
+    for s in range(2, 6):
+        power = power * X2
+        assert power == Polynomial.monomial(2 * s)
 
 
 def test_isobaric_decomposition_single_index():
@@ -271,21 +274,28 @@ def test_newton_assembly_matches_partition_formula(n, k, q_poly, order):
             ), (t, strict)
 
 
-def _exp_of_x_polynomial(coeffs: list[QSeries], t: int, order: int):
-    """exp of sum_m coeffs[m] X^m truncated at X^t, an oracle independent of
-    the partition decomposition."""
-    result = [QSeries([1], order)] + [QSeries([], order) for _ in range(t)]
-    power = [QSeries([1], order)] + [QSeries([], order) for _ in range(t)]
+def _add(a: list, b: list) -> list:
+    return [x + y for x, y in zip(a, b)]
+
+
+def _exp_of_x_polynomial(coeffs: list[list], t: int, order: int):
+    """exp of sum_m coeffs[m] X^m truncated at X^t, each coefficient a
+    Fraction list through q^order; an oracle independent of the partition
+    decomposition."""
+    zero = [Fraction(0)] * (order + 1)
+    result = [[Fraction(1)] + zero[1:]] + [zero] * t
+    power = list(result)
     fact = 1
     for i in range(1, t + 1):
-        new_power = [QSeries([], order) for _ in range(t + 1)]
+        new_power = [zero] * (t + 1)
         for d1 in range(t + 1):
             for d2 in range(1, t + 1 - d1):
-                new_power[d1 + d2] = new_power[d1 + d2] + power[d1] * coeffs[d2]
+                new_power[d1 + d2] = _add(new_power[d1 + d2],
+                                          series_mul(power[d1], coeffs[d2]))
         power = new_power
         fact *= i
         for d in range(t + 1):
-            result[d] = result[d] + power[d].scale(Fraction(1, fact))
+            result[d] = _add(result[d], [c / fact for c in power[d]])
     return result
 
 
@@ -303,15 +313,15 @@ def test_log_exponential_identities(n, k):
     singles = dict(enumerate(brute_single_sums(n, k, q_poly, t_max, order),
                              1))
     for strict in (True, False):
-        coeffs = [QSeries([], order)]
+        coeffs = [None]
         for m in range(1, t_max + 1):
             sign = Fraction((-1) ** (m - 1)) if strict else Fraction(1)
-            coeffs.append(singles[m].scale(sign / m))
+            coeffs.append([sign / m * c for c in singles[m].coeffs])
         exp = _exp_of_x_polynomial(coeffs, t_max, order)
         for t in range(1, t_max + 1):
-            assert exp[t] == brute_force(
+            assert tuple(exp[t]) == brute_force(
                 MacMahonSpec(t, n, k, q_poly, strict), order
-            ), (n, k, t, strict)
+            ).coeffs, (n, k, t, strict)
 
 
 def test_strict_weak_bridge_at_two_indices():
@@ -320,19 +330,52 @@ def test_strict_weak_bridge_at_two_indices():
         weak = brute_force(MacMahonSpec(2, n, k, q_poly, strict=False), order)
         strict = brute_force(MacMahonSpec(2, n, k, q_poly, strict=True), order)
         single = brute_force(
-            MacMahonSpec(1, n, 2 * k, q_poly ** 2), order
+            MacMahonSpec(1, n, 2 * k, q_poly * q_poly), order
         )
-        assert weak - strict == single
+        assert _add(weak.coeffs, [-c for c in strict.coeffs]) == list(
+            single.coeffs)
 
 
 def test_isobaric_closed_form_equivalence():
     order = 30
-    closed = [closed_form(AdmissibleInput(4, s, X ** s)).evaluate(order)
-              for s in (1, 2, 3)]
+    closed = [closed_form(AdmissibleInput(4, s, Polynomial.monomial(s)))
+              .evaluate(order) for s in (1, 2, 3)]
     for t in (2, 3):
         for strict in (True, False):
             assert evaluate_isobaric(closed[:t], strict) == brute_force(
                 MacMahonSpec(t, 4, 1, X, strict), order)
+
+
+X_X3 = Polynomial([0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("t, k, q_poly, rank", [
+    (1, 2, X, 2), (2, 2, X, 4), (3, 2, X, 7), (2, 4, X2, 11), (3, 4, X_X3, 23),
+])
+def test_level_one_series_are_quasimodular(t, k, q_poly, rank):
+    # At N = 1 the admissible series are quasimodular on SL2(Z) of mixed
+    # weight <= k t, so they lie in the span of E2^a E4^b E6^c; the fit uses
+    # none of chars, field or pfdform.  Full rank makes the fit unique.
+    order = 60
+    singles = [closed_form(AdmissibleInput(
+        1, s * k, Polynomial(frac_pow(q_poly.coeffs, s)))).evaluate(order)
+        for s in range(1, t + 1)]
+    for strict in (True, False):
+        for series in (brute_force(MacMahonSpec(t, 1, k, q_poly, strict),
+                                   order),
+                       evaluate_isobaric(singles, strict)):
+            solution, found = quasimodular_fit(series.coeffs, k * t)
+            assert solution is not None and found == rank, (t, k, strict)
+
+
+@pytest.mark.parametrize("t, k, q_poly", [
+    (1, 3, X), (2, 2, Polynomial([0, 1, 1])), (2, 4, X),
+])
+def test_inadmissible_level_one_series_are_not_quasimodular(t, k, q_poly):
+    # Without the reflection rule the fit must fail: the oracle can say no.
+    for strict in (True, False):
+        series = brute_force(MacMahonSpec(t, 1, k, q_poly, strict), 60)
+        assert quasimodular_fit(series.coeffs, k * t)[0] is None, strict
 
 
 def test_certify_identical_series():
@@ -366,9 +409,9 @@ def test_certify_order_mismatch_raises():
 def test_certify_reference_case_level_four():
     order = 60
     brute = brute_force(MacMahonSpec(1, 4, 2, X2), order)
-    manual = QSeries(f_series(2, trivial_character(), 2, order)) - QSeries(
-        f_series(2, trivial_character(), 4, order)
-    ).scale(Fraction(4))
+    manual = QSeries([a - 4 * b for a, b in zip(
+        f_series(2, trivial_character(), 2, order),
+        f_series(2, trivial_character(), 4, order))])
     assert certify(brute, manual, "brute", "reference combination").match
 
 

@@ -32,7 +32,6 @@ RUNS = [
 ]
 
 SPANS = "wrapped by perfbench/spans.py, so it moves only with the benchmark"
-ALGEBRA = "test algebra, to leave src/ after the benchmark change (item 5)"
 ERROR = "error or mismatch path"
 REPR = "__repr__, for debugging"
 
@@ -42,33 +41,21 @@ EXCEPTIONS = {
         "hash collision reaches it",
     "chars.DirichletCharacter.__repr__": REPR,
     "cli.PolynomialSyntaxError.__init__": ERROR,
-    "field.CycNum.__pow__": ALGEBRA,
     "field.CycNum.__repr__": REPR,
-    "field.CycNum.__rtruediv__": ALGEBRA,
-    "field.CycNum.__truediv__": ALGEBRA,
     "field.CycNum.coeffs": "the Fraction view, for tests and the "
                            "benchmark's coefficient_bits",
     "field.CycNum.inverse": SPANS,
-    "field.CycNum.one": ALGEBRA + "; inverse and __pow__ start from it",
     "field.NotRationalError.__init__": ERROR,
     "polynomial.Polynomial.__call__": SPANS,
     "polynomial.Polynomial.coefficient": "a Fraction view of one "
                                          "coefficient; the package reads nums",
     "polynomial.Polynomial.coeffs": REPR + ", which prints the Fraction view",
-    "polynomial.Polynomial.__neg__": ALGEBRA,
-    "polynomial.Polynomial.__pow__": ALGEBRA,
     "polynomial.Polynomial.__repr__": REPR,
-    "polynomial.Polynomial.__sub__": ALGEBRA,
     "polynomial.cyclotomic_polynomial": SPANS + ", which reads its cache_info",
-    "series.QSeries.__add__": ALGEBRA,
-    "series.QSeries.__eq__": ALGEBRA + "; certify compares the integers",
-    "series.QSeries.__neg__": ALGEBRA,
-    "series.QSeries.__pow__": ALGEBRA,
+    "series.QSeries.__eq__": "value equality; README's example uses it",
     "series.QSeries.__repr__": REPR,
-    "series.QSeries.__sub__": ALGEBRA,
     "series.QSeries.coefficient": ERROR + ": certify reads the mismatch",
     "series.QSeries.inverse": SPANS,
-    "series.QSeries.scale": ALGEBRA,
     "series.f_series": SPANS,
 }
 

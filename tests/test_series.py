@@ -97,27 +97,20 @@ def _fraction_inverse(a):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_FRACTIONS, max_size=8), st.lists(_FRACTIONS, max_size=8),
-       st.integers(0, 7), st.integers(0, 7), _FRACTIONS, st.integers(1, 30))
-def test_integer_form_matches_fraction_definitions(ca, cb, oa, ob, r, g):
+       st.integers(0, 7), st.integers(0, 7), st.integers(1, 30))
+def test_integer_form_matches_fraction_definitions(ca, cb, oa, ob, g):
     a, b = QSeries(ca, oa), QSeries(cb, ob)
     # The Fraction definitions, on the coefficients padded to the order.
     fa = (ca + [Fraction(0)] * 8)[: oa + 1]
     fb = (cb + [Fraction(0)] * 8)[: ob + 1]
     m = min(oa, ob)
     assert a.coeffs == tuple(fa) and a.order == oa
-    results = {
-        "+": (a + b, [x + y for x, y in zip(fa, fb)]),
-        "-": (a - b, [x - y for x, y in zip(fa, fb)]),
-        "*": (a * b, _schoolbook(fa, fb, m)),
-        "scale": (a.scale(r), [r * x for x in fa]),
-        "a - a": (a - a, [Fraction(0)] * (oa + 1)),
-    }
+    results = {"*": (a * b, _schoolbook(fa, fb, m))}
     if fa[0]:
         results["inverse"] = (a.inverse(), _fraction_inverse(fa))
     for op, (got, expected) in results.items():
         assert _is_canonical(got), op
         assert got.coeffs == tuple(expected), op
-    assert (a - a).den == 1 and not any((a - a).nums)
     # The integer constructor: numerators over a den, reduced on the way in.
     same = QSeries([c * g for c in a.nums], oa, a.den * g)
     assert _is_canonical(same)
@@ -128,8 +121,15 @@ def test_integer_form_matches_fraction_definitions(ca, cb, oa, ob, r, g):
 def test_mixed_order_truncates_to_smaller():
     a = QSeries([1, 1, 1], 2)
     b = QSeries([1] * 6, 5)
-    assert (a + b).order == 2
     assert (a * b).order == 2
+
+
+def test_scalars_are_not_series_operands():
+    # Series multiply series only; any other operand is a TypeError.
+    s = QSeries([1, 2], 3)
+    for op in (lambda: s * 2, lambda: 2 * s, lambda: s + s, lambda: -s):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_inverse_geometric():
@@ -230,24 +230,22 @@ def test_g_constant_parity_violations():
 def test_principal_character_mobius_identity(n, k):
     order = 60
     lhs = f_series(k, principal_character(n), 1, order)
-    rhs = QSeries([], order)
+    rhs = [0] * (order + 1)
     for d in range(1, n + 1):
-        if n % d == 0 and mobius(d) != 0:
-            rhs = rhs + QSeries(f_series(k, trivial_character(), d,
-                                         order)).scale(
-                Fraction(mobius(d) * d ** (k - 1))
-            )
-    assert lhs == list(rhs.coeffs)
+        if n % d == 0:
+            for e, v in enumerate(f_series(k, trivial_character(), d, order)):
+                rhs[e] += mobius(d) * d ** (k - 1) * v
+    assert lhs == rhs
 
 
 def test_eulerian_series_identity():
     # p_ell(q)/(1-q)^(ell+1) = sum n^ell q^(n-1), to order 40
     order = 40
-    one_minus_q = QSeries([1, -1], order)
+    geometric = QSeries([1, -1], order).inverse()
     for ell in range(9):
-        lhs = QSeries(eulerian_poly(ell).coeffs, order) * (
-            one_minus_q.inverse() ** (ell + 1)
-        )
+        lhs = QSeries(eulerian_poly(ell).coeffs, order)
+        for _ in range(ell + 1):
+            lhs = lhs * geometric
         for n in range(1, order + 2):
             assert lhs.coeffs[n - 1] == Fraction(n) ** ell
 

@@ -171,10 +171,9 @@ def parse_polynomial(src: str) -> Polynomial:
         if kind == "int":
             c = parse_coeff()
             if peek()[0] == "*":
-                star_off = peek()[2]
                 advance()
                 if peek()[0] != "x":
-                    raise PolynomialSyntaxError("expected x after '*'", star_off + 1)
+                    raise PolynomialSyntaxError("expected x after '*'", peek()[2])
             if peek()[0] == "x":
                 return c, parse_exponent()
             return c, 0

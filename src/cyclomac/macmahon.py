@@ -8,6 +8,7 @@ coefficient-wise identity certificates.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial, lcm
 from typing import NamedTuple
 
@@ -28,11 +29,19 @@ class MacMahonSpec(NamedTuple):
     strict: bool = True
 
 
+@lru_cache(maxsize=1)
+def _inverse_power(n_level: int, k: int, order: int) -> QSeries:
+    """Phi_N^-k through q^order, from `cyclotomic_power`.  The sweep runs
+    the numerators of one (N, k) in a row, so one entry serves them all;
+    more would keep a series of order + 1 terms for every (N, k) seen."""
+    return QSeries(cyclotomic_power(n_level, -k, order))
+
+
 def weight_series(n_level: int, k: int, q_poly: Polynomial,
                   order: int) -> QSeries:
-    """Q/Phi_N^k through q^order: Q times Phi_N^-k from `cyclotomic_power`."""
+    """Q/Phi_N^k through q^order: Q times Phi_N^-k."""
     return (QSeries(q_poly.nums, order, q_poly.den)
-            * QSeries(cyclotomic_power(n_level, -k, order)))
+            * _inverse_power(n_level, k, order))
 
 
 def validate_spec(spec: MacMahonSpec) -> MacMahonSpec:

@@ -18,6 +18,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .chars import (
+    DirichletCharacter,
     enumerate_characters,
     gauss_sum,
     primitive_character,
@@ -30,7 +31,7 @@ from .comb import (
     factorial,
     mobius,
 )
-from .field import CycNum, coerce_pair
+from .field import CycNum, NotRationalError, _reduce, coerce_pair
 from .polynomial import Polynomial, cyclotomic_power
 from .series import EisensteinTerm, QSeries, g_constant
 
@@ -102,6 +103,22 @@ def pole_exponents(n: int) -> list[int]:
     return [j for j in range(1, (n - 1) // 2 + 1) if gcd(j, n) == 1]
 
 
+@lru_cache(maxsize=None)
+def _pole_factors(n: int, k: int) -> tuple[Polynomial, tuple[int, ...]]:
+    """P^k, for the cofactor P = (x^N - 1)/Phi_N, and the row S_0..S_(k-1)
+    of `_pole_taylor`: the pole data that do not depend on Q."""
+    cofactor = Polynomial([-c for c in cyclotomic_power(n, -1, n - euler_phi(n))])
+    power = Polynomial([1])
+    for _ in range(k):
+        power = power * cofactor
+    big_r = [(-1) ** i * binomial(n, i + 1) * n ** (i - 1) for i in range(1, k)]
+    big_s = [1]
+    for j in range(1, k):
+        big_s.append(-sum((j + (k - 1) * i) * big_r[i - 1] * big_s[j - i]
+                          for i in range(1, j + 1)) // j)
+    return power, tuple(big_s)
+
+
 def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
     """Taylor coefficients b_0..b_{k-1} of (1 - zeta x)^k Q(x)/Phi_N(x)^k
     around the pole x = zeta_N^{-1}, in the variable u = 1 - zeta_N x, with
@@ -116,45 +133,31 @@ def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
         (1 - zeta x)^k Q/Phi_N^k = (-1)^k Q P^k / r(u)^k.
     As x^i = zeta_N^{-i} (1 - u)^i, the u^j coefficient A_j of
     Q P^k = sum_i c_i x^i is (-1)^j sum_i c_i binomial(i, j) zeta_N^{-i}:
-    one reduction per j, to an integer row over Q's denominator.  The
-    factor r^{-k} is rational: R(v) = r(N v)/N = 1 + sum_{i>=1} r_i N^(i-1)
-    v^i has integer coefficients and constant term 1, so R^{-k} does too,
-    and its coefficients S_j = N^(k+j) [u^j] r^{-k} follow from
+    one reduction per j, to an integer row over the denominator of Q P^k.
+    The factor r^{-k} is rational: R(v) = r(N v)/N = 1 + sum_{i>=1} r_i
+    N^(i-1) v^i has integer coefficients and constant term 1, so R^{-k}
+    does too, and its coefficients S_j = N^(k+j) [u^j] r^{-k} follow from
     R (R^{-k})' = -k R' R^{-k}:  j S_j = -sum_{i=1..j} (j + (k-1) i) R_i S_(j-i).
     So b_m = (-1)^k N^(-k-m) sum_{j<=m} (N^j A_j) S_(m-j), an integer
     combination of the rows and one CycNum per m.  At N = 1 (P = 1,
     r = 1) this gives b_m = (-1)^(m+k) Q^(m)(1)/m!, and at N = 2 (P = x - 1,
-    r = 2 - u) it gives b_m = Q^(m)(-1)/m!.
+    r = 2 - u) it gives b_m = Q^(m)(-1)/m!.  P^k and the S_j depend on
+    (N, k) only, and come from `_pole_factors`.
     """
-    # Schoolbook products: these lists are short, and packing them for
-    # kronecker_product costs more than it saves.
-    def times(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return out
-
-    cofactor = [-c for c in cyclotomic_power(n, -1, n - euler_phi(n))]
-    den, f = q_poly.den, list(q_poly.nums)
-    for _ in range(k):
-        f = times(f, cofactor)
-    # N^j A_j as integer rows over den, so that the products with the
-    # integers S_j need no Fractions.
+    power, big_s = _pole_factors(n, k)
+    f = q_poly * power
+    # N^j A_j as integer rows over f.den, so that the products with the
+    # integers S_j need no Fractions.  The term c_i (-N)^j binomial(i, j)
+    # goes from j to j + 1 by the exact factor -N (i - j)/(j + 1).
+    terms = [(i, c) for i, c in enumerate(f.nums) if c]
     rows = []
     for j in range(k):
-        a = CycNum.from_exponents(n, (
-            (-i, (-n) ** j * binomial(i, j) * c)
-            for i, c in enumerate(f[j:], j) if c
-        ), den)
-        rows.append([v * (den // a.den) for v in a.nums])
-    big_r = [(-1) ** i * binomial(n, i + 1) * n ** (i - 1) for i in range(1, k)]
-    big_s = [1]
-    for j in range(1, k):
-        big_s.append(-sum((j + (k - 1) * i) * big_r[i - 1] * big_s[j - i]
-                          for i in range(1, j + 1)) // j)
-    sign = (-1) ** k
+        dense = [0] * n
+        for i, c in terms:
+            dense[-i % n] += c
+        rows.append(_reduce(n, dense))
+        terms = [(i, -n * (i - j) * c // (j + 1)) for i, c in terms if i > j]
+    den, sign = f.den, (-1) ** k
     return tuple(CycNum.from_exponents(n, enumerate(
         sign * sum(big_s[m - j] * row[i] for j, row in enumerate(rows[:m + 1]))
         for i in range(len(rows[0]))), den * n ** (k + m)) for m in range(k))
@@ -296,23 +299,27 @@ class ClosedForm(NamedTuple):
                     c, b = coerce_pair(c, g_constant(w, chi))
                     offset, term = coerce_pair(offset, c * b)
                     offset = offset + term
+            # Each entry is one integer row at the level, over den; no
+            # character is defined at m when the row is empty: the entry is 0.
             table = []
             for m in range(period):
-                pairs = []
+                dense = [0] * level
                 for coef, chi, step in rows:
                     r = chi.table[m % chi.modulus]
                     if r is not None:
-                        pairs.extend((e + r * step, v) for e, v in coef)
-                # No character is defined at m: the entry is 0.
-                table.append(CycNum.from_exponents(level, pairs, den)
-                             .to_rational() if pairs else 0)
-            tables.append((g, w, table))
+                        for e, v in coef:
+                            dense[(e + r * step) % level] += v
+                row = _reduce(level, dense)
+                if any(row[1:]):
+                    raise NotRationalError(
+                        CycNum.from_exponents(level, enumerate(row), den))
+                table.append(row[0])
+            tables.append((g, w, den, table))
         offset = offset.to_rational()
-        den = lcm(offset.denominator,
-                  *(v.denominator for _, _, table in tables for v in table))
+        den = lcm(offset.denominator, *(d for _, _, d, _ in tables))
         b = [0] * (order + 1)
-        for g, w, table in tables:
-            table = [v.numerator * (den // v.denominator) for v in table]
+        for g, w, d, table in tables:
+            table = [v * (den // d) for v in table]
             for m in range(1, order // g + 1):
                 v = table[m % len(table)]
                 if v:
@@ -357,6 +364,23 @@ def _collect(acc: dict) -> tuple[EisensteinTerm, ...]:
     return tuple(terms)
 
 
+@lru_cache(maxsize=None)
+def _modulus_plan(n: int) -> tuple[tuple, ...]:
+    """What `closed_form` needs at N >= 3 apart from Q and k: per g | N and
+    per chi mod N/g, the tuple (g, phi(N/g), the first weight of chi's
+    parity, L = lcm(N, e), chi, chi_bar)."""
+    return tuple((g, euler_phi(n // g), 1 if chi.parity < 0 else 2,
+                  lcm(n, chi.level), chi, chi.conjugate())
+                 for g in divisors(n) for chi in enumerate_characters(n // g))
+
+
+@lru_cache(maxsize=None)
+def _embedded_gauss_sum(chi: DirichletCharacter, level: int) -> CycNum:
+    """The Gauss sum of chi embedded at `level`; asked for only for the
+    characters that get a weight."""
+    return gauss_sum(chi).embed(level)
+
+
 def closed_form(inp: AdmissibleInput) -> ClosedForm:
     """The F-form Eisenstein representation of sum_n Q(q^n)/Phi_N(q^n)^k.
 
@@ -381,28 +405,23 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
         # c(j, ell) = sigma_j(c(1, ell)) = sum of v_i zeta_N^(i j) / den.
         rows = {ell: ([(i, v) for i, v in enumerate(c.nums) if v], c.den)
                 for ell, c in p.c.items()}
-        for g in divisors(n):
-            reduced = n // g
-            phi = euler_phi(reduced)
-            for chi in enumerate_characters(reduced):
-                weights = range(1 if chi.parity < 0 else 2, k + 1, 2)
-                if not weights:
-                    continue
-                # The pole data (level N) summed against chi_bar(j) =
-                # zeta_e^(-r(j)), times 2 g^(ell-1)/phi(N/g), is one
-                # reduction at L = lcm(N, e); then one product with the
-                # Gauss sum, embedded at L once per character.
-                level = lcm(n, chi.level)
-                shifts = [(j * (level // n), chi.table[j % reduced]
-                           * (level // chi.level)) for j in poles]
-                gauss = gauss_sum(chi).embed(level)
-                for ell in weights:
-                    nums, den = rows[ell]
-                    scale = 2 * g ** (ell - 1)
-                    pole_sum = CycNum.from_exponents(level, (
-                        (i * j - r, v * scale) for j, r in shifts for i, v in nums
-                    ), den * phi)
-                    acc[(g, chi.conjugate(), ell)] = gauss * pole_sum
+        for g, phi, first, level, chi, chi_bar in _modulus_plan(n):
+            weights = range(first, k + 1, 2)
+            if not weights:
+                continue
+            # The pole data (level N) summed against chi_bar(j) =
+            # zeta_e^(-r(j)), times 2 g^(ell-1)/phi(N/g), is one reduction
+            # at L = lcm(N, e); then one product with the Gauss sum.
+            shifts = [(j * (level // n), chi.table[j % chi.modulus]
+                       * (level // chi.level)) for j in poles]
+            gauss = _embedded_gauss_sum(chi, level)
+            for ell in weights:
+                nums, den = rows[ell]
+                scale = 2 * g ** (ell - 1)
+                pole_sum = CycNum.from_exponents(level, (
+                    (i * j - r, v * scale) for j, r in shifts for i, v in nums
+                ), den * phi)
+                acc[(g, chi_bar, ell)] = gauss * pole_sum
     return ClosedForm(inp, "F", _collect(acc), CycNum.zero())
 
 

@@ -75,6 +75,20 @@ def test_parse_error_carries_offset():
     assert info.value.offset == 6
 
 
+@pytest.mark.parametrize("src, offset", [
+    ("2*", 2),
+    ("2 * 3", 4),
+    ("x^ 2 + 2 *   ", 13),
+])
+def test_expected_x_after_star_reports_the_rejected_token(src, offset):
+    # The offset is the token that is not x (or the end of input), not the
+    # byte after '*'.
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_polynomial(src)
+    assert info.value.offset == offset
+    assert str(info.value) == f"expected x after '*' (at offset {offset})"
+
+
 @pytest.mark.parametrize("src", ["x^\u0663", "x^\u00b2", "x^\u30002"])
 def test_parse_accepts_only_ascii_digits_and_spaces(capsys, src):
     # Arabic-Indic three, superscript two and an ideographic space: each is

@@ -260,6 +260,22 @@ def test_benchmark_reports_match_their_recorded_digests(command, capsys,
             == BENCHMARK_DIGESTS[command])
 
 
+def test_warm_caches_print_the_recorded_bytes(capsys, monkeypatch):
+    # The package keeps per-process caches keyed by N, (N, k) and
+    # (N, k, order).  Every report argv above and every benchmark argv runs
+    # in this one process with those caches left warm, in order and then
+    # reversed, so that a cache keyed by less than its value depends on
+    # hands some run data built for another.
+    monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
+    runs = (GOLDEN + GOLDEN_NESTED + [CSV_GOLDEN]
+            + [(shlex.split(command), digest)
+               for command, digest in sorted(BENCHMARK_DIGESTS.items())])
+    for argv, digest in runs + runs[::-1]:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_every_guarded_argv_takes_the_fast_parse():
     # Every benchmark argv and every argv above parses without argparse, to
     # the namespace argparse returns; only the two whose numerator starts

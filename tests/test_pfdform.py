@@ -424,8 +424,12 @@ def test_evaluate_raises_on_a_group_that_is_not_rational():
     cf = ClosedForm(AdmissibleInput(5, 1, X2), "F", (term,), CycNum.zero())
     # chi(1) = 1 is rational: the check covers every residue, not only the
     # ones that reach the truncation order.
-    with pytest.raises(NotRationalError):
+    with pytest.raises(NotRationalError) as info:
         cf.evaluate(1)
+    # The error reports the first entry that is not rational: chi(2) =
+    # zeta_4, at the group's level.
+    assert info.value.value.level == 4
+    assert info.value.value == chi.value(2)
 
 
 def test_huge_k_is_rejected_without_a_dense_mirror():

@@ -77,6 +77,8 @@ _SINGLE_SUMS_SHARED = {
                             "the nested side runs the depth recurrence",
     "macmahon.validate_spec": "checks t, N, k >= 1 and Q(0) = 0",
     "macmahon.weight_series": "Q/Phi_N^k, the weights both sides sum",
+    "macmahon._inverse_power": "Phi_N^-k inside weight_series, cached per "
+                               "(N, k, order)",
     "series.QSeries.__mul__": "the one product inside weight_series",
 }
 

@@ -299,8 +299,8 @@ class ClosedForm(NamedTuple):
                     c, b = coerce_pair(c, g_constant(w, chi))
                     offset, term = coerce_pair(offset, c * b)
                     offset = offset + term
-            # Each entry is one integer row at the level, over den; no
-            # character is defined at m when the row is empty: the entry is 0.
+            # Each entry is one integer row at the level, over den; where no
+            # character is defined at m, the row is zero and so is the entry.
             table = []
             for m in range(period):
                 dense = [0] * level

@@ -60,7 +60,10 @@ The six help texts (`--help` and each command's `--help`) and four usage
 errors (a bad int, an option the command lacks, a numerator that starts
 with `-` after a space, and a missing required option) are pinned too, at
 COLUMNS=80, the width argparse wraps them to: their stdout, or stderr and
-exit code 2.
+exit code 2.  Three numerator syntax errors pin the error report that `main`
+writes to stderr, with exit code 2: a JSON one whose unexpected character is
+reported ahead of the grammar error before it, and two text ones, a missing
+x after '*' and a zero denominator.
 The recorded digests must only change when the report format is meant to
 change.  The benchmark's own digests, `perfbench/digests.json`, are replayed
 here too, so that a drift in a benchmark op's output fails the test suite
@@ -340,6 +343,26 @@ def test_usage_error_bytes_are_unchanged(argv, digest, capsys, monkeypatch):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == digest
+
+
+SYNTAX_ERROR_GOLDEN = [
+    (["expand", "--N", "3", "--k", "1", "--Q", "x^ + $", "--format", "json"],
+     "653ea6ef35021a971179cb5702f5cb6fdd3026a2fc9ffa03b00f6bf9f3356aac"),
+    (["closed-form", "--N", "5", "--k", "1", "--Q", "2 * 3"],
+     "5236c3e1016d780bb2a0c8bbe95b2f7cc763eddf4e9f4ed4c52571af20198aaa"),
+    (["verify", "--N", "3", "--k", "1", "--Q", "1/0*x"],
+     "eeaaed6f338f41e3e576a2c45a375e3778f0e42ba5f872578ad1e4276086bd79"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SYNTAX_ERROR_GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in SYNTAX_ERROR_GOLDEN])
+def test_syntax_error_bytes_are_unchanged(argv, digest, capsys, monkeypatch):
+    monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert hashlib.sha256(captured.err.encode()).hexdigest() == digest

@@ -84,8 +84,10 @@ class OutputPathError(ValidationError):
     clause = "output: --output must name a writable file"
 
 
-class PolynomialSyntaxError(ValueError):
+class PolynomialSyntaxError(ValidationError):
     """Parse failure, carrying the byte offset of the offending token."""
+
+    clause = "syntax"
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
@@ -125,76 +127,53 @@ def _tokenize(src: str) -> list[tuple[str, object, int]]:
 
 
 def parse_polynomial(src: str) -> Polynomial:
-    """Parse 'coeff*x^e' sums like "1/2*x^2 - x + x^3"; like terms combine."""
+    """Parse a sum like "1/2*x^2 - x + 3x^3"; like terms combine.  A term is
+    c, c x^e, c*x^e or x^e (c an integer or a fraction, x alone is x^1), and
+    a sign comes before every term but the first, where it is optional."""
     tokens = _tokenize(src)
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def advance():
-        nonlocal pos
-        pos += 1
-        return tokens[pos - 1]
-
-    def parse_coeff() -> Fraction:
-        kind, val, off = advance()
-        assert kind == "int"
-        if peek()[0] == "/":
-            advance()
-            k2, v2, o2 = peek()
-            if k2 != "int":
-                raise PolynomialSyntaxError("expected a denominator", o2)
-            advance()
-            if v2 == 0:
-                raise PolynomialSyntaxError("denominator must be nonzero", o2)
-            return Fraction(val, v2)
-        return Fraction(val)
-
-    def parse_exponent() -> int:
-        advance()  # 'x'
-        if peek()[0] == "^":
-            advance()
-            kind, val, off = peek()
-            if kind != "int":
-                raise PolynomialSyntaxError("expected an exponent", off)
-            if val > MAX_EXPONENT:
-                raise PolynomialSyntaxError(
-                    f"exponent {val} exceeds the cap {MAX_EXPONENT}", off
-                )
-            advance()
-            return val
-        return 1
-
-    def parse_term() -> tuple[Fraction, int]:
-        kind, _, off = peek()
-        if kind == "int":
-            c = parse_coeff()
-            if peek()[0] == "*":
-                advance()
-                if peek()[0] != "x":
-                    raise PolynomialSyntaxError("expected x after '*'", peek()[2])
-            if peek()[0] == "x":
-                return c, parse_exponent()
-            return c, 0
-        if kind == "x":
-            return Fraction(1), parse_exponent()
-        raise PolynomialSyntaxError("expected a term", off)
-
     coeffs: dict[int, Fraction] = {}
-    sign = Fraction(1)
-    if peek()[0] in ("+", "-"):
-        sign = Fraction(-1 if advance()[0] == "-" else 1)
-    c, d = parse_term()
-    coeffs[d] = coeffs.get(d, Fraction(0)) + sign * c
-    while peek()[0] in ("+", "-"):
-        sign = Fraction(-1 if advance()[0] == "-" else 1)
-        c, d = parse_term()
-        coeffs[d] = coeffs.get(d, Fraction(0)) + sign * c
-    if peek()[0] != "end":
-        raise PolynomialSyntaxError("unexpected trailing input", peek()[2])
-    top = max(coeffs) if coeffs else 0
-    return Polynomial([coeffs.get(i, Fraction(0)) for i in range(top + 1)])
+    i = 0
+    while i == 0 or tokens[i][0] != "end":
+        kind, value, offset = tokens[i]
+        sign = -1 if kind == "-" else 1
+        if kind in ("+", "-"):
+            i += 1
+            kind, value, offset = tokens[i]
+        elif i > 0:
+            raise PolynomialSyntaxError("unexpected trailing input", offset)
+        if kind == "int":
+            coeff = Fraction(value)
+            i += 1
+            if tokens[i][0] == "/":
+                kind, den, offset = tokens[i + 1]
+                if kind != "int":
+                    raise PolynomialSyntaxError("expected a denominator", offset)
+                if den == 0:
+                    raise PolynomialSyntaxError("denominator must be nonzero", offset)
+                coeff = Fraction(value, den)
+                i += 2
+            if tokens[i][0] == "*":
+                i += 1
+                if tokens[i][0] != "x":
+                    raise PolynomialSyntaxError("expected x after '*'", tokens[i][2])
+        elif kind == "x":
+            coeff = Fraction(1)
+        else:
+            raise PolynomialSyntaxError("expected a term", offset)
+        exponent = 0
+        if tokens[i][0] == "x":
+            exponent = 1
+            i += 1
+            if tokens[i][0] == "^":
+                kind, exponent, offset = tokens[i + 1]
+                if kind != "int":
+                    raise PolynomialSyntaxError("expected an exponent", offset)
+                if exponent > MAX_EXPONENT:
+                    raise PolynomialSyntaxError(
+                        f"exponent {exponent} exceeds the cap {MAX_EXPONENT}", offset)
+                i += 2
+        coeffs[exponent] = coeffs.get(exponent, 0) + sign * coeff
+    return Polynomial([coeffs.get(e, 0) for e in range(max(coeffs) + 1)])
 
 
 # -- reports -------------------------------------------------------------
@@ -625,10 +604,10 @@ def main(argv=None) -> int:
             report["params"] = _params(args)
         report.update(_COMMANDS[args.command].fn(args))
         _emit(report, args)
-    except (ValidationError, PolynomialSyntaxError) as exc:
+    except ValidationError as exc:
         error = {
             "type": type(exc).__name__,
-            "clause": getattr(exc, "clause", "syntax"),
+            "clause": exc.clause,
             "message": str(exc),
         }
         if args.format == "json":

@@ -7,7 +7,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, isqrt, lcm
 from pathlib import Path
 from types import CodeType
 
@@ -33,6 +33,7 @@ from cyclomac import (
     weight_series,
     zeta,
 )
+from cyclomac.cli import MAX_EXPONENT, PolynomialSyntaxError, _tokenize
 from cyclomac.field import coerce_pair
 
 PACKAGE_MODULES = [importlib.import_module(f"cyclomac.{info.name}")
@@ -570,19 +571,92 @@ def _solve_exact(columns, target):
     return solution, r
 
 
-def quasimodular_fit(coeffs, weight: int):
-    """Fit coefficients of q^0..q^order to the monomials E2^a E4^b E6^c,
-    2a + 4b + 6c <= weight, which span the quasimodular forms on SL2(Z) of
-    mixed weight at most `weight`: (a solution or None, the rank)."""
-    order = len(coeffs) - 1
+def _divisor_power_sums(w: int, c: int, order: int) -> list[Fraction]:
+    """1 + c sum_n sigma_{w-1}(n) q^n, the Eisenstein series E_w for the
+    right c, through q^order."""
+    return [Fraction(1)] + [Fraction(c * sum(d ** (w - 1) for d in range(1, n + 1)
+                                             if n % d == 0))
+                            for n in range(1, order + 1)]
+
+
+def _eta_quotient(order: int, shift: int, powers: dict) -> list[Fraction]:
+    """q^shift prod_{n >= 1} prod_m (1 - q^(m n))^powers[m], through q^order,
+    one factor (1 - q^j)^(+-1) at a time on an integer list."""
+    out = [1] + [0] * order
+    for m, e in powers.items():
+        for j in range(m, order + 1, m):
+            for _ in range(abs(e)):
+                if e > 0:
+                    for i in range(order, j - 1, -1):
+                        out[i] -= out[i - j]
+                else:
+                    for i in range(j, order + 1):
+                        out[i] += out[i - j]
+    return [Fraction(0)] * shift + [Fraction(v) for v in out[:order + 1 - shift]]
+
+
+def _theta_series(order: int, form) -> list[Fraction]:
+    """sum of q^form(m, n) over the integer pairs with form(m, n) <= order,
+    for a positive definite binary quadratic form."""
+    out = [Fraction(0)] * (order + 1)
+    bound = isqrt(2 * order)  # both forms are >= 3/4 max(m^2, n^2)
+    for m in range(-bound, bound + 1):
+        for n in range(-bound, bound + 1):
+            v = form(m, n)
+            if v <= order:
+                out[v] += 1
+    return out
+
+
+def quasimodular_generators(level: int, order: int) -> list:
+    """(weight, series) generators of the quasimodular forms on Gamma_1(level)
+    for level 1 to 4, as Fraction lists through q^order: E2, and generators
+    of the ring of modular forms.
+    - 1: E4 and E6.
+    - 2: 2 E2(2 tau) - E2(tau) and E4.
+    - 3: the cubic theta series a(q) = sum q^(m^2 + m n + n^2) and
+      c(q)^3 = 27 q prod (1 - q^(3n))^9 / (1 - q^n)^3 (Borwein, Borwein and
+      Garvan, 1994).
+    - 4: theta(q)^2, theta = sum q^(n^2), and q prod (1 - q^(4n))^8 /
+      (1 - q^(2n))^4 (Koblitz, ch. IV)."""
+    e2 = _divisor_power_sums(2, -24, order)
+    if level == 1:
+        forms = [(4, _divisor_power_sums(4, 240, order)),
+                 (6, _divisor_power_sums(6, -504, order))]
+    elif level == 2:
+        e2_of_2tau = [e2[n // 2] if n % 2 == 0 else Fraction(0)
+                      for n in range(order + 1)]
+        forms = [(2, [2 * a - b for a, b in zip(e2_of_2tau, e2)]),
+                 (4, _divisor_power_sums(4, 240, order))]
+    elif level == 3:
+        forms = [(1, _theta_series(order, lambda m, n: m * m + m * n + n * n)),
+                 (3, [27 * v for v in _eta_quotient(order, 1, {3: 9, 1: -3})])]
+    elif level == 4:
+        theta = _theta_series(order, lambda m, n: m * m + n * n)
+        forms = [(1, theta), (2, _eta_quotient(order, 1, {4: 8, 2: -4}))]
+    else:
+        raise ValueError(f"no quasimodular generators at level {level}")
+    return [(2, e2)] + forms
+
+
+def quasimodular_basis(weight: int, level: int, order: int) -> list:
+    """(weight, series) for every monomial in the generators of
+    `quasimodular_generators` of weight at most `weight`; they span the
+    quasimodular forms on Gamma_1(level) of mixed weight at most `weight`.
+    The first is the constant 1, of weight 0."""
     columns = [(0, [Fraction(1)] + [Fraction(0)] * order)]
-    for w, c in ((2, -24), (4, 240), (6, -504)):
-        e = [Fraction(1)] + [c * sum(d ** (w - 1) for d in range(1, n + 1)
-                                     if n % d == 0) for n in range(1, order + 1)]
+    for w, g in quasimodular_generators(level, order):
         for u, col in columns[:]:
             while u + w <= weight:
-                u, col = u + w, series_mul(col, e)
+                u, col = u + w, series_mul(col, g)
                 columns.append((u, col))
+    return columns
+
+
+def quasimodular_fit(coeffs, weight: int, level: int = 1):
+    """Fit coefficients of q^0..q^order to `quasimodular_basis(weight, level,
+    order)`: (a solution, one coefficient per column, or None, the rank)."""
+    columns = quasimodular_basis(weight, level, len(coeffs) - 1)
     return _solve_exact([col for _, col in columns], coeffs)
 
 
@@ -633,6 +707,84 @@ def frac_str(a: list) -> str:
         else:
             out = ("-" if c < 0 else "") + body
     return out or "0"
+
+
+# -- the numerator parser by recursive descent -----------------------------
+
+
+def parse_polynomial_by_descent(src: str) -> Polynomial:
+    """The CLI's numerator grammar parsed by recursive descent over the same
+    tokens: an oracle for `cli.parse_polynomial`, which must return an equal
+    polynomial, or raise the same message at the same offset."""
+    tokens = _tokenize(src)
+    pos = 0
+
+    def peek():
+        return tokens[pos]
+
+    def advance():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def parse_coeff() -> Fraction:
+        kind, val, off = advance()
+        assert kind == "int"
+        if peek()[0] == "/":
+            advance()
+            k2, v2, o2 = peek()
+            if k2 != "int":
+                raise PolynomialSyntaxError("expected a denominator", o2)
+            advance()
+            if v2 == 0:
+                raise PolynomialSyntaxError("denominator must be nonzero", o2)
+            return Fraction(val, v2)
+        return Fraction(val)
+
+    def parse_exponent() -> int:
+        advance()  # 'x'
+        if peek()[0] == "^":
+            advance()
+            kind, val, off = peek()
+            if kind != "int":
+                raise PolynomialSyntaxError("expected an exponent", off)
+            if val > MAX_EXPONENT:
+                raise PolynomialSyntaxError(
+                    f"exponent {val} exceeds the cap {MAX_EXPONENT}", off
+                )
+            advance()
+            return val
+        return 1
+
+    def parse_term() -> tuple[Fraction, int]:
+        kind, _, off = peek()
+        if kind == "int":
+            c = parse_coeff()
+            if peek()[0] == "*":
+                advance()
+                if peek()[0] != "x":
+                    raise PolynomialSyntaxError("expected x after '*'", peek()[2])
+            if peek()[0] == "x":
+                return c, parse_exponent()
+            return c, 0
+        if kind == "x":
+            return Fraction(1), parse_exponent()
+        raise PolynomialSyntaxError("expected a term", off)
+
+    coeffs: dict[int, Fraction] = {}
+    sign = Fraction(1)
+    if peek()[0] in ("+", "-"):
+        sign = Fraction(-1 if advance()[0] == "-" else 1)
+    c, d = parse_term()
+    coeffs[d] = coeffs.get(d, Fraction(0)) + sign * c
+    while peek()[0] in ("+", "-"):
+        sign = Fraction(-1 if advance()[0] == "-" else 1)
+        c, d = parse_term()
+        coeffs[d] = coeffs.get(d, Fraction(0)) + sign * c
+    if peek()[0] != "end":
+        raise PolynomialSyntaxError("unexpected trailing input", peek()[2])
+    top = max(coeffs) if coeffs else 0
+    return Polynomial([coeffs.get(i, Fraction(0)) for i in range(top + 1)])
 
 
 # -- which package code runs ---------------------------------------------

@@ -8,7 +8,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclomac import (
@@ -32,6 +32,7 @@ from cyclomac.cli import (
 )
 from cyclomac.comb import euler_phi
 from cyclomac.polynomial import Polynomial, format_polynomial
+from helpers import parse_polynomial_by_descent
 
 
 def test_parse_monomial():
@@ -121,6 +122,57 @@ def test_parse_caps_the_exponent():
     assert info.value.offset == 8
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("x^" + "9" * 5000)
+
+
+# The parser's input alphabet: every token character, each ASCII whitespace
+# character, four characters it rejects ('$', a non-ASCII digit, a separator
+# that str.isspace accepts, and NUL), the exponents either side of the cap,
+# and a literal longer than the interpreter's digit limit.
+PARSER_PIECES = (list("0123456789+-*/^x") + list(" \t\n\r\x0b\x0c")
+                 + ["$", "\u0663", "\x1c", "\x00", "10000", "10001",
+                    "9" * 4400])
+TERMS = st.tuples(
+    st.sampled_from(["", "+", "-", " + ", " - "]),
+    st.sampled_from(["", "0", "3", "2/3", "10/4", "7*", "1/2 * ", "1/0"]),
+    st.sampled_from(["", "x", "x^2", "x^0", "x ^ 10", "x^10001", "x^"]),
+).map("".join)
+
+
+def _parsed(parse, src):
+    try:
+        return "ok", parse(src)
+    except PolynomialSyntaxError as exc:
+        return "error", str(exc), exc.offset
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(st.sampled_from(PARSER_PIECES), max_size=12),
+                 st.lists(TERMS, min_size=1, max_size=5)).map("".join))
+@example("3x^2 + x^2")
+@example("-")
+@example("+ - x")
+@example("x^ + $")
+@example("x^" + "9" * 5000)
+@example(f"x + 2*x^{MAX_EXPONENT + 1}")
+def test_parse_matches_the_recursive_descent_oracle(src):
+    # The same polynomial, or the same message at the same offset.
+    assert _parsed(parse_polynomial, src) == _parsed(
+        parse_polynomial_by_descent, src)
+
+
+@pytest.mark.parametrize("src, parsed", [
+    ("-", ("error", "expected a term (at offset 1)", 1)),
+    ("+ - x", ("error", "expected a term (at offset 2)", 2)),
+    ("x^" + "9" * 5000, ("error", "integer literal too long (at offset 2)", 2)),
+])
+def test_parse_reports_signs_without_a_term_and_long_literals(src, parsed):
+    assert _parsed(parse_polynomial, src) == parsed
+
+
+def test_syntax_error_is_a_validation_error():
+    assert issubclass(PolynomialSyntaxError, pfdform.ValidationError)
+    assert issubclass(PolynomialSyntaxError, ValueError)
+    assert PolynomialSyntaxError.clause == "syntax"
 
 
 def run_cli(capsys, *argv):

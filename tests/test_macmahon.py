@@ -15,16 +15,19 @@ from cyclomac import (
     closed_form,
     evaluate_isobaric,
     f_series,
+    to_g_form,
     trivial_character,
     weight_series,
 )
 from cyclomac.cli import DEFAULT_ORDER_ENV, main
 from helpers import (
     brute_single_sums,
+    entered_functions,
     frac_pow,
     isobaric_by_partitions,
     isobaric_decomposition,
     nested_enumeration,
+    quasimodular_basis,
     quasimodular_fit,
     rational_function_series,
     series_mul,
@@ -376,6 +379,68 @@ def test_inadmissible_level_one_series_are_not_quasimodular(t, k, q_poly):
     for strict in (True, False):
         series = brute_force(MacMahonSpec(t, 1, k, q_poly, strict), 60)
         assert quasimodular_fit(series.coeffs, k * t)[0] is None, strict
+
+
+def test_quasimodular_bases_use_no_characters_fields_or_closed_forms():
+    # The oracle must not share code with the closed form it checks.
+    entered = entered_functions(
+        lambda: [quasimodular_basis(4, level, 20) for level in (1, 2, 3, 4)])
+    assert not {name for name in entered
+                if name.split(".")[0] in ("chars", "field", "pfdform")}
+
+
+@pytest.mark.parametrize("n, t, k, q_poly, rank", [
+    (2, 1, 2, X, 3), (2, 2, 2, X, 7), (2, 3, 2, X, 13),
+    (3, 1, 1, X, 2), (3, 2, 1, X, 4), (3, 3, 1, X, 7), (3, 2, 2, X2, 11),
+    (3, 2, 2, X_X3, 11),
+    (4, 1, 1, X, 2), (4, 2, 1, X, 5), (4, 3, 1, X, 8), (4, 2, 2, X2, 14),
+])
+def test_series_at_levels_two_to_four_are_quasimodular(n, t, k, q_poly, rank):
+    # The admissible series lie in the quasimodular forms on Gamma_1(N) of
+    # mixed weight <= k t; the rank is the number of basis columns, so the
+    # fit is unique.
+    order = 60
+    assert len(quasimodular_basis(k * t, n, order)) == rank
+    singles = [closed_form(AdmissibleInput(
+        n, s * k, Polynomial(frac_pow(q_poly.coeffs, s)))).evaluate(order)
+        for s in range(1, t + 1)]
+    for strict in (True, False):
+        for series in (brute_force(MacMahonSpec(t, n, k, q_poly, strict),
+                                   order),
+                       evaluate_isobaric(singles, strict)):
+            solution, found = quasimodular_fit(series.coeffs, k * t, n)
+            assert solution is not None and found == rank, (t, k, strict)
+
+
+@pytest.mark.parametrize("n, t, k, q_poly", [
+    (3, 2, 1, X2), (4, 2, 2, X), (2, 2, 2, Polynomial([0, 1, 1])),
+])
+def test_inadmissible_series_at_levels_two_to_four_are_not_quasimodular(
+        n, t, k, q_poly):
+    for strict in (True, False):
+        series = brute_force(MacMahonSpec(t, n, k, q_poly, strict), 60)
+        assert quasimodular_fit(series.coeffs, k * t, n)[0] is None, strict
+
+
+def test_fitted_weight_zero_part_is_the_g_form_constant():
+    # Each G-form term is a quasimodular form of one weight >= 1, so the
+    # weight-0 column of a unique fit is the printed G-form constant, which
+    # the G certificate cannot check: evaluate adds back what to_g_form
+    # subtracted.  Order 30 gives full rank at every weight <= 4 here.
+    order = 30
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for k in (1, 2, 3, 4):
+            columns = len(quasimodular_basis(k, n, order))
+            for q_poly in admissible_polynomials(n, k):
+                series = brute_force(MacMahonSpec(1, n, k, q_poly), order)
+                solution, found = quasimodular_fit(series.coeffs, k, n)
+                assert found == columns, (n, k, q_poly)
+                constant = to_g_form(closed_form(
+                    AdmissibleInput(n, k, q_poly))).constant
+                assert solution[0] == constant, (n, k, q_poly)
+                checked += 1
+    assert checked == 28
 
 
 def test_certify_identical_series():

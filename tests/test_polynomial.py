@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclomac import AdmissibleInput, Polynomial, pfd_coefficients
+from cyclomac import AdmissibleInput, CycNum, Polynomial, pfd_coefficients, zeta
 from helpers import frac_add, frac_mul, frac_str, frac_trim
 
 RATIONALS = st.one_of(
@@ -79,3 +79,11 @@ def test_numerators_are_in_lowest_terms():
 def test_non_rational_coefficients_are_rejected():
     with pytest.raises(TypeError):
         Polynomial([0.5])
+
+
+def test_the_zero_polynomial_evaluates_to_the_zero_of_the_argument_ring():
+    # Horner's rule has no coefficient to start from, so the value is the
+    # zero of the ring the argument lives in: a CycNum at its level.
+    value = Polynomial()(zeta(5))
+    assert isinstance(value, CycNum) and value.level == 5 and value.is_zero()
+    assert Polynomial()(Fraction(2, 3)) == 0

@@ -579,9 +579,9 @@ def _divisor_power_sums(w: int, c: int, order: int) -> list[Fraction]:
                             for n in range(1, order + 1)]
 
 
-def _eta_quotient(order: int, shift: int, powers: dict) -> list[Fraction]:
-    """q^shift prod_{n >= 1} prod_m (1 - q^(m n))^powers[m], through q^order,
-    one factor (1 - q^j)^(+-1) at a time on an integer list."""
+def _eta_quotient(order: int, powers: dict) -> list[Fraction]:
+    """q prod_{n >= 1} prod_m (1 - q^(m n))^powers[m], through q^order, one
+    factor (1 - q^j)^(+-1) at a time on an integer list."""
     out = [1] + [0] * order
     for m, e in powers.items():
         for j in range(m, order + 1, m):
@@ -592,7 +592,7 @@ def _eta_quotient(order: int, shift: int, powers: dict) -> list[Fraction]:
                 else:
                     for i in range(j, order + 1):
                         out[i] += out[i - j]
-    return [Fraction(0)] * shift + [Fraction(v) for v in out[:order + 1 - shift]]
+    return [Fraction(0)] + [Fraction(v) for v in out[:order]]
 
 
 def _theta_series(order: int, form) -> list[Fraction]:
@@ -630,10 +630,10 @@ def quasimodular_generators(level: int, order: int) -> list:
                  (4, _divisor_power_sums(4, 240, order))]
     elif level == 3:
         forms = [(1, _theta_series(order, lambda m, n: m * m + m * n + n * n)),
-                 (3, [27 * v for v in _eta_quotient(order, 1, {3: 9, 1: -3})])]
+                 (3, [27 * v for v in _eta_quotient(order, {3: 9, 1: -3})])]
     elif level == 4:
         theta = _theta_series(order, lambda m, n: m * m + n * n)
-        forms = [(1, theta), (2, _eta_quotient(order, 1, {4: 8, 2: -4}))]
+        forms = [(1, theta), (2, _eta_quotient(order, {4: 8, 2: -4}))]
     else:
         raise ValueError(f"no quasimodular generators at level {level}")
     return [(2, e2)] + forms

@@ -135,7 +135,8 @@ def evaluate_isobaric(singles: list[QSeries], strict: bool) -> QSeries:
     strict series is the elementary symmetric function e_t and the weak one
     the complete one h_t.  Newton's identities t e_t = sum_i (-1)^(i-1)
     e_(t-i) p_i and t h_t = sum_i h_(t-i) p_i (Macdonald, Symmetric
-    Functions and Hall Polynomials, I 2) build them in t(t+1)/2 products.
+    Functions and Hall Polynomials, I 2) build them in t(t-1)/2 products,
+    as the term by e_0 = h_0 = 1 needs none.
     These run on integers: P_i = D U_i for D the lcm of the single sums'
     `den`s, and E_j = j! D^j e_j obeys E_j = sum_i (+-1)^(i-1)
     (j-1)!/(j-i)! D^(i-1) E_(j-i) P_i, so the result is E_t over t! D^t.
@@ -152,11 +153,12 @@ def evaluate_isobaric(singles: list[QSeries], strict: bool) -> QSeries:
     for j in range(1, t + 1):
         acc = [0] * (order + 1)
         weight = 1  # (+-1)^(i-1) (j-1)!/(j-i)! D^(i-1)
-        for i in range(1, j + 1):
+        for i in range(1, j):
             prod = kronecker_product(e[j - i], p[i - 1], order)
             acc = [a + weight * b for a, b in zip(acc, prod)]
             weight *= (i - j if strict else j - i) * scale
-        e.append(acc)
+        # The i = j term is E_0 P_j = P_j, as E_0 = 1.
+        e.append([a + weight * b for a, b in zip(acc, p[j - 1])])
     return QSeries(e[t], order, factorial(t) * scale**t)
 
 

@@ -300,15 +300,21 @@ class ClosedForm(NamedTuple):
                     offset, term = coerce_pair(offset, c * b)
                     offset = offset + term
             # Each entry is one integer row at the level, over den; where no
-            # character is defined at m, the row is zero and so is the entry.
+            # character is defined at m, the entry is zero.
             table = []
             for m in range(period):
-                dense = [0] * level
+                shifts = []
                 for coef, chi, step in rows:
                     r = chi.table[m % chi.modulus]
                     if r is not None:
-                        for e, v in coef:
-                            dense[(e + r * step) % level] += v
+                        shifts.append((coef, r * step))
+                if not shifts:
+                    table.append(0)
+                    continue
+                dense = [0] * level
+                for coef, shift in shifts:
+                    for e, v in coef:
+                        dense[(e + shift) % level] += v
                 row = _reduce(level, dense)
                 if any(row[1:]):
                     raise NotRationalError(

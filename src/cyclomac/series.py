@@ -104,9 +104,13 @@ class QSeries:
         return f"QSeries(order={self.order}, [{head}{tail}])"
 
     def to_json(self) -> dict:
-        """Exact JSON form of a rational series: coefficient strings."""
-        return {"order": self.order,
-                "coefficients": [str(c) for c in self.coeffs]}
+        """Exact JSON form of a rational series: coefficient strings, "n" or
+        "n/d" in lowest terms as a Fraction prints them."""
+        den, out = self.den, []
+        for c in self.nums:
+            g = gcd(c, den)
+            out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        return {"order": self.order, "coefficients": out}
 
 
 def kronecker_product(a: list[int], b: list[int], order: int) -> list[int]:
@@ -115,8 +119,10 @@ def kronecker_product(a: list[int], b: list[int], order: int) -> list[int]:
     von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).
 
     Both lists are evaluated at q = 2^w, with w wide enough that every
-    product coefficient is a signed w-bit digit.  Adding 2^(w-1) to each of
-    the low order + 1 digits makes them unsigned, so they read off as bytes.
+    product coefficient is a signed w-bit digit.  Adding 2^(w-1) to each
+    digit makes it unsigned, so an operand packs in one pass over its
+    biased digits, less the bias, and the low order + 1 digits of the
+    product read off as bytes.
     """
     n = order + 1
     a, b = a[:n], b[:n]
@@ -125,14 +131,16 @@ def kronecker_product(a: list[int], b: list[int], order: int) -> list[int]:
     if not bound:
         return [0] * n
     size = (bound.bit_length() + 8) // 8  # bytes per digit: 2^(8 size - 1) > bound
+    half = 1 << (8 * size - 1)
+    zero = half.to_bytes(size, "little")  # the biased digit of 0
+    bias = int.from_bytes(zero * n, "little")
 
     def pack(coeffs):
-        pos = b"".join(max(c, 0).to_bytes(size, "little") for c in coeffs)
-        neg = b"".join(max(-c, 0).to_bytes(size, "little") for c in coeffs)
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        # |c| <= bound < half, so every c + half is one unsigned digit;
+        # a list shorter than n is padded with biased zeros.
+        raw = b"".join((c + half).to_bytes(size, "little") for c in coeffs)
+        return int.from_bytes(raw + zero * (n - len(coeffs)), "little") - bias
 
-    half = 1 << (8 * size - 1)
-    bias = int.from_bytes(half.to_bytes(size, "little") * n, "little")
     low = (pack(a) * pack(b) + bias) & ((1 << (8 * size * n)) - 1)
     digits = low.to_bytes(size * n, "little")
     return [int.from_bytes(digits[i:i + size], "little") - half

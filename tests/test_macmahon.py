@@ -277,6 +277,28 @@ def test_newton_assembly_matches_partition_formula(n, k, q_poly, order):
             ), (t, strict)
 
 
+def test_newton_assembly_makes_t_choose_2_products(monkeypatch):
+    # The term by E_0 = 1 of each E_j needs no product, so depth t makes
+    # t(t-1)/2 Kronecker products, not t(t+1)/2, with the same result.
+    order = 20
+    singles = brute_single_sums(6, 1, Polynomial([0, 1, 0, Fraction(-1, 2)]),
+                                6, order)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return series.kronecker_product(*args)
+
+    monkeypatch.setattr(macmahon, "kronecker_product", counting)
+    for t in range(1, 7):
+        for strict in (True, False):
+            calls.clear()
+            got = evaluate_isobaric(singles[:t], strict)
+            assert len(calls) == t * (t - 1) // 2, (t, strict)
+            assert got == isobaric_by_partitions(lambda s: singles[s - 1], t,
+                                                 strict, order), (t, strict)
+
+
 def _add(a: list, b: list) -> list:
     return [x + y for x, y in zip(a, b)]
 

@@ -54,6 +54,8 @@ EXCEPTIONS = {
     "polynomial.cyclotomic_polynomial": SPANS + ", which reads its cache_info",
     "series.QSeries.__eq__": "value equality; README's example uses it",
     "series.QSeries.__repr__": REPR,
+    "series.QSeries.coeffs": "the Fraction view that __repr__ prints and "
+                             "perfbench/spans.py's brute_bits reads",
     "series.QSeries.coefficient": ERROR + ": certify reads the mismatch",
     "series.QSeries.inverse": SPANS,
     "series.f_series": SPANS,

@@ -75,6 +75,13 @@ def test_kronecker_product_matches_schoolbook(a, b, order):
     ([255] * 4, [255] * 4, 6),
     ([255], [1], 1),                                  # ... filling whole bytes
     ([1, 1], [-(2**16 - 1)], 2),
+    # Shorter than order + 1, with digits at -bound and +bound: a biased
+    # digit of 1 and one that fills its bytes, padded with biased zeros.
+    ([-127], [1], 3),
+    ([127, -127], [-1], 4),
+    ([-(2**15 - 1), 2**15 - 1], [1], 5),
+    ([1], [2**15 - 1, -(2**15 - 1)], 6),
+    ([-3, 0, 5], [-2, 7], 9),
 ])
 def test_kronecker_product_edge_cases(a, b, order):
     assert kronecker_product(a, b, order) == _schoolbook(a, b, order)
@@ -252,6 +259,24 @@ def test_eulerian_series_identity():
 
 def test_series_equality_requires_same_order():
     assert QSeries([1, 2], 1) != QSeries([1, 2, 0], 2)
+
+
+_NUMERATORS = st.one_of(st.integers(-50, 50), st.just(0),
+                        st.integers(-2**100, 2**100),
+                        st.integers(2**64, 2**100).map(lambda c: -c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(1, 12), st.integers(2**64, 2**70)), st.data())
+def test_json_coefficients_print_as_their_fractions(den, data):
+    # Numerators negative, zero, multiples of den and beyond 2^64, over den
+    # before the series reduces them.
+    nums = data.draw(st.lists(st.one_of(
+        _NUMERATORS, _NUMERATORS.map(lambda c: c * den)), min_size=1,
+        max_size=10))
+    s = QSeries(nums, len(nums) - 1, den)
+    assert s.to_json()["coefficients"] == [str(Fraction(c, den))
+                                           for c in nums]
 
 
 def test_json_round_trip_rational():

@@ -333,6 +333,11 @@ def _cmd_verify(args) -> dict:
     validate(AdmissibleInput(args.N, args.k, q_poly))
     order = args.order
     desc = f"N={args.N} k={args.k} Q={format_polynomial(q_poly)} order={order}"
+    # The nested brute forces run first: the one cached Phi_N^-k of
+    # `weight_series` then serves U_1 as well.
+    nested = {strict: brute_force(MacMahonSpec(args.t, args.N, args.k, q_poly,
+                                               strict), order)
+              for strict in (True, False) if args.t > 1}
     cf, singles, closed, cert = _single_sums(args.N, args.k, q_poly, args.t,
                                              order, desc)
     certs = [
@@ -341,12 +346,8 @@ def _cmd_verify(args) -> dict:
                 "closed-form-G", "brute-force(t=1)", descriptor=desc),
     ]
     if args.t > 1:
-        nested = {}
         for strict in (True, False):
             tag = "strict" if strict else "weak"
-            nested[strict] = brute_force(
-                MacMahonSpec(args.t, args.N, args.k, q_poly, strict), order
-            )
             certs.append(
                 certify(
                     evaluate_isobaric(singles, strict),

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 
 from .polynomial import cyclotomic_power, format_terms
 
@@ -38,30 +40,43 @@ def _phi(level: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _phi_terms(level: int) -> tuple[tuple[int, int], ...]:
-    """The nonzero (i, coefficient) pairs of Phi_level below its leading
-    term.  Most are zero when p^2 divides the level: then
-    Phi_L(x) = Phi_{L/p}(x^p)."""
-    phi = _phi(level)
-    return tuple((i, m) for i, m in
-                 enumerate(cyclotomic_power(level, 1, phi)[:phi]) if m)
+def _divisions(level: int) -> tuple[tuple[int, tuple], ...]:
+    """The monic divisors that `_reduce` divides by in turn, each as its
+    degree and its nonzero (i, coefficient) pairs below the leading term:
+    Phi_d(x^(level/d)) for d = p_1, p_1 p_2, ..., p_1 ... p_r, the primes
+    of the level in increasing order (Phi_1 at level 1).  Each vanishes at
+    every primitive level-th root of unity, so each is a multiple of
+    Phi_level, and the last is Phi_level itself.  The degrees
+    phi(d) level/d shrink by the factor 1 - 1/p at each step: the sparse
+    first divisors remove most rows of a long remainder, and the dense
+    Phi_level only the last phi(level)/(p_r - 1)."""
+    from .comb import factorint  # comb imports this module
+
+    out = []
+    for d in list(accumulate(sorted(factorint(level)), mul)) or [1]:
+        phi, step = _phi(d), level // d
+        out.append((phi * step, tuple(
+            (i * step, m)
+            for i, m in enumerate(cyclotomic_power(d, 1, phi)[:phi]) if m)))
+    return tuple(out)
 
 
 def _reduce(level: int, rem: list[int]) -> list[int]:
     """Remainder of sum(rem[i] x^i) modulo Phi_level, padded to phi(level),
-    in place: Phi_level is monic and integral, so the integers stay integers."""
-    phi = _phi(level)
-    terms = _phi_terms(level)
-    for top in range(len(rem) - 1, phi - 1, -1):
-        c = rem[top]
-        if c:
-            # Phi is monic: subtract c * x^(top-phi) * Phi; rem[top] itself
-            # is dropped below.
-            shift = top - phi
-            for i, m in terms:
-                rem[shift + i] -= c * m
-    del rem[phi:]
-    rem.extend([0] * (phi - len(rem)))
+    in place.  Each divisor of `_divisions` is a monic integral multiple of
+    Phi_level, so the integers stay integers and the class modulo Phi_level
+    is kept; the last leaves the degree below phi(level)."""
+    for degree, terms in _divisions(level):
+        for top in range(len(rem) - 1, degree - 1, -1):
+            c = rem[top]
+            if c:
+                # Subtract c * x^(top-degree) * divisor; rem[top] itself is
+                # dropped below.
+                shift = top - degree
+                for i, m in terms:
+                    rem[shift + i] -= c * m
+        del rem[degree:]
+    rem.extend([0] * (_phi(level) - len(rem)))
     return rem
 
 

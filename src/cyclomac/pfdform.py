@@ -31,7 +31,7 @@ from .comb import (
     factorial,
     mobius,
 )
-from .field import CycNum, NotRationalError, _reduce, coerce_pair
+from .field import CycNum, NotRationalError, _canonical, _reduce, coerce_pair
 from .polynomial import Polynomial, cyclotomic_power
 from .series import EisensteinTerm, QSeries, g_constant
 
@@ -158,9 +158,9 @@ def _pole_taylor(n: int, k: int, q_poly: Polynomial) -> tuple[CycNum, ...]:
         rows.append(_reduce(n, dense))
         terms = [(i, -n * (i - j) * c // (j + 1)) for i, c in terms if i > j]
     den, sign = f.den, (-1) ** k
-    return tuple(CycNum.from_exponents(n, enumerate(
+    return tuple(_canonical(n, [
         sign * sum(big_s[m - j] * row[i] for j, row in enumerate(rows[:m + 1]))
-        for i in range(len(rows[0]))), den * n ** (k + m)) for m in range(k))
+        for i in range(len(rows[0]))], den * n ** (k + m)) for m in range(k))
 
 
 def _partial_sums(b: list) -> dict[int, object]:
@@ -185,8 +185,7 @@ def _c_from_a(a: Mapping[int, CycNum], k: int) -> dict[int, CycNum]:
         h[0] = [u + step * v for u, v in zip(h[0], a[r].nums)]
         scale *= r - 1
     den *= factorial(k - 1)
-    return {ell: CycNum.from_exponents(level, enumerate(row), den)
-            for ell, row in enumerate(h, 1)}
+    return {ell: _canonical(level, row, den) for ell, row in enumerate(h, 1)}
 
 
 def _c_from_taylor(b: tuple[CycNum, ...], k: int) -> dict[int, CycNum]:
@@ -205,8 +204,7 @@ def _c_from_taylor(b: tuple[CycNum, ...], k: int) -> dict[int, CycNum]:
         h[0] = [u + step * v for u, v in zip(h[0], b[k - r].nums)]
         scale *= r - 1
     den *= factorial(k - 1)
-    return {ell: CycNum.from_exponents(level, enumerate(row), den)
-            for ell, row in enumerate(h, 1)}
+    return {ell: _canonical(level, row, den) for ell, row in enumerate(h, 1)}
 
 
 class PfdCoefficients(NamedTuple):
@@ -317,8 +315,7 @@ class ClosedForm(NamedTuple):
                         dense[(e + shift) % level] += v
                 row = _reduce(level, dense)
                 if any(row[1:]):
-                    raise NotRationalError(
-                        CycNum.from_exponents(level, enumerate(row), den))
+                    raise NotRationalError(_canonical(level, row, den))
                 table.append(row[0])
             tables.append((g, w, den, table))
         offset = offset.to_rational()
@@ -391,8 +388,11 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
     """The F-form Eisenstein representation of sum_n Q(q^n)/Phi_N(q^n)^k.
 
     Weight-ell terms carry dilations g | N and conjugated characters modulo
-    N/g of parity (-1)^ell; their scalar weights combine the pole data with
-    Gauss sums.  For N <= 2 only the trivial character appears.
+    N/g of parity (-1)^ell.  At N >= 3 the coefficient of (g, conj(chi), ell)
+    is 2 g^(ell-1)/phi(N/g) times the Gauss sum of chi times the sum over
+    the poles j of c(j, ell) conj(chi)(j): one convolution of two integer
+    rows at L = lcm(N, e) and one reduction, and none where c(ell) = 0.
+    For N <= 2 only the trivial character appears.
     """
     n, k = inp.N, inp.k
     p = pfd_coefficients(inp)
@@ -412,22 +412,32 @@ def closed_form(inp: AdmissibleInput) -> ClosedForm:
         rows = {ell: ([(i, v) for i, v in enumerate(c.nums) if v], c.den)
                 for ell, c in p.c.items()}
         for g, phi, first, level, chi, chi_bar in _modulus_plan(n):
-            weights = range(first, k + 1, 2)
+            weights = [ell for ell in range(first, k + 1, 2) if rows[ell][0]]
             if not weights:
                 continue
             # The pole data (level N) summed against chi_bar(j) =
-            # zeta_e^(-r(j)), times 2 g^(ell-1)/phi(N/g), is one reduction
-            # at L = lcm(N, e); then one product with the Gauss sum.
+            # zeta_e^(-r(j)) are collected by exponent at L = lcm(N, e);
+            # each collected term times each entry of the Gauss sum goes
+            # into one row, below L + phi(L), that `_reduce` reduces once.
             shifts = [(j * (level // n), chi.table[j % chi.modulus]
                        * (level // chi.level)) for j in poles]
             gauss = _embedded_gauss_sum(chi, level)
+            entries = [(a, x) for a, x in enumerate(gauss.nums) if x]
             for ell in weights:
                 nums, den = rows[ell]
+                pole = [0] * level
+                for j, r in shifts:
+                    for i, v in nums:
+                        pole[(i * j - r) % level] += v
+                dense = [0] * (level + len(gauss.nums))
+                for e, v in enumerate(pole):
+                    if v:
+                        for a, x in entries:
+                            dense[e + a] += v * x
                 scale = 2 * g ** (ell - 1)
-                pole_sum = CycNum.from_exponents(level, (
-                    (i * j - r, v * scale) for j, r in shifts for i, v in nums
-                ), den * phi)
-                acc[(g, chi_bar, ell)] = gauss * pole_sum
+                acc[(g, chi_bar, ell)] = _canonical(
+                    level, [v * scale for v in _reduce(level, dense)],
+                    den * phi * gauss.den)
     return ClosedForm(inp, "F", _collect(acc), CycNum.zero())
 
 

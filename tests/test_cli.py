@@ -17,6 +17,7 @@ from cyclomac import (
     EisensteinTerm,
     cli,
     enumerate_characters,
+    macmahon,
     pfdform,
 )
 from cyclomac.cli import (
@@ -431,9 +432,23 @@ def test_verify_with_nested_index_certificates(capsys, monkeypatch):
     assert "isobaric-closed-form(t=3)" in labels
     # One closed form per weight k s, s = 1..t; the F certificate's evaluated
     # U_1 is reused by the isobaric closed form, so only the G-form and
-    # U_2, ..., U_t are evaluated besides it.  Brute force builds the t
-    # single sums, then the strict and the weak nested series.
+    # U_2, ..., U_t are evaluated besides it.  Brute force builds the strict
+    # and the weak nested series, then the t single sums.
     assert calls == {"closed_form": 3, "evaluate": 4, "brute_force": 5}
+
+
+@pytest.mark.parametrize("t", [3, 20])
+def test_verify_expands_each_weight_once(capsys, t):
+    # weight_series caches one Phi_N^-k.  The nested brute forces at weight
+    # k run before the single sums, so U_1 finds it: one miss per weight
+    # s k, s = 1..t, and none for the nested series.
+    macmahon._inverse_power.cache_clear()
+    code, _, _ = run_cli(
+        capsys, "verify", "--N", "3", "--k", "1", "--Q", "x", "--t", str(t),
+        "--order", "60", "--format", "json",
+    )
+    assert code == 0
+    assert macmahon._inverse_power.cache_info().misses == t
 
 
 def test_verify_symmetry_violation_exits_two(capsys):

@@ -15,6 +15,7 @@ from cyclomac import (
     gauss_sum,
     zeta,
 )
+from cyclomac import field
 from cyclomac.field import coerce_pair
 from cyclomac.polynomial import Polynomial, format_polynomial
 from helpers import NotInSubfieldError, from_rationals, project
@@ -309,3 +310,18 @@ def test_integer_form_matches_fraction_definitions(data, level):
     assert _is_canonical(lifted)
     assert lifted == _from_exponents(
         target, [(i * (target // level), c) for i, c in enumerate(a.coeffs)])
+
+
+@pytest.mark.parametrize("level", [*range(1, 37), 60, 105, 210, 420])
+def test_reduce_matches_long_division_by_phi(level):
+    # _reduce divides by Phi_d(x^(level/d)) for d = p_1, p_1 p_2, ... and
+    # only then by Phi_level.  Its remainder must be the one long division
+    # by Phi_level gives, for rows as long as a product (2 phi - 1) and as a
+    # convolution of closed_form (level + phi).
+    rng = random.Random(level)
+    phi = len(CycNum.zero(level).nums)
+    for length in (1, phi, 2 * phi - 1, level, level + phi):
+        row = [rng.randint(-9, 9) for _ in range(length)]
+        expected = _from_exponents(level, list(enumerate(row)))
+        assert expected.den == 1
+        assert tuple(field._reduce(level, row)) == expected.nums, length

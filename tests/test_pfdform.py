@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from cyclomac import pfdform
+from cyclomac import field, pfdform
 from cyclomac import (
     AdmissibleInput,
     ClosedForm,
@@ -22,6 +22,7 @@ from cyclomac import (
     closed_form,
     conjugate_relation_violations,
     cyclotomic_polynomial,
+    divisors,
     enumerate_characters,
     euler_phi,
     f_series,
@@ -402,11 +403,15 @@ def test_evaluate_matches_term_by_term_sum(inp):
     *(i for i in sweep_inputs(max_n=12, degree_bound=10) if i.N >= 3),
     # Six poles: the Galois exponents i * j folded into the pole sum.
     *(AdmissibleInput(13, 1, q) for q in admissible_polynomials(13, 1)),
+    # Prime-power levels, and levels with two odd primes, where L = lcm(N, e)
+    # takes several steps to reduce.
+    *(AdmissibleInput(n, 1, q) for n in (16, 20, 21, 25, 27)
+      for q in admissible_polynomials(n, 1)[:3]),
 ], ids=lambda i: f"N{i.N}k{i.k}{i.Q}")
 def test_closed_form_matches_per_pole_route(inp):
-    # Summing the pole data against conj(chi)(j) before the one Gauss-sum
-    # product must give the same terms, at the same levels, as one product
-    # per pole.
+    # Summing the pole data against conj(chi)(j) and convolving the sum
+    # with the Gauss sum must give the same terms, at the same levels, as
+    # one product per pole.
     terms = {(t.dilation, t.character, t.weight): t.coefficient
              for t in closed_form(inp).terms}
     oracle = closed_form_per_pole(inp)
@@ -414,6 +419,47 @@ def test_closed_form_matches_per_pole_route(inp):
     for key, coef in terms.items():
         assert coef.level == oracle[key].level, key
         assert coef == oracle[key], key
+
+
+@pytest.mark.parametrize("inp", [
+    AdmissibleInput(5, 2, Polynomial.monomial(4)),
+    AdmissibleInput(7, 1, Polynomial.monomial(3)),
+    # c(2) = 0 and c(3) = 0: those weights get no row at all.
+    AdmissibleInput(12, 2, X + Polynomial.monomial(7)),
+    AdmissibleInput(12, 3, Polynomial.monomial(3) + Polynomial.monomial(9)),
+    *(AdmissibleInput(13, k, q) for k in (1, 2)
+      for q in admissible_polynomials(13, k)[:2]),
+], ids=lambda i: f"N{i.N}k{i.k}{i.Q}")
+def test_closed_form_reduces_each_term_once(inp, monkeypatch):
+    # Each term is the Gauss sum convolved with the pole data into one
+    # row, reduced once: no CycNum product, and no row for a weight whose
+    # c(ell) is zero.  The pole data reduce only their k Taylor rows; every
+    # other row they build is reduced already.
+    closed_form(inp)  # fills the caches of the Gauss sums and the plan
+    pfd_coefficients.cache_clear()
+    calls = {"_reduce": 0, "__mul__": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    reduce = counting("_reduce", field._reduce)
+    monkeypatch.setattr(field, "_reduce", reduce)
+    monkeypatch.setattr(pfdform, "_reduce", reduce)
+    mul = counting("__mul__", CycNum.__mul__)
+    monkeypatch.setattr(CycNum, "__mul__", mul)
+    monkeypatch.setattr(CycNum, "__rmul__", mul)
+    p = pfd_coefficients(inp)
+    assert calls == {"_reduce": inp.k, "__mul__": 0}
+    terms = [(g, chi, ell) for g in divisors(inp.N)
+             for chi in enumerate_characters(inp.N // g)
+             for ell in range(1, inp.k + 1)
+             if chi.parity == (-1) ** ell and p.c[ell]]
+    cf = closed_form(inp)
+    assert calls == {"_reduce": inp.k + len(terms), "__mul__": 0}
+    assert len(cf.terms) <= len(terms)
 
 
 def test_evaluate_raises_on_a_group_that_is_not_rational():

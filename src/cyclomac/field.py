@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import gcd, lcm
-from operator import mul
 
 from .polynomial import cyclotomic_power, format_terms
 
@@ -52,8 +50,9 @@ def _divisions(level: int) -> tuple[tuple[int, tuple], ...]:
     Phi_level only the last phi(level)/(p_r - 1)."""
     from .comb import factorint  # comb imports this module
 
-    out = []
-    for d in list(accumulate(sorted(factorint(level)), mul)) or [1]:
+    out, d = [], 1
+    for p in sorted(factorint(level)) or [1]:
+        d *= p
         phi, step = _phi(d), level // d
         out.append((phi * step, tuple(
             (i * step, m)

@@ -380,7 +380,7 @@ def _modulus_plan(n: int) -> tuple[tuple, ...]:
 @lru_cache(maxsize=None)
 def _embedded_gauss_sum(chi: DirichletCharacter, level: int) -> CycNum:
     """The Gauss sum of chi embedded at `level`; asked for only for the
-    characters that get a weight."""
+    characters that get a weight with nonzero c(ell)."""
     return gauss_sum(chi).embed(level)
 
 

@@ -403,8 +403,8 @@ def test_evaluate_matches_term_by_term_sum(inp):
     *(i for i in sweep_inputs(max_n=12, degree_bound=10) if i.N >= 3),
     # Six poles: the Galois exponents i * j folded into the pole sum.
     *(AdmissibleInput(13, 1, q) for q in admissible_polynomials(13, 1)),
-    # Prime-power levels, and levels with two odd primes, where L = lcm(N, e)
-    # takes several steps to reduce.
+    # Prime powers (16, 25, 27), 20 = 4 * 5 and 21 = 3 * 7: levels
+    # L = lcm(N, e) that _reduce divides down in one to three steps.
     *(AdmissibleInput(n, 1, q) for n in (16, 20, 21, 25, 27)
       for q in admissible_polynomials(n, 1)[:3]),
 ], ids=lambda i: f"N{i.N}k{i.k}{i.Q}")

@@ -156,11 +156,11 @@ def trivial_character() -> DirichletCharacter:
     return enumerate_characters(1)[0]
 
 
-@lru_cache(maxsize=None)
 def gauss_sum(chi: DirichletCharacter) -> CycNum:
     """sum over a mod N of chi(a) * zeta_N^a, at level L = lcm(N, value
-    level): one reduction of the exponents r(a) * L/level + a * L/N;
-    computed once per character."""
+    level): one reduction of the exponents r(a) * L/level + a * L/N.
+    Not cached here: `pfdform._embedded_gauss_sum` keeps each one the
+    pipeline asks for."""
     n = chi.modulus
     level = lcm(n, chi.level)
     return CycNum.from_exponents(level, (

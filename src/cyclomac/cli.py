@@ -47,8 +47,10 @@ DEFAULT_ORDER_ENV = "CYCLOMAC_ORDER"
 # largest nesting depth t and the largest sweep --degree-bound.  A verify
 # at depth t builds t single sums by brute force and by closed form, the
 # closed-form ones at weights up to k t, and its isobaric assemblies make
-# t(t-1)/2 series products each; at k = 100 one closed form at N = 3 takes
-# seconds, and the sweep corpus grows exponentially in its degree bound.
+# t(t-1)/2 series products each.  At k = 100 one closed form at N = 3
+# takes about 0.1 s, and the sweep corpus grows
+# polynomially in its degree bound (285 inputs at 12, 332 at 14), so the
+# sweep at every cap takes about 0.3 s at order 60.
 MAX_EXPONENT = 10_000
 MAX_ORDER = 10_000
 MAX_N = 10_000

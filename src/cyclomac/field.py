@@ -3,10 +3,10 @@
 Elements are stored in the power basis {zeta_L^i : 0 <= i < phi(L)}, reduced
 modulo the L-th cyclotomic polynomial, as integer numerators over one positive
 denominator in lowest terms, so equality at a fixed level is a plain tuple
-comparison.  Binary operations accept ints, Fractions and
-CycNums at the same level, and raise `LevelMismatchError` on two different
-levels; `coerce_pair` embeds a pair into Q(zeta_lcm) where a caller means to
-mix levels.  Values are immutable.
+comparison.  `+`, `*` and `==` accept ints, Fractions and CycNums on either
+side, and `-` on its right.  Two CycNums at different levels are first
+embedded in Q(zeta_lcm) by `coerce_pair`, so a value of Q(zeta_a) times one
+of Q(zeta_b) lands at lcm(a, b).  Values are immutable.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .polynomial import cyclotomic_power, format_terms
 
 
 class LevelMismatchError(ValueError):
-    """Raised when a binary operation mixes two different cyclotomic levels."""
+    """Raised when a value is embedded at a level its own does not divide."""
 
 
 class NotRationalError(ValueError):
@@ -136,24 +136,25 @@ class CycNum:
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
+        """(self, other) at one level: a rational at self's level, or two
+        CycNums at the lcm of theirs; None for any other type."""
         if isinstance(other, (int, Fraction)):
-            return CycNum.from_rational(self.level, other)
+            return self, CycNum.from_rational(self.level, other)
         if isinstance(other, CycNum):
-            if other.level != self.level:
-                raise LevelMismatchError(
-                    f"levels {self.level} and {other.level} differ; embed first"
-                )
-            return other
+            if other.level == self.level:
+                return self, other
+            return coerce_pair(self, other)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        pair = self._coerce(other)
+        if pair is None:
             return NotImplemented
-        den = lcm(self.den, o.den)
-        fa, fb = den // self.den, den // o.den
-        return _canonical(self.level,
-                          [a * fa + b * fb for a, b in zip(self.nums, o.nums)],
+        x, y = pair
+        den = lcm(x.den, y.den)
+        fa, fb = den // x.den, den // y.den
+        return _canonical(x.level,
+                          [a * fa + b * fb for a, b in zip(x.nums, y.nums)],
                           den)
 
     __radd__ = __add__
@@ -162,27 +163,26 @@ class CycNum:
         return _canonical(self.level, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction, CycNum)):
             return NotImplemented
-        return self + -o
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return _canonical(self.level,
                               [a * other.numerator for a in self.nums],
                               self.den * other.denominator)
-        o = self._coerce(other)
-        if o is None:
+        pair = self._coerce(other)
+        if pair is None:
             return NotImplemented
-        dense = [0] * (2 * len(self.nums) - 1)
-        bs = [(j, b) for j, b in enumerate(o.nums) if b]
-        for i, a in enumerate(self.nums):
+        x, y = pair
+        dense = [0] * (2 * len(x.nums) - 1)
+        bs = [(j, b) for j, b in enumerate(y.nums) if b]
+        for i, a in enumerate(x.nums):
             if a:
                 for j, b in bs:
                     dense[i + j] += a * b
-        return _canonical(self.level, _reduce(self.level, dense),
-                          self.den * o.den)
+        return _canonical(x.level, _reduce(x.level, dense), x.den * y.den)
 
     __rmul__ = __mul__
 
@@ -234,12 +234,11 @@ class CycNum:
     # -- comparison and display ----------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.nums[0] == other * self.den
-        if not isinstance(other, CycNum):
+        pair = self._coerce(other)
+        if pair is None:
             return NotImplemented
-        a, b = (self, other) if other.level == self.level else coerce_pair(self, other)
-        return a.nums == b.nums and a.den == b.den
+        x, y = pair
+        return x.nums == y.nums and x.den == y.den
 
     # Equal values can live at different levels, so no level-based hash can
     # satisfy the hash contract; field elements are not dict keys here.
@@ -260,8 +259,7 @@ def zeta(level: int, exponent: int = 1) -> CycNum:
 
 
 def coerce_pair(a: CycNum, b: CycNum) -> tuple[CycNum, CycNum]:
-    """Embed both operands into Q(zeta_lcm) so binary operations apply."""
-    if a.level == b.level:
-        return a, b
+    """Both operands embedded into Q(zeta_lcm); `CycNum._coerce` calls it
+    when their levels differ."""
     target = lcm(a.level, b.level)
     return a.embed(target), b.embed(target)

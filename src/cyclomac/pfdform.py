@@ -10,7 +10,6 @@ G-form term lists.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
@@ -31,7 +30,7 @@ from .comb import (
     factorial,
     mobius,
 )
-from .field import CycNum, NotRationalError, _canonical, _reduce, coerce_pair
+from .field import CycNum, NotRationalError, _canonical, _reduce
 from .polynomial import Polynomial, cyclotomic_power
 from .series import EisensteinTerm, QSeries, g_constant
 
@@ -294,9 +293,7 @@ class ClosedForm(NamedTuple):
                               for i, v in enumerate(c.nums) if v],
                              chi, level // chi.level))
                 if self.form == "G":
-                    c, b = coerce_pair(c, g_constant(w, chi))
-                    offset, term = coerce_pair(offset, c * b)
-                    offset = offset + term
+                    offset = offset + c * g_constant(w, chi)
             # Each entry is one integer row at the level, over den; where no
             # character is defined at m, the entry is zero.
             table = []
@@ -347,14 +344,6 @@ class ClosedForm(NamedTuple):
 
 def _term_sort_key(t: EisensteinTerm):
     return (t.dilation, t.character.modulus, t.character.index, t.weight)
-
-
-def _merge_terms(acc: dict, key, coefficient):
-    if key in acc:
-        a, b = coerce_pair(acc[key], coefficient)
-        acc[key] = a + b
-    else:
-        acc[key] = coefficient
 
 
 def _collect(acc: dict) -> tuple[EisensteinTerm, ...]:
@@ -459,15 +448,13 @@ def to_g_form(cf: ClosedForm) -> ClosedForm:
             psi_d = psi.value(d)
             if not psi_d:
                 continue
-            coef, psi_d = coerce_pair(t.coefficient, psi_d)
-            coef = coef * psi_d * Fraction(mu * d ** (t.weight - 1))
-            _merge_terms(acc, (t.dilation * d, psi, t.weight), coef)
+            coef = t.coefficient * psi_d * (mu * d ** (t.weight - 1))
+            key = (t.dilation * d, psi, t.weight)
+            acc[key] = acc[key] + coef if key in acc else coef
     terms = _collect(acc)
     constant = CycNum.zero()
     for t in terms:
-        coef, g_const = coerce_pair(t.coefficient, g_constant(t.weight, t.character))
-        constant, term = coerce_pair(constant, coef * g_const)
-        constant = constant - term
+        constant = constant - t.coefficient * g_constant(t.weight, t.character)
     return ClosedForm(cf.input, "G", terms, constant)
 
 

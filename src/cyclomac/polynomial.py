@@ -19,7 +19,7 @@ NEG_INFINITY = float("-inf")
 class Polynomial:
     """A polynomial sum(c_i * x^i) with rational c_i, held as the integers
     `nums` over the positive integer `den`, gcd(den, *nums) = 1, with no
-    trailing zero; `coeffs` and `coefficient` read them as Fractions."""
+    trailing zero; `coeffs` reads them as Fractions."""
 
     __slots__ = ("nums", "den")
 
@@ -53,9 +53,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.nums
-
-    def coefficient(self, i: int) -> Fraction:
-        return Fraction(self.nums[i] if 0 <= i < len(self.nums) else 0, self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -441,7 +441,8 @@ def rising_factorial(n: int) -> Polynomial:
 def stirling_first_unsigned(n: int, k: int) -> int:
     """The unsigned Stirling number of the first kind s(n, k), the
     coefficient of x^k in the rising factorial x(x+1)...(x+n-1)."""
-    return int(rising_factorial(n).coefficient(k))
+    cs = rising_factorial(n).coeffs
+    return int(cs[k]) if 0 <= k < len(cs) else 0
 
 
 def c_by_stirling_sum(a, k: int) -> dict:

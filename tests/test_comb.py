@@ -35,7 +35,7 @@ def test_stirling_empty_product():
 
 @pytest.mark.parametrize("n,k,expected", [(3, 2, 3), (4, 2, 11)])
 def test_stirling_small_values_against_polynomial_oracle(n, k, expected):
-    assert rising_factorial(n).coefficient(k) == expected
+    assert rising_factorial(n).coeffs[k] == expected
     assert stirling_first_unsigned(n, k) == expected
 
 

@@ -167,11 +167,6 @@ def test_galois_requires_coprime():
         zeta(6).galois(3)
 
 
-def test_level_mismatch_raises():
-    with pytest.raises(LevelMismatchError):
-        zeta(3) + zeta(4)
-
-
 def test_coerce_pair_embeds_at_the_lcm():
     a, b = coerce_pair(zeta(3), zeta(4))
     assert a.level == b.level == 12
@@ -250,6 +245,34 @@ def test_embed_is_ring_homomorphism(data):
     b = data.draw(_cyc_numbers(level))
     assert (a * b).embed(target) == a.embed(target) * b.embed(target)
     assert (a + b).embed(target) == a.embed(target) + b.embed(target)
+
+
+MIXED_LEVELS = [1, 2, 3, 4, 5, 6, 8, 12, 15, 20, 24]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(MIXED_LEVELS))
+def test_mixed_operands_meet_at_the_lcm_of_their_levels(data, level):
+    # b is a CycNum at any listed level, or an int or a Fraction, which
+    # sits at a's level; each operation on (a, b), with b on either side,
+    # equals the same operation on the pair embedded by hand.  CycNum has
+    # no __rsub__ (the package never subtracts from a rational), so a
+    # rational minus a is written -a + b.
+    a = data.draw(_cyc_numbers(level))
+    b = data.draw(st.one_of(
+        st.sampled_from(MIXED_LEVELS).flatmap(_cyc_numbers),
+        st.integers(min_value=-6, max_value=6),
+        _small_fractions(),
+    ))
+    if isinstance(b, CycNum):
+        x, y = coerce_pair(a, b)
+    else:
+        x, y = a, CycNum.from_rational(level, b)
+    assert x.level == y.level == math.lcm(level, getattr(b, "level", 1))
+    b_minus_a = b - a if isinstance(b, CycNum) else -a + b
+    for got, want in ((a + b, x + y), (b + a, y + x), (a - b, x - y),
+                      (b_minus_a, y - x), (a * b, x * y), (b * a, y * x)):
+        assert (got.level, got.nums, got.den) == (x.level, want.nums, want.den)
 
 
 @settings(max_examples=100, deadline=None)

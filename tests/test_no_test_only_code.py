@@ -47,8 +47,6 @@ EXCEPTIONS = {
     "field.CycNum.inverse": SPANS,
     "field.NotRationalError.__init__": ERROR,
     "polynomial.Polynomial.__call__": SPANS,
-    "polynomial.Polynomial.coefficient": "a Fraction view of one "
-                                         "coefficient; the package reads nums",
     "polynomial.Polynomial.coeffs": REPR + ", which prints the Fraction view",
     "polynomial.Polynomial.__repr__": REPR,
     "polynomial.cyclotomic_polynomial": SPANS + ", which reads its cache_info",

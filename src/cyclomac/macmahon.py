@@ -63,36 +63,46 @@ def brute_force(spec: MacMahonSpec, order: int) -> QSeries:
     weight series.
 
     At depth t = 1 both are p_1 = sum_n w_n, whose q^e coefficient is the
-    divisor sum of the r_j over j | e.  Deeper, both products evolve by
-    f_d += w_n f_(d-1): strict runs d down and reads the old f_(d-1), weak
-    runs d up and reads the new one.  f_d is D^d times the depth-d series,
-    held as one integer sum_e f_d[e] 2^(B (order - e)) (Kronecker
-    substitution, as in `series`, with q^0 in the top digit).  Times q^(j n)
-    is then a right shift by B j n, which drops exactly the terms past
-    q^order, rounded to the nearest integer as ((f >> (B j n - 1)) + 1) >> 1.
-    The rounding is exact: while every digit has |c| < 2^(B-1), the dropped
-    digits add up to less than (2^(B-1) - 1)/(2^B - 1) < 1/2 of a unit.  So
-    adding w_n f_(d-1) is a shift, multiply and add per r_j != 0 with
-    j n <= order, summed smallest first, and the signed digits are read off
-    once at the end, each offset by 2^(B-1).
+    divisor sum of the r_j over j | e, one plain loop over the multiples of
+    each j.  Deeper, both products evolve by f_d += w_n f_(d-1) for the
+    indices n from `order` down to 1: strict runs d down and reads the old
+    f_(d-1), weak runs d up and reads the new one.  f_d is D^d times the
+    depth-d series, held as one integer sum_e f_d[e] 2^(B (order - e))
+    (Kronecker substitution, as in `series`, with q^0 in the top digit).
+    Times q^(j n) is then a right shift by B j n, which drops exactly the
+    terms past q^order, rounded to the nearest integer as
+    ((f >> (B j n - 1)) + 1) >> 1.  The rounding is exact: while every digit
+    has |c| < 2^(B-1), the dropped digits add up to less than
+    (2^(B-1) - 1)/(2^B - 1) < 1/2 of a unit.  So adding w_n f_(d-1) is a
+    shift, multiply and add per r_j != 0 with j n <= order, summed smallest
+    first, and the signed digits are read off once at the end, each offset
+    by 2^(B-1).  A step whose shift is at least the bit length of f_(d-1)
+    adds exactly 0, as the shift leaves 0 or -1, so it is skipped.  With
+    the indices taken downwards, w_m starts at q^m as Q(0) = 0, so f_(d-1)
+    holds only indices m >= n and starts at q^((d-1) n) or higher: a short
+    integer, past which the steps of large j n all fall.
 
-    The width B: after the indices 1..n, f_d is e_d (strict) or h_d (weak)
-    of w_1..w_n.  Every monomial of h_d occurs in p_1^d, and every monomial
-    of e_d occurs there d! times, so |[q^e] f_d| <= [q^e] A^d, over d! when
-    strict, at every n, where A = p_1(|w_1|, |w_2|, ...) has A_e = sum over
-    j | e of |r_j|.  With b_d the bits of the largest [q^e] A^d, e <= order,
-    and L_d = floor(log2 d!) when strict (0 when weak), every digit of f_d is
-    below 2^(b_d - L_d); B = 2 + max over d <= t of b_d - L_d keeps every
-    |c| < 2^(B-2), a bit to spare.  A^d runs packed in bytes, each digit
-    below (max A)^d (order + 1)^(d-1), so none carries."""
+    The width B: the order of the indices is free, as e_d and h_d are
+    symmetric in the w_n, and after any set of indices f_d is e_d (strict)
+    or h_d (weak) of their weights.  Every monomial of h_d occurs in p_1^d,
+    and every monomial of e_d occurs there d! times, so
+    |[q^e] f_d| <= [q^e] A^d, over d! when strict, at every step, where
+    A = p_1(|w_1|, |w_2|, ...) has A_e = sum over j | e of |r_j|.  With b_d
+    the bits of the largest [q^e] A^d, e <= order, and L_d = floor(log2 d!)
+    when strict (0 when weak), every digit of f_d is below 2^(b_d - L_d);
+    B = 2 + max over d <= t of b_d - L_d keeps every |c| < 2^(B-2), a bit to
+    spare.  A^d runs packed in bytes, each digit below
+    (max A)^d (order + 1)^(d-1), so none carries."""
     validate_spec(spec)
     t = spec.t
     w = weight_series(spec.N, spec.k, spec.Q, order)
     r = w.nums
     rows = r if t == 1 else [abs(c) for c in r]
     a = [0] * (order + 1)
-    for j in filter(rows.__getitem__, range(1, order + 1)):
-        a[j::j] = [x + rows[j] for x in a[j::j]]
+    for j in range(1, order + 1):
+        if v := rows[j]:
+            for e in range(j, order + 1, j):
+                a[e] += v
     if t == 1:
         return QSeries(a, order, w.den)
     size = (t * max(a).bit_length()
@@ -111,14 +121,15 @@ def brute_force(spec: MacMahonSpec, order: int) -> QSeries:
     width = bits + 2
     depths = range(t, 0, -1) if spec.strict else range(1, t + 1)
     f = [1 << width * order] + [0] * t
-    for n in range(1, order + 1):
+    for n in range(order, 0, -1):
         steps = [(r[j], width * j * n - 1) for j in range(order // n, 0, -1)
                  if r[j]]
         for d in depths:
             if src := f[d - 1]:
-                acc = 0
+                top, acc = src.bit_length(), 0
                 for c, shift in steps:
-                    acc += c * (((src >> shift) + 1) >> 1)
+                    if shift < top:
+                        acc += c * (((src >> shift) + 1) >> 1)
                 f[d] += acc
     half, digit = 1 << width - 1, (1 << width) - 1
     digits = f[t] + half * (((1 << width * (order + 1)) - 1) // digit)

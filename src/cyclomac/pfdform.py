@@ -270,8 +270,10 @@ class ClosedForm(NamedTuple):
         the pair's terms depends only on m modulo the lcm of their moduli.
         Every entry of every table must be rational, else NotRationalError.
         Over one common denominator, the integers table[m] m^(w-1) of all
-        pairs add up in b[m g], and one divisor-sum pass over b gives the
-        series: its q^e coefficient is the sum of b[d] over d | e.
+        pairs add up in b[m g], one residue class of m modulo the period at
+        a time, so that a zero entry costs nothing and each other entry is
+        scaled once.  One divisor-sum pass over b gives the series: its q^e
+        coefficient is the sum of b[d] over d | e.
         """
         groups: dict[tuple[int, int], list[EisensteinTerm]] = {}
         for t in self.terms:
@@ -319,11 +321,12 @@ class ClosedForm(NamedTuple):
         den = lcm(offset.denominator, *(d for _, _, d, _ in tables))
         b = [0] * (order + 1)
         for g, w, d, table in tables:
-            table = [v * (den // d) for v in table]
-            for m in range(1, order // g + 1):
-                v = table[m % len(table)]
+            period, top, scale = len(table), order // g, den // d
+            for r, v in enumerate(table):
                 if v:
-                    b[m * g] += v * m ** (w - 1)
+                    v *= scale
+                    for m in range(r or period, top + 1, period):
+                        b[m * g] += v * m ** (w - 1)
         out = [offset.numerator * (den // offset.denominator)] + [0] * order
         for d in range(1, order + 1):
             if b[d]:
@@ -467,9 +470,8 @@ def conjugate_relation_violations(inp: AdmissibleInput) -> list[tuple]:
     with every sigma_j, so the one pole zeta_N^{-1} decides the relation at
     all of them.  At N <= 2 the one pole is real, so the relation says that
     the odd-weight coefficients vanish."""
-    return [(ell, c, c.conjugate())
-            for ell, c in pfd_coefficients(inp).c.items()
-            if c.conjugate() != c * (-1) ** ell]
+    return [(ell, c, bar) for ell, c in pfd_coefficients(inp).c.items()
+            if (bar := c.conjugate()) != c * (-1) ** ell]
 
 
 def admissible_polynomials(n: int, k: int) -> list[Polynomial]:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclomac import macmahon, series
 from cyclomac import (
@@ -91,6 +93,22 @@ def test_brute_force_matches_nested_enumeration_deep(t, n_level, k, order,
     for q_poly in (signed, Polynomial([0])):
         spec = MacMahonSpec(t, n_level, k, q_poly, strict)
         assert brute_force(spec, order) == nested_enumeration(spec, order)
+
+
+# Numerators with Q(0) = 0 and signed fractional coefficients, up to x^5.
+NUMERATORS = st.lists(st.fractions(min_value=-40, max_value=40,
+                                   max_denominator=6),
+                      min_size=1, max_size=5).map(lambda c: Polynomial([0, *c]))
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(st.builds(MacMahonSpec, st.integers(1, 5), st.integers(1, 12),
+                 st.integers(1, 3), NUMERATORS, st.booleans()),
+       st.integers(1, 20))
+def test_brute_force_matches_nested_enumeration_drawn(spec, order):
+    # The packed recurrence skips the steps whose shift clears the whole
+    # integer and rounds every shift; both must be exact on any draw.
+    assert brute_force(spec, order) == nested_enumeration(spec, order)
 
 
 def test_brute_force_runs_without_the_isobaric_code(monkeypatch):

@@ -392,8 +392,10 @@ def test_closed_form_evaluation_matches_brute_on_slice():
 def test_evaluate_matches_term_by_term_sum(inp):
     cf = closed_form(inp)
     # At order 40, products m g from different dilations and weights land
-    # on the same entry of evaluate's one divisor-sum pass.
-    for form, order in product((cf, to_g_form(cf)), (12, 40)):
+    # on the same entry of evaluate's one divisor-sum pass.  Orders 1 and 5
+    # lie below the largest dilation at N = 12, so some dilations reach no
+    # m at all and some residue classes of m reach none below the order.
+    for form, order in product((cf, to_g_form(cf)), (1, 5, 12, 40)):
         series = form.evaluate(order)
         assert list(series.coeffs) == evaluate_term_by_term(form, order), form.form
         assert all(type(c) is Fraction for c in series.coeffs)

@@ -67,72 +67,88 @@ def brute_force(spec: MacMahonSpec, order: int) -> QSeries:
     each j.  Deeper, both products evolve by f_d += w_n f_(d-1) for the
     indices n from `order` down to 1: strict runs d down and reads the old
     f_(d-1), weak runs d up and reads the new one.  f_d is D^d times the
-    depth-d series, held as one integer sum_e f_d[e] 2^(B (order - e))
-    (Kronecker substitution, as in `series`, with q^0 in the top digit).
-    Times q^(j n) is then a right shift by B j n, which drops exactly the
-    terms past q^order, rounded to the nearest integer as
-    ((f >> (B j n - 1)) + 1) >> 1.  The rounding is exact: while every digit
-    has |c| < 2^(B-1), the dropped digits add up to less than
-    (2^(B-1) - 1)/(2^B - 1) < 1/2 of a unit.  So adding w_n f_(d-1) is a
-    shift, multiply and add per r_j != 0 with j n <= order, summed smallest
-    first, and the signed digits are read off once at the end, each offset
-    by 2^(B-1).  A step whose shift is at least the bit length of f_(d-1)
-    adds exactly 0, as the shift leaves 0 or -1, so it is skipped.  With
-    the indices taken downwards, w_m starts at q^m as Q(0) = 0, so f_(d-1)
-    holds only indices m >= n and starts at q^((d-1) n) or higher: a short
-    integer, past which the steps of large j n all fall.
+    depth-d series, held as one integer sum_e f_d[e] 2^(B (order + 1 - e))
+    plus an error (Kronecker substitution, as in `series`, with q^0 in the
+    top digit and a guard digit q^(order+1) below q^order).  f_1 gains w_n
+    itself, sum_j r_j 2^(B (order + 1 - j n)) over j n <= order, built
+    once per n and exact.  At d >= 2, times q^(j n) is the floor shift
+    f_(d-1) >> B j n, which drops the terms past the guard digit, so adding
+    w_n f_(d-1) is a shift, multiply and add per r_j != 0 with
+    j n <= order, summed smallest first.  A step whose shift is at least
+    the bit length of f_(d-1) is skipped.  With the indices taken
+    downwards, w_m starts at q^m as Q(0) = 0, so f_(d-1) holds only indices
+    m >= n and starts at q^((d-1) n) or higher: a short integer, past which
+    the steps of large j n all fall.
+
+    Exactness: while every digit and the error are below 2^(B-2) in size,
+    the dropped digits and the error add up to less than 2^(B j n) (1/3 +
+    1/4), so a floor shift differs from the truncation of the exact digits
+    by 0 or -1, and a skipped step (0 where the shift gives 0 or -1) by at
+    most 1.  Each step is thus off by at most |r_j|, and the errors of one
+    depth total at most S = sum over e <= order of A_e (A below), which
+    counts |r_j| once for each j n = e.  They do not grow from depth to
+    depth, as the next depth's floor shifts absorb them.  At the end, with the guard
+    digit plus the error below 2^(B-1) in size, (f_t + 2^(B-1)) >> B rounds
+    them off exactly, and the signed digits are read off once, each offset
+    by 2^(B-1).
 
     The width B: the order of the indices is free, as e_d and h_d are
     symmetric in the w_n, and after any set of indices f_d is e_d (strict)
-    or h_d (weak) of their weights.  Every monomial of h_d occurs in p_1^d,
-    and every monomial of e_d occurs there d! times, so
-    |[q^e] f_d| <= [q^e] A^d, over d! when strict, at every step, where
+    or h_d (weak) of their weights, the guard digit holding some of its
+    terms.  Every monomial of h_d occurs in p_1^d, and every monomial of e_d
+    occurs there d! times, so |[q^e] f_d| <= [q^e] A^d, over d! when
+    strict, at every step and e <= order + 1, where
     A = p_1(|w_1|, |w_2|, ...) has A_e = sum over j | e of |r_j|.  With b_d
-    the bits of the largest [q^e] A^d, e <= order, and L_d = floor(log2 d!)
-    when strict (0 when weak), every digit of f_d is below 2^(b_d - L_d);
-    B = 2 + max over d <= t of b_d - L_d keeps every |c| < 2^(B-2), a bit to
-    spare.  A^d runs packed in bytes, each digit below
-    (max A)^d (order + 1)^(d-1), so none carries."""
+    the bits of the largest [q^e] A^d, e <= order + 1, and
+    L_d = floor(log2 d!) when strict (0 when weak), every digit of f_d is
+    below 2^(b_d - L_d); B = 2 + max(b, bit length of S), b the largest
+    b_d - L_d over d <= t, keeps every digit and the error below 2^(B-2).
+    A^d runs packed in bytes over order + 2 digits, each below
+    (max A)^d (order + 2)^(d-1), so none carries."""
     validate_spec(spec)
     t = spec.t
     w = weight_series(spec.N, spec.k, spec.Q, order)
     r = w.nums
     rows = r if t == 1 else [abs(c) for c in r]
-    a = [0] * (order + 1)
+    top = order if t == 1 else order + 1  # deeper, q^top is a guard digit
+    a = [0] * (top + 1)
     for j in range(1, order + 1):
         if v := rows[j]:
-            for e in range(j, order + 1, j):
+            for e in range(j, top + 1, j):
                 a[e] += v
     if t == 1:
         return QSeries(a, order, w.den)
     size = (t * max(a).bit_length()
-            + (t - 1) * (order + 1).bit_length()) // 8 + 1  # bytes per digit
+            + (t - 1) * (top + 1).bit_length()) // 8 + 1  # bytes per digit
     packed = int.from_bytes(b"".join(c.to_bytes(size, "little") for c in a),
                             "little")
     power, bits = 1, 0
     for d in range(1, t + 1):
-        power = (power * packed) & ((1 << 8 * size * (order + 1)) - 1)
-        raw = power.to_bytes(size * (order + 1), "little")
+        power = (power * packed) & ((1 << 8 * size * (top + 1)) - 1)
+        raw = power.to_bytes(size * (top + 1), "little")
         # The largest digit's bits, from the largest byte at each place.
-        top = max((max(raw[p::size]) << 8 * p).bit_length()
-                  for p in range(size))
-        bits = max(bits, top - (factorial(d).bit_length() - 1
-                                if spec.strict else 0))
-    width = bits + 2
+        high = max((max(raw[p::size]) << 8 * p).bit_length()
+                   for p in range(size))
+        bits = max(bits, high - (factorial(d).bit_length() - 1
+                                 if spec.strict else 0))
+    width = 2 + max(bits, sum(a[:top]).bit_length())
     depths = range(t, 0, -1) if spec.strict else range(1, t + 1)
-    f = [1 << width * order] + [0] * t
+    f = [0] * (t + 1)
     for n in range(order, 0, -1):
-        steps = [(r[j], width * j * n - 1) for j in range(order // n, 0, -1)
+        steps = [(r[j], width * j * n) for j in range(order // n, 0, -1)
                  if r[j]]
         for d in depths:
-            if src := f[d - 1]:
-                top, acc = src.bit_length(), 0
+            if d == 1:  # f_0 = 1: add w_n itself
+                f[1] += sum(c << width * top - shift for c, shift in steps)
+            elif src := f[d - 1]:
+                length, acc = src.bit_length(), 0
                 for c, shift in steps:
-                    if shift < top:
-                        acc += c * (((src >> shift) + 1) >> 1)
+                    if shift < length:
+                        acc += c * (src >> shift)
                 f[d] += acc
     half, digit = 1 << width - 1, (1 << width) - 1
-    digits = f[t] + half * (((1 << width * (order + 1)) - 1) // digit)
+    digits = ((f[t] + half) >> width) + half * (
+        ((1 << width * (order + 1)) - 1) // digit)
     return QSeries([((digits >> width * (order - e)) & digit) - half
                     for e in range(order + 1)], order, w.den**t)
 

@@ -107,8 +107,23 @@ NUMERATORS = st.lists(st.fractions(min_value=-40, max_value=40,
        st.integers(1, 20))
 def test_brute_force_matches_nested_enumeration_drawn(spec, order):
     # The packed recurrence skips the steps whose shift clears the whole
-    # integer and rounds every shift; both must be exact on any draw.
+    # integer and floors every other shift into the guard digit, which is
+    # rounded off once; both must be exact on any draw.
     assert brute_force(spec, order) == nested_enumeration(spec, order)
+
+
+def test_brute_force_is_exact_at_deep_order():
+    # Each floor shift is off by at most |r_j|, so the errors of one depth
+    # total at most S, the sum of the majorant's coefficients through the
+    # order, and the width leaves room for them below the guard digit.  At
+    # t = 2, N = 3, k = 1, Q = x and order 1000, S has 13 bits, one short of
+    # the majorant's 14 strict (15 weak): of the specs tried, there the
+    # errors come nearest to the digits in size.
+    order = 1000
+    singles = brute_single_sums(3, 1, X, 2, order)
+    for strict in (True, False):
+        assert brute_force(MacMahonSpec(2, 3, 1, X, strict), order) == (
+            evaluate_isobaric(singles, strict)), strict
 
 
 def test_brute_force_runs_without_the_isobaric_code(monkeypatch):
@@ -241,7 +256,9 @@ def test_evaluate_isobaric_matches_brute_force():
     # The Newton assembly of depth-1 brute forces checks the packed width at
     # depth, where nested enumeration is exponential.  The strict width
     # divides the majorant A^d by d!.  At t = 2, N = 1 that bound is tight
-    # at depth 2, so a width two bits narrower gives wrong digits.
+    # at depth 2, so a width two bits narrower gives wrong strict digits
+    # (q^95 to q^100); one bit narrower still passes, as the width is a
+    # sufficient bound, not a tight one.
     signed = Polynomial([0, Fraction(-7, 3), 0, 1000, Fraction(1, 2)])
     for t, n, k, q_poly, order in [(20, 3, 1, X, 240), (8, 1, 1, signed, 100),
                                    (8, 12, 2, signed, 100),

@@ -1,12 +1,13 @@
-"""Dirichlet characters: enumeration, conductors, primitive characters and
-Gauss sums.
+"""Dirichlet characters: enumeration, primitive characters and Gauss sums.
 
 Characters modulo N are built from the cyclic decomposition of the unit group
 (Z/N)^x: CRT over prime powers, primitive roots at odd prime powers, and
 {-1} x <5> at powers of two.  All values of all characters modulo N live at
 the common cyclotomic level e = exponent of (Z/N)^x, and a character stores
 each value as an exponent of zeta_e, so a sum over character values is one
-`CycNum.from_exponents` reduction.
+`CycNum.from_exponents` reduction.  A character carries no conductor:
+`primitive_character` finds it as the least divisor of N from which the
+character is induced.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class DirichletCharacter:
         self.exponents = exponents
         self.level = level
         self.table = table
-        self.conductor = self._conductor()
 
     def value(self, a: int) -> CycNum:
         """chi(a) as a CycNum at the character's level."""
@@ -98,14 +98,6 @@ class DirichletCharacter:
         if 2 * r == self.level:
             return -1
         raise ArithmeticError("character value at -1 is not a sign")
-
-    def _conductor(self) -> int:
-        n = self.modulus
-        for f in divisors(n):
-            if all(r == 0 for a, r in enumerate(self.table)
-                   if r is not None and a % f == 1 % f):
-                return f
-        return n
 
     def conjugate(self) -> "DirichletCharacter":
         """The complex-conjugate character, as an enumerated object."""
@@ -170,12 +162,15 @@ def gauss_sum(chi: DirichletCharacter) -> CycNum:
 
 
 def primitive_character(chi: DirichletCharacter) -> DirichletCharacter:
-    """The primitive character that induces chi (modulo chi's conductor)."""
-    f = chi.conductor
-    for psi in enumerate_characters(f):
-        # psi's value level divides chi's, so compare rescaled exponents.
-        step = chi.level // psi.level
-        if all(r is None or psi.table[a % f] * step == r
-               for a, r in enumerate(chi.table)):
-            return psi
-    raise ArithmeticError("no primitive character found below the conductor")
+    """The primitive character that induces chi.  chi is induced from the
+    modulus f exactly when its conductor divides f, so the first divisor f
+    of the modulus with a character psi mod f that agrees with chi on the
+    units is the conductor, and that psi is primitive."""
+    for f in divisors(chi.modulus):
+        for psi in enumerate_characters(f):
+            # psi's value level divides chi's, so compare rescaled exponents.
+            step = chi.level // psi.level
+            if all(r is None or psi.table[a % f] * step == r
+                   for a, r in enumerate(chi.table)):
+                return psi
+    raise ArithmeticError("no character modulo a divisor induces chi")

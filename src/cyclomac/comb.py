@@ -1,5 +1,8 @@
 """Integer and rational combinatorics: multiplicative arithmetic functions
 and (generalized) Bernoulli numbers.
+
+The module loads without the package: `field` and `polynomial` import it,
+so its one use of `CycNum` is imported where the value is built.
 """
 
 from __future__ import annotations
@@ -9,8 +12,6 @@ from functools import lru_cache
 from math import comb as binomial, factorial  # noqa: F401  (re-exported API)
 from math import lcm
 from typing import TYPE_CHECKING
-
-from .field import CycNum
 
 if TYPE_CHECKING:
     from .chars import DirichletCharacter
@@ -54,6 +55,7 @@ def mobius(n: int) -> int:
     return -1 if len(f) % 2 else 1
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorint(n).items():
@@ -80,6 +82,8 @@ def gen_bernoulli(k: int, chi: "DirichletCharacter"):
     modulo 1 gives B_k(1), the classical numbers with the weight-1 value
     B_1(1) = +1/2.
     """
+    from .field import CycNum  # field imports this module
+
     if k < 0:
         raise ValueError("index must be nonnegative")
     f = chi.modulus

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .comb import euler_phi, factorint
 from .polynomial import cyclotomic_power, format_terms
 
 
@@ -31,13 +32,6 @@ class NotRationalError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _phi(level: int) -> int:
-    from .comb import euler_phi  # comb imports this module
-
-    return euler_phi(level)
-
-
-@lru_cache(maxsize=None)
 def _divisions(level: int) -> tuple[tuple[int, tuple], ...]:
     """The monic divisors that `_reduce` divides by in turn, each as its
     degree and its nonzero (i, coefficient) pairs below the leading term:
@@ -48,12 +42,10 @@ def _divisions(level: int) -> tuple[tuple[int, tuple], ...]:
     phi(d) level/d shrink by the factor 1 - 1/p at each step: the sparse
     first divisors remove most rows of a long remainder, and the dense
     Phi_level only the last phi(level)/(p_r - 1)."""
-    from .comb import factorint  # comb imports this module
-
     out, d = [], 1
     for p in sorted(factorint(level)) or [1]:
         d *= p
-        phi, step = _phi(d), level // d
+        phi, step = euler_phi(d), level // d
         out.append((phi * step, tuple(
             (i * step, m)
             for i, m in enumerate(cyclotomic_power(d, 1, phi)[:phi]) if m)))
@@ -75,7 +67,7 @@ def _reduce(level: int, rem: list[int]) -> list[int]:
                 for i, m in terms:
                     rem[shift + i] -= c * m
         del rem[degree:]
-    rem.extend([0] * (_phi(level) - len(rem)))
+    rem.extend([0] * (euler_phi(level) - len(rem)))
     return rem
 
 
@@ -115,8 +107,8 @@ class CycNum:
     @classmethod
     def from_rational(cls, level: int, value) -> "CycNum":
         value = Fraction(value)
-        return _canonical(level, [value.numerator] + [0] * (_phi(level) - 1),
-                          value.denominator)
+        nums = [value.numerator] + [0] * (euler_phi(level) - 1)
+        return _canonical(level, nums, value.denominator)
 
     @classmethod
     def zero(cls, level: int = 1) -> "CycNum":

@@ -13,6 +13,8 @@ from itertools import accumulate, zip_longest
 from math import gcd, lcm
 from typing import Iterable
 
+from .comb import divisors, euler_phi, mobius
+
 NEG_INFINITY = float("-inf")
 
 
@@ -135,8 +137,6 @@ def cyclotomic_power(n: int, e: int, order: int) -> list[int]:
     e.  Phi_n = prod_{d | n} (1 - x^d)^mu(n/d), negated at n = 1, so each
     factor with d within the order is |e| prefix sums per residue class mod
     d (a division by 1 - x^d) or |e| differences (a product)."""
-    from .comb import divisors, mobius  # comb imports this module
-
     g = [-1 if n == 1 and e % 2 else 1] + [0] * order
     for d in divisors(n):
         power = e * mobius(n // d)
@@ -153,8 +153,6 @@ def cyclotomic_power(n: int, e: int, order: int) -> list[int]:
 def cyclotomic_polynomial(n: int) -> Polynomial:
     """The n-th cyclotomic polynomial, the series Phi_n^1 truncated at its
     degree phi(n).  Each factor is a unit, so the truncation is exact."""
-    from .comb import euler_phi  # comb imports this module
-
     if n < 1:
         raise ValueError("cyclotomic polynomials are indexed by positive integers")
     return Polynomial(cyclotomic_power(n, 1, euler_phi(n)))

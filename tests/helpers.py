@@ -489,6 +489,18 @@ def principal_character(n: int):
     return enumerate_characters(n)[0]
 
 
+def conductor(chi) -> int:
+    """The least divisor f of chi's modulus with chi(a) = 1 for every unit
+    a = 1 (mod f); an oracle for the divisor search of
+    `primitive_character`, which compares whole tables instead."""
+    n = chi.modulus
+    for f in divisors(n):
+        if all(r == 0 for a, r in enumerate(chi.table)
+               if r is not None and a % f == 1 % f):
+            return f
+    return n
+
+
 def induced_character(chi, m: int):
     """The character modulo m agreeing with chi on residues coprime to m."""
     if m % chi.modulus != 0:

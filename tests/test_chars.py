@@ -15,6 +15,7 @@ from cyclomac import (
 )
 from cyclomac.chars import _unit_group
 from helpers import (
+    conductor,
     gauss_sum_per_residue,
     induced_character,
     principal_character,
@@ -31,7 +32,7 @@ def test_modulus_one_single_character():
     assert len(chars) == 1
     assert chars[0].value(17) == 1
     assert not any(chars[0].exponents)
-    assert chars[0].conductor == chars[0].modulus
+    assert conductor(chars[0]) == chars[0].modulus
 
 
 def test_modulus_three_characters():
@@ -120,7 +121,7 @@ def test_gauss_sum_odd_character_mod_three():
 @pytest.mark.parametrize("n", range(1, 16))
 def test_gauss_product_for_primitive_characters(n):
     for chi in enumerate_characters(n):
-        if chi.conductor != chi.modulus:
+        if conductor(chi) != chi.modulus:
             continue
         g = gauss_sum(chi)
         gbar = gauss_sum(chi.conjugate())
@@ -138,9 +139,22 @@ def test_character_census(n):
         assert g.level == oracle.level and g == oracle, (n, chi.index)
         assert chi.value(-1) == chi.parity, (n, chi.index)
         psi = primitive_character(chi)
-        assert psi.modulus == chi.conductor and psi.conductor == psi.modulus
+        assert psi.modulus == conductor(chi) and conductor(psi) == psi.modulus
         for a in units(n):
             assert psi.value(a) == chi.value(a), (n, chi.index, a)
+
+
+@pytest.mark.parametrize("n", range(1, 121))
+def test_primitive_character_census(n):
+    # The divisor search against the conductor oracle: psi lives modulo
+    # chi's conductor, agrees with chi on the units, and is its own
+    # primitive character.
+    for chi in enumerate_characters(n):
+        psi = primitive_character(chi)
+        assert psi.modulus == conductor(chi), (n, chi.index)
+        for a in units(n):
+            assert psi.value(a) == chi.value(a), (n, chi.index, a)
+        assert primitive_character(psi) is psi, (n, chi.index)
 
 
 def test_power_expansion_single_character_case():
@@ -184,8 +198,8 @@ def test_induced_character_three_to_six():
     assert chi6.value(2).is_zero()
     assert chi6.value(3).is_zero()
     assert chi6.value(4).is_zero()
-    assert chi6.conductor == 3
-    assert chi6.conductor != chi6.modulus
+    assert conductor(chi6) == 3
+    assert conductor(chi6) != chi6.modulus
 
 
 def test_induced_character_identity_cases():
@@ -200,14 +214,14 @@ def test_induced_character_rejects_non_multiple():
 
 
 def test_conductor_of_principal_character():
-    assert principal_character(6).conductor == 1
-    assert trivial_character().conductor == 1
+    assert conductor(principal_character(6)) == 1
+    assert conductor(trivial_character()) == 1
 
 
 def test_conductor_primitive_mod_three():
     chi = enumerate_characters(3)[1]
-    assert chi.conductor == 3
-    assert chi.conductor == chi.modulus
+    assert conductor(chi) == 3
+    assert conductor(chi) == chi.modulus
 
 
 def test_primitive_character_round_trip():
@@ -219,7 +233,8 @@ def test_primitive_character_round_trip():
 @pytest.mark.parametrize("m", range(1, 25))
 def test_primitivity_census(m):
     # a primitive character modulo m exists exactly when m is not 2 mod 4
-    exists = any(chi.conductor == chi.modulus for chi in enumerate_characters(m))
+    exists = any(conductor(chi) == chi.modulus
+                 for chi in enumerate_characters(m))
     assert exists == (m % 4 != 2)
 
 

@@ -533,9 +533,7 @@ _DEFAULT_ORDER_RUNS = {
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
-def test_help_states_the_order_a_run_without_order_reports(
-        command, capsys, monkeypatch):
-    monkeypatch.delenv("CYCLOMAC_ORDER", raising=False)
+def test_help_states_the_order_a_run_without_order_reports(command, capsys):
     with pytest.raises(SystemExit):
         main([command, "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
@@ -690,9 +688,7 @@ def test_large_exponent_exits_two_before_any_computation(capsys, monkeypatch):
     ([], "sixty"),
 ])
 def test_order_outside_bounds_exits_two(capsys, monkeypatch, order_argv, env):
-    if env is None:
-        monkeypatch.delenv(cli.DEFAULT_ORDER_ENV, raising=False)
-    else:
+    if env is not None:
         monkeypatch.setenv(cli.DEFAULT_ORDER_ENV, env)
     monkeypatch.setattr(cli, "brute_force", _fail)
     code, out, err = run_cli(

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from cyclomac import (
     QSeries,
     binomial,
+    comb,
     cyclotomic_polynomial,
     enumerate_characters,
     euler_phi,
@@ -27,6 +29,17 @@ from helpers import (
     series_mul,
     stirling_first_unsigned,
 )
+
+
+def test_comb_loads_without_the_package():
+    # field and polynomial import comb at their top, so comb itself may
+    # import nothing from the package when it loads.
+    spec = importlib.util.spec_from_file_location("comb_alone", comb.__file__)
+    alone = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(alone)
+    assert alone.divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert alone.euler_phi(12) == 4
+    assert alone.mobius(30) == -1
 
 
 def test_stirling_empty_product():

@@ -78,7 +78,7 @@ from pathlib import Path
 import pytest
 
 from cyclomac import cli
-from cyclomac.cli import DEFAULT_ORDER_ENV, main
+from cyclomac.cli import main
 
 GOLDEN = [
     (["closed-form", "--N", "5", "--k", "1", "--Q", "x + x^3", "--format", "json"],
@@ -227,8 +227,7 @@ GOLDEN_NESTED = [
                          + [" ".join(argv[:5] + argv[7:9]
                                      + ["--weak"] * ("--weak" in argv))
                             for argv, _ in GOLDEN_NESTED])
-def test_report_bytes_are_unchanged(argv, digest, capsys, monkeypatch):
-    monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
+def test_report_bytes_are_unchanged(argv, digest, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -240,8 +239,7 @@ CSV_GOLDEN = (
     "355ed84ab97e5473e28d92f57ed57043ae5bd32f155c8420c1e71ca8b43d89ce")
 
 
-def test_csv_report_bytes_are_unchanged(capsys, monkeypatch):
-    monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
+def test_csv_report_bytes_are_unchanged(capsys):
     argv, digest = CSV_GOLDEN
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -254,22 +252,19 @@ BENCHMARK_DIGESTS = json.loads(
 
 
 @pytest.mark.parametrize("command", sorted(BENCHMARK_DIGESTS))
-def test_benchmark_reports_match_their_recorded_digests(command, capsys,
-                                                       monkeypatch):
-    monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
+def test_benchmark_reports_match_their_recorded_digests(command, capsys):
     assert main(shlex.split(command)) == 0
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest()
             == BENCHMARK_DIGESTS[command])
 
 
-def test_warm_caches_print_the_recorded_bytes(capsys, monkeypatch):
+def test_warm_caches_print_the_recorded_bytes(capsys):
     # The package keeps per-process caches keyed by N, (N, k) and
     # (N, k, order).  Every report argv above and every benchmark argv runs
     # in this one process with those caches left warm, in order and then
     # reversed, so that a cache keyed by less than its value depends on
     # hands some run data built for another.
-    monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
     runs = (GOLDEN + GOLDEN_NESTED + [CSV_GOLDEN]
             + [(shlex.split(command), digest)
                for command, digest in sorted(BENCHMARK_DIGESTS.items())])
@@ -360,8 +355,7 @@ SYNTAX_ERROR_GOLDEN = [
 
 @pytest.mark.parametrize("argv, digest", SYNTAX_ERROR_GOLDEN,
                          ids=[" ".join(argv) for argv, _ in SYNTAX_ERROR_GOLDEN])
-def test_syntax_error_bytes_are_unchanged(argv, digest, capsys, monkeypatch):
-    monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
+def test_syntax_error_bytes_are_unchanged(argv, digest, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -21,7 +21,7 @@ from cyclomac import (
     trivial_character,
     weight_series,
 )
-from cyclomac.cli import DEFAULT_ORDER_ENV, main
+from cyclomac.cli import main
 from helpers import (
     brute_single_sums,
     entered_functions,
@@ -174,7 +174,6 @@ def test_matching_certificates_build_no_fraction_series(argv, capsys,
     def refuse(self):
         raise AssertionError("a Fraction view of a series was built")
 
-    monkeypatch.delenv(DEFAULT_ORDER_ENV, raising=False)
     assert main(argv) == 0
     expected = capsys.readouterr().out
     monkeypatch.setattr(QSeries, "coeffs", property(refuse))

@@ -61,7 +61,6 @@ EXCEPTIONS = {
 
 
 def test_every_src_function_runs_in_the_cli_or_is_pinned(capsys, monkeypatch):
-    monkeypatch.delenv("CYCLOMAC_ORDER", raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     codes = []
 

@@ -94,9 +94,7 @@ ALLOWED = {
 }
 
 
-def test_the_pinned_pairs_are_the_certificates_verify_prints(capsys,
-                                                             monkeypatch):
-    monkeypatch.delenv("CYCLOMAC_ORDER", raising=False)
+def test_the_pinned_pairs_are_the_certificates_verify_prints(capsys):
     assert main(ARGV) == 0
     certs = json.loads(capsys.readouterr().out)["certificates"]
     assert [(c["lhs"], c["rhs"]) for c in certs] == list(ALLOWED)

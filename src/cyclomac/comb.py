@@ -7,10 +7,8 @@ so its one use of `CycNum` is imported where the value is built.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb as binomial, factorial  # noqa: F401  (re-exported API)
-from math import lcm
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -64,12 +62,13 @@ def euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli(m: int) -> Fraction:
-    """Classical Bernoulli number B_m (so B_1 = -1/2), by the recurrence
-    sum_{j <= m} binom(m+1, j) B_j = 0."""
+def _bernoulli(m: int) -> int:
+    """E_m = (m+1)! B_m, an integer by von Staudt-Clausen (B_1 = -1/2): the
+    recurrence sum_{j <= m} binom(m+1, j) B_j = 0 times m!."""
     if m == 0:
-        return Fraction(1)
-    return -sum(binomial(m + 1, j) * _bernoulli(j) for j in range(m)) / (m + 1)
+        return 1
+    return -sum(binomial(m + 1, j) * (factorial(m) // factorial(j + 1))
+                * _bernoulli(j) for j in range(m))
 
 
 def gen_bernoulli(k: int, chi: "DirichletCharacter"):
@@ -89,11 +88,11 @@ def gen_bernoulli(k: int, chi: "DirichletCharacter"):
     f = chi.modulus
     table = chi.table
     # D f^k B_k(a/f) = sum_j binom(k, j) (D B_j) a^(k-j) f^j is an integer
-    # for D the common denominator of B_0..B_k, and B_{k,chi} is the sum of
-    # chi(a) times it over D f: one reduction at the value level.
-    den = lcm(*(_bernoulli(j).denominator for j in range(k + 1)))
-    scaled = [binomial(k, j) * _bernoulli(j).numerator
-              * (den // _bernoulli(j).denominator) * f ** j for j in range(k + 1)]
+    # for D = (k+1)!, as D B_j = E_j (k+1)!/(j+1)!, and B_{k,chi} is the sum
+    # of chi(a) times it over D f: one reduction at the value level.
+    den = factorial(k + 1)
+    scaled = [binomial(k, j) * _bernoulli(j) * (den // factorial(j + 1)) * f ** j
+              for j in range(k + 1)]
     return CycNum.from_exponents(chi.level, (
         (table[a % f], sum(c * a ** (k - j) for j, c in enumerate(scaled)))
         for a in range(1, f + 1) if table[a % f] is not None

@@ -3,10 +3,10 @@
 Elements are stored in the power basis {zeta_L^i : 0 <= i < phi(L)}, reduced
 modulo the L-th cyclotomic polynomial, as integer numerators over one positive
 denominator in lowest terms, so equality at a fixed level is a plain tuple
-comparison.  `+`, `*` and `==` accept ints, Fractions and CycNums on either
-side, and `-` on its right.  Two CycNums at different levels are first
-embedded in Q(zeta_lcm) by `coerce_pair`, so a value of Q(zeta_a) times one
-of Q(zeta_b) lands at lcm(a, b).  Values are immutable.
+comparison.  `+`, `*` and `==` accept ints and CycNums on either side, and
+`-` on its right.  Two CycNums at different levels are first embedded in
+Q(zeta_lcm) by `coerce_pair`, so a value of Q(zeta_a) times one of
+Q(zeta_b) lands at lcm(a, b).  Values are immutable.
 """
 
 from __future__ import annotations
@@ -105,10 +105,11 @@ class CycNum:
         return _canonical(level, _reduce(level, dense), den)
 
     @classmethod
-    def from_rational(cls, level: int, value) -> "CycNum":
-        value = Fraction(value)
-        nums = [value.numerator] + [0] * (euler_phi(level) - 1)
-        return _canonical(level, nums, value.denominator)
+    def from_rational(cls, level: int, num: int, den: int = 1) -> "CycNum":
+        """num/den for integers num and den > 0; TypeError for non-integers."""
+        if den < 1:
+            raise ValueError("the denominator must be a positive integer")
+        return _canonical(level, [num] + [0] * (euler_phi(level) - 1), den)
 
     @classmethod
     def zero(cls, level: int = 1) -> "CycNum":
@@ -128,14 +129,14 @@ class CycNum:
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
-        """(self, other) at one level: a rational at self's level, or two
-        CycNums at the lcm of theirs; None for any other type."""
-        if isinstance(other, (int, Fraction)):
-            return self, CycNum.from_rational(self.level, other)
+        """(self, other) at one level: two CycNums at the lcm of theirs, or
+        an int at self's level; None for any other type."""
         if isinstance(other, CycNum):
             if other.level == self.level:
                 return self, other
             return coerce_pair(self, other)
+        if isinstance(other, int):
+            return self, CycNum.from_rational(self.level, other)
         return None
 
     def __add__(self, other):
@@ -155,15 +156,14 @@ class CycNum:
         return _canonical(self.level, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, CycNum)):
+        if not isinstance(other, (CycNum, int)):
             return NotImplemented
         return self + -other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _canonical(self.level,
-                              [a * other.numerator for a in self.nums],
-                              self.den * other.denominator)
+        if isinstance(other, int):
+            return _canonical(self.level, [a * other for a in self.nums],
+                              self.den)
         pair = self._coerce(other)
         if pair is None:
             return NotImplemented
@@ -188,7 +188,9 @@ class CycNum:
         for s in range(2, self.level):
             if gcd(s, self.level) == 1:
                 others = others * self.galois(s)
-        return others * (1 / (self * others).to_rational())
+        num, den = (self * others).to_rational()
+        return others * CycNum.from_rational(
+            self.level, den if num > 0 else -den, abs(num))
 
     # -- structure maps -----------------------------------------------
 
@@ -218,10 +220,11 @@ class CycNum:
             return self
         return self.galois(self.level - 1)
 
-    def to_rational(self) -> Fraction:
+    def to_rational(self) -> tuple[int, int]:
+        """(num, den) for a rational value, den > 0 and in lowest terms."""
         if not self.is_rational():
             raise NotRationalError(self)
-        return Fraction(self.nums[0], self.den)
+        return self.nums[0], self.den
 
     # -- comparison and display ----------------------------------------
 

@@ -34,7 +34,7 @@ def _inverse_power(n_level: int, k: int, order: int) -> QSeries:
     """Phi_N^-k through q^order, from `cyclotomic_power`.  The sweep runs
     the numerators of one (N, k) in a row, so one entry serves them all;
     more would keep a series of order + 1 terms for every (N, k) seen."""
-    return QSeries(cyclotomic_power(n_level, -k, order))
+    return QSeries(cyclotomic_power(n_level, -k, order), order, 1)
 
 
 def weight_series(n_level: int, k: int, q_poly: Polynomial,

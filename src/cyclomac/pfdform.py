@@ -317,8 +317,8 @@ class ClosedForm(NamedTuple):
                     raise NotRationalError(_canonical(level, row, den))
                 table.append(row[0])
             tables.append((g, w, den, table))
-        offset = offset.to_rational()
-        den = lcm(offset.denominator, *(d for _, _, d, _ in tables))
+        c0, d0 = offset.to_rational()
+        den = lcm(d0, *(d for _, _, d, _ in tables))
         b = [0] * (order + 1)
         for g, w, d, table in tables:
             period, top, scale = len(table), order // g, den // d
@@ -327,7 +327,7 @@ class ClosedForm(NamedTuple):
                     v *= scale
                     for m in range(r or period, top + 1, period):
                         b[m * g] += v * m ** (w - 1)
-        out = [offset.numerator * (den // offset.denominator)] + [0] * order
+        out = [c0 * (den // d0)] + [0] * order
         for d in range(1, order + 1):
             if b[d]:
                 for e in range(d, order + 1, d):

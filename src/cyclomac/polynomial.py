@@ -25,18 +25,13 @@ class Polynomial:
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable = (), den: int | None = None):
-        """Rational (int or Fraction) coefficients, or, given `den`, the
-        integer numerators over it."""
+    def __init__(self, coeffs: Iterable = (), den: int = 1):
+        """Integer coefficients, or integer numerators over the positive
+        integer `den`; anything else raises TypeError (from the gcd)."""
         cs = list(coeffs)
-        if den is None:
-            if not all(isinstance(c, (int, Fraction)) for c in cs):
-                raise TypeError("expected integer or Fraction coefficients")
-            den = lcm(*(c.denominator for c in cs))
-            cs = [c.numerator * (den // c.denominator) for c in cs]
+        g = gcd(den, *cs)
         while cs and not cs[-1]:
             cs.pop()
-        g = gcd(den, *cs)
         self.den = den // g
         self.nums: tuple[int, ...] = tuple(cs) if g == 1 else tuple(c // g for c in cs)
 
@@ -57,7 +52,7 @@ class Polynomial:
         return not self.nums
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -75,9 +70,8 @@ class Polynomial:
                            zip_longest(self.nums, other.nums, fillvalue=0)], den)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other.numerator for c in self.nums],
-                              self.den * other.denominator)
+        if isinstance(other, int):
+            return Polynomial([c * other for c in self.nums], self.den)
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -92,13 +86,11 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; x may be any commutative ring element."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:  # the zero polynomial: the zero of x's ring
-            return x * 0
-        return acc
+        """The value at a CycNum x by Horner's rule on the numerators."""
+        acc = x * 0
+        for c in reversed(self.nums):
+            acc = acc * x + c
+        return acc * x.from_rational(x.level, 1, self.den)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"

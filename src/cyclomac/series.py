@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .chars import DirichletCharacter
 from .comb import gen_bernoulli
-from .field import CycNum
+from .field import CycNum, _canonical
 
 
 class OrderMismatchError(ValueError):
@@ -187,7 +187,8 @@ def g_constant(weight: int, chi: DirichletCharacter) -> CycNum:
         raise ValueError(
             f"character parity {chi.parity} does not match weight {weight}"
         )
-    return gen_bernoulli(weight, chi) * Fraction(-1, 2 * weight)
+    b = gen_bernoulli(weight, chi)
+    return _canonical(b.level, [-c for c in b.nums], b.den * 2 * weight)
 
 
 class EisensteinTerm(NamedTuple):

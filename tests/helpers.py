@@ -86,7 +86,8 @@ def closed_form_per_pole(inp: AdmissibleInput) -> dict:
                 continue
             for g in divisors(n):
                 reduced = n // g
-                scale = Fraction(2 * g ** (ell - 1), euler_phi(reduced))
+                scale = CycNum.from_rational(c.level, 2 * g ** (ell - 1),
+                                             euler_phi(reduced))
                 for chi in enumerate_characters(reduced):
                     if chi.parity != (-1) ** ell:
                         continue
@@ -135,10 +136,10 @@ def pole_taylor_by_horner(n: int, k: int, q_poly: Polynomial) -> tuple:
 
     def compose(p: Polynomial) -> list:
         acc = [0] * (k + 1)
-        for c in reversed(p.coeffs):
+        for c in reversed(p.nums):
             acc = series_mul(acc, x_of_u)
             acc[0] = acc[0] + c
-        return acc
+        return [c * CycNum.from_rational(n, 1, p.den) for c in acc]
 
     phi_comp = compose(cyclotomic_polynomial(n))
     if phi_comp[0]:
@@ -164,13 +165,12 @@ def zeta_power_expand(n: int, m: int) -> dict[int, CycNum]:
     g = gcd(n, m)
     n_red = n // g
     m_red = m // g
-    scale = Fraction(1, euler_phi(n_red))
     out: dict[int, CycNum] = {}
     for chi in enumerate_characters(n_red):
-        term = gauss_sum(chi) * chi.conjugate().value(m_red).embed(
-            lcm(n_red, chi.level)
-        )
-        out[chi.index] = term * scale
+        level = lcm(n_red, chi.level)
+        term = gauss_sum(chi) * chi.conjugate().value(m_red).embed(level)
+        out[chi.index] = term * CycNum.from_rational(level, 1,
+                                                     euler_phi(n_red))
     return out
 
 
@@ -283,7 +283,8 @@ def brute_single_sums(n: int, k: int, q_poly: Polynomial, t: int,
     """The single sums U_1..U_t of (N, k, Q) by brute force, U_s at weight
     s k with numerator Q^s: the input `evaluate_isobaric` assembles."""
     return [brute_force(MacMahonSpec(1, n, s * k,
-                                     Polynomial(frac_pow(q_poly.coeffs, s))),
+                                     poly_from_rationals(
+                                         frac_pow(q_poly.coeffs, s))),
                         order)
             for s in range(1, t + 1)]
 
@@ -306,20 +307,23 @@ def bernoulli_by_generating_function(k: int, chi):
     """B_{k,chi} read off the exponential generating function
     sum_a chi(a) t e^(a t) / (e^(f t) - 1), f the modulus, by truncated
     series division; an oracle independent of the Bernoulli-polynomial sum."""
-    f = chi.modulus
-    # numerator / t = sum_a chi(a) e^(a t); denominator / t = (e^(f t) - 1) / t.
-    num = [sum((chi.value(a) * Fraction(a**i, factorial(i))
-                for a in range(1, f + 1)), 0) for i in range(k + 1)]
+    f, level = chi.modulus, chi.level
+    # numerator / t = sum_a chi(a) e^(a t); denominator / t = (e^(f t) - 1) / t,
+    # inverted over Fractions.
+    num = [sum((chi.value(a) * a**i for a in range(1, f + 1)), 0)
+           * CycNum.from_rational(level, 1, factorial(i)) for i in range(k + 1)]
     den = [Fraction(f ** (i + 1), factorial(i + 1)) for i in range(k + 1)]
-    return series_mul(num, series_inverse(den))[k] * factorial(k)
+    inv = [from_rationals(level, {0: c}) for c in series_inverse(den)]
+    return series_mul(num, inv)[k] * factorial(k)
 
 
 def reconstruct_series(p, order: int) -> list:
     """Re-expand the partial-fraction sum of pole data `p` (a
-    PfdCoefficients) as the coefficients of a power series in x; they must
-    equal those of the direct series of Q(x)/Phi_N(x)^k."""
+    PfdCoefficients) as the coefficients of a power series in x, read as
+    Fractions (NotRationalError if one is not rational); they must equal
+    those of the direct series of Q(x)/Phi_N(x)^k."""
     n, k = p.input.N, p.input.k
-    coeffs: list = [Fraction(0)] * (order + 1)
+    coeffs: list = [0] * (order + 1)
 
     def add_family(values: dict[int, object], root_exp: int):
         # Each pole family contributes a(r) * zeta^(root_exp) x / (1 - zeta^(root_exp) x)^r,
@@ -332,9 +336,9 @@ def reconstruct_series(p, order: int) -> list:
             for m in range(1, order + 1):
                 w = comb(m + r - 2, r - 1)
                 if n <= 2:
-                    term = a_r * Fraction(w if n == 1 else w * (-1) ** m)
+                    term = a_r * (w if n == 1 else w * (-1) ** m)
                 else:
-                    term = a_r * zeta(n, root_exp * m) * Fraction(w)
+                    term = a_r * zeta(n, root_exp * m) * w
                 coeffs[m] = coeffs[m] + term
 
     if n <= 2:
@@ -346,7 +350,8 @@ def reconstruct_series(p, order: int) -> list:
             add_family({r: p.a[r].galois(j) for r in range(1, k + 1)}, j)
             add_family({r: p.a[r].galois(j).conjugate()
                         for r in range(1, k + 1)}, -j)
-    return coeffs
+    return [as_fraction(c) if isinstance(c, CycNum) else Fraction(c)
+            for c in coeffs]
 
 
 def rational_function_series(inp: AdmissibleInput, order: int) -> list:
@@ -393,7 +398,7 @@ def evaluate_term_by_term(cf, order: int) -> list:
 def rational_series(values) -> QSeries:
     """A QSeries from a list of ints, Fractions and rational CycNums, such as
     `f_series` returns; NotRationalError if a CycNum is not rational."""
-    return QSeries([v.to_rational() if isinstance(v, CycNum) else v
+    return QSeries([as_fraction(v) if isinstance(v, CycNum) else v
                     for v in values])
 
 
@@ -407,11 +412,11 @@ def reversed_to(p: Polynomial, degree: int) -> Polynomial:
     out = [Fraction(0)] * (degree + 1)
     for i, c in enumerate(p.coeffs):
         out[degree - i] = c
-    return Polynomial(out)
+    return poly_from_rationals(out)
 
 
 def derivative(p: Polynomial) -> Polynomial:
-    return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+    return Polynomial([i * c for i, c in enumerate(p.nums)][1:], p.den)
 
 
 @lru_cache(maxsize=None)
@@ -426,8 +431,9 @@ def eulerian_poly(k: int) -> Polynomial:
     if k == 0:
         return Polynomial([1])
     prev = eulerian_poly(k - 1)
-    return Polynomial(frac_add(frac_mul([1, k - 1], prev.coeffs),
-                               frac_mul([0, 1, -1], derivative(prev).coeffs)))
+    return poly_from_rationals(frac_add(
+        frac_mul([1, k - 1], prev.coeffs),
+        frac_mul([0, 1, -1], derivative(prev).coeffs)))
 
 
 @lru_cache(maxsize=None)
@@ -451,11 +457,12 @@ def c_by_stirling_sum(a, k: int) -> dict:
     the Horner routes of `c_coefficients`."""
     out = {}
     for ell in range(1, k + 1):
-        acc = Fraction(0)
+        acc = 0
         for r in range(ell, k + 1):
             st = stirling_first_unsigned(r - 1, ell - 1)
             if st:
-                acc = acc + a[r] * Fraction(st, factorial(r - 1))
+                acc = acc + a[r] * CycNum.from_rational(a[r].level, st,
+                                                        factorial(r - 1))
         out[ell] = acc
     return out
 
@@ -528,6 +535,20 @@ def from_rationals(level: int, terms) -> CycNum:
     den = lcm(*(Fraction(c).denominator for _, c in pairs))
     return CycNum.from_exponents(level, [(e, int(c * den)) for e, c in pairs],
                                  den)
+
+
+def as_fraction(v: CycNum) -> Fraction:
+    """A rational CycNum read as a Fraction; NotRationalError otherwise."""
+    return Fraction(*v.to_rational())
+
+
+def poly_from_rationals(coeffs) -> Polynomial:
+    """A Polynomial from int and Fraction coefficients, which its
+    constructor does not take: the numerators over their common
+    denominator."""
+    cs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in cs))
+    return Polynomial([int(c * den) for c in cs], den)
 
 
 class NotInSubfieldError(ValueError):
@@ -797,7 +818,7 @@ def parse_polynomial_by_descent(src: str) -> Polynomial:
     if peek()[0] != "end":
         raise PolynomialSyntaxError("unexpected trailing input", peek()[2])
     top = max(coeffs) if coeffs else 0
-    return Polynomial([coeffs.get(i, Fraction(0)) for i in range(top + 1)])
+    return poly_from_rationals([coeffs.get(i, 0) for i in range(top + 1)])
 
 
 # -- which package code runs ---------------------------------------------

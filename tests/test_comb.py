@@ -1,5 +1,7 @@
 import importlib.util
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,9 +19,11 @@ from cyclomac import (
     trivial_character,
 )
 from cyclomac.polynomial import Polynomial, cyclotomic_power
+from cyclomac.cli import MAX_K
 from helpers import (
     Partition,
     _divide_exactly,
+    as_fraction,
     bernoulli_by_generating_function,
     cyclotomic_by_division,
     eulerian_poly,
@@ -33,13 +37,23 @@ from helpers import (
 
 def test_comb_loads_without_the_package():
     # field and polynomial import comb at their top, so comb itself may
-    # import nothing from the package when it loads.
+    # import nothing from the package when it loads; its Bernoulli numbers
+    # are integers, so it needs no fractions either, which a fresh
+    # interpreter loading comb.py alone must show.
     spec = importlib.util.spec_from_file_location("comb_alone", comb.__file__)
     alone = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(alone)
     assert alone.divisors(12) == [1, 2, 3, 4, 6, 12]
     assert alone.euler_phi(12) == 4
     assert alone.mobius(30) == -1
+    script = ("import importlib.util, sys; "
+              "spec = importlib.util.spec_from_file_location('comb_alone', "
+              f"{comb.__file__!r}); "
+              "spec.loader.exec_module(importlib.util.module_from_spec(spec)); "
+              "print('fractions' in sys.modules)")
+    out = subprocess.run([sys.executable, "-s", "-c", script],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]
 
 
 def test_stirling_empty_product():
@@ -211,13 +225,15 @@ def test_partitions_structure_and_order():
 
 
 def test_gen_bernoulli_weight_two_trivial():
-    assert gen_bernoulli(2, trivial_character()) == Fraction(1, 6)
+    assert as_fraction(gen_bernoulli(2, trivial_character())) == Fraction(1, 6)
 
 
 def test_gen_bernoulli_matches_exponential_oracle():
     # Independent oracle: coefficients of t e^t/(e^t - 1) via direct series
-    # division over Fractions.
-    order = 8
+    # division over Fractions, to order MAX_K, the largest weight `verify`
+    # and `closed-form` reach.  The inverse t/(e^t - 1) gives the classical
+    # B_m, which comb holds as the integers (m+1)! B_m.
+    order = MAX_K
     num = [Fraction(1, factorial(i)) for i in range(order + 1)]  # e^t
     den = [Fraction(1, factorial(i + 1)) for i in range(order + 1)]  # (e^t-1)/t
     inv = [Fraction(0)] * (order + 1)
@@ -228,8 +244,18 @@ def test_gen_bernoulli_matches_exponential_oracle():
         sum(num[i] * inv[n - i] for i in range(n + 1)) for n in range(order + 1)
     ]
     for k in range(order + 1):
+        assert comb._bernoulli(k) == inv[k] * factorial(k) * factorial(k + 1)
         expected = series[k] * factorial(k)
-        assert gen_bernoulli(k, trivial_character()) == expected
+        assert as_fraction(gen_bernoulli(k, trivial_character())) == expected
+
+
+@pytest.mark.parametrize("k,modulus,index", [(50, 1, 0), (100, 1, 0),
+                                             (99, 3, 1)])
+def test_gen_bernoulli_at_the_largest_weights(k, modulus, index):
+    # The weights verify and closed-form reach, up to MAX_K: the trivial
+    # character and the odd character mod 3.
+    chi = enumerate_characters(modulus)[index]
+    assert gen_bernoulli(k, chi) == bernoulli_by_generating_function(k, chi)
 
 
 def test_gen_bernoulli_matches_generating_function_for_every_character():
@@ -244,9 +270,9 @@ def test_gen_bernoulli_weight_one_odd_character():
     chi = enumerate_characters(3)[1]
     assert chi.parity == -1
     # finite-sum oracle: B_1 = (1/N) sum_a chi(a) a
-    oracle = (chi.value(1) * 1 + chi.value(2) * 2) * Fraction(1, 3)
-    assert oracle == Fraction(-1, 3)
-    assert gen_bernoulli(1, chi) == Fraction(-1, 3)
+    oracle = chi.value(1) * 1 + chi.value(2) * 2
+    assert oracle == -1
+    assert gen_bernoulli(1, chi) * 3 == oracle
 
 
 def test_gen_bernoulli_weight_zero_nontrivial_vanishes():

@@ -23,12 +23,14 @@ from cyclomac import (
 )
 from cyclomac.cli import main
 from helpers import (
+    as_fraction,
     brute_single_sums,
     entered_functions,
     frac_pow,
     isobaric_by_partitions,
     isobaric_decomposition,
     nested_enumeration,
+    poly_from_rationals,
     quasimodular_basis,
     quasimodular_fit,
     rational_function_series,
@@ -49,10 +51,10 @@ def test_brute_force_single_sum_is_divisor_sum():
 def test_brute_force_matches_nested_enumeration_small():
     # Rational numerators at N = 1, 2, 3, 12, odd and even k: brute force
     # scales them to integers, and Phi_1^k has constant term (-1)^k.
-    half_x = Polynomial([0, Fraction(1, 2), Fraction(-2, 3)])
-    three_quarters = Polynomial([0, Fraction(3, 4), 0, 1])
-    third = Polynomial([0, 1, Fraction(-1, 3)])
-    two_fifths = Polynomial([0, 0, Fraction(2, 5), 0, 1])
+    half_x = poly_from_rationals([0, Fraction(1, 2), Fraction(-2, 3)])
+    three_quarters = poly_from_rationals([0, Fraction(3, 4), 0, 1])
+    third = poly_from_rationals([0, 1, Fraction(-1, 3)])
+    two_fifths = poly_from_rationals([0, 0, Fraction(2, 5), 0, 1])
     for spec in [
         MacMahonSpec(2, 1, 2, X, strict=True),
         MacMahonSpec(2, 1, 2, X, strict=False),
@@ -89,7 +91,7 @@ def test_brute_force_matches_nested_enumeration_deep(t, n_level, k, order,
     # A signed, fractional numerator with a large coefficient: the packed
     # recurrence's digits are wide and of both signs, and Q = 0 packs
     # nothing at all.
-    signed = Polynomial([0, Fraction(-7, 3), 0, 1000, Fraction(1, 2)])
+    signed = poly_from_rationals([0, Fraction(-7, 3), 0, 1000, Fraction(1, 2)])
     for q_poly in (signed, Polynomial([0])):
         spec = MacMahonSpec(t, n_level, k, q_poly, strict)
         assert brute_force(spec, order) == nested_enumeration(spec, order)
@@ -98,7 +100,8 @@ def test_brute_force_matches_nested_enumeration_deep(t, n_level, k, order,
 # Numerators with Q(0) = 0 and signed fractional coefficients, up to x^5.
 NUMERATORS = st.lists(st.fractions(min_value=-40, max_value=40,
                                    max_denominator=6),
-                      min_size=1, max_size=5).map(lambda c: Polynomial([0, *c]))
+                      min_size=1, max_size=5).map(
+                          lambda c: poly_from_rationals([0, *c]))
 
 
 @settings(max_examples=250, derandomize=True, deadline=None)
@@ -132,7 +135,7 @@ def test_brute_force_runs_without_the_isobaric_code(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("brute force reached the isobaric code")
 
-    third = Polynomial([0, Fraction(1, 3), 0, -2])
+    third = poly_from_rationals([0, Fraction(1, 3), 0, -2])
     expected = {strict: nested_enumeration(MacMahonSpec(3, 4, 2, third, strict),
                                            16)
                 for strict in (True, False)}
@@ -151,7 +154,8 @@ def test_isobaric_assembly_shares_no_product_with_brute_force(monkeypatch):
         raise AssertionError("the isobaric assembly reached QSeries.__mul__")
 
     order = 40
-    singles = brute_single_sums(6, 1, Polynomial([0, 1, 0, Fraction(-1, 2)]),
+    singles = brute_single_sums(6, 1,
+                                poly_from_rationals([0, 1, 0, Fraction(-1, 2)]),
                                 5, order)
     runs = [(t, strict) for t in (3, 5) for strict in (True, False)]
     expected = {run: evaluate_isobaric(singles[:run[0]], run[1])
@@ -194,7 +198,7 @@ def test_brute_force_requires_vanishing_numerator_at_zero():
 
 
 def test_weight_series_matches_direct_expansion():
-    rational = Polynomial([0, Fraction(3, 4), Fraction(-2, 3), 0, 0, 5])
+    rational = poly_from_rationals([0, Fraction(3, 4), Fraction(-2, 3), 0, 0, 5])
     for n_level in (1, 2, 3, 4, 6, 12):
         for k in (1, 2, 3, 4, 9):
             for q_poly in (X, X2, rational):
@@ -258,7 +262,7 @@ def test_evaluate_isobaric_matches_brute_force():
     # at depth 2, so a width two bits narrower gives wrong strict digits
     # (q^95 to q^100); one bit narrower still passes, as the width is a
     # sufficient bound, not a tight one.
-    signed = Polynomial([0, Fraction(-7, 3), 0, 1000, Fraction(1, 2)])
+    signed = poly_from_rationals([0, Fraction(-7, 3), 0, 1000, Fraction(1, 2)])
     for t, n, k, q_poly, order in [(20, 3, 1, X, 240), (8, 1, 1, signed, 100),
                                    (8, 12, 2, signed, 100),
                                    (2, 1, 1, signed, 100)]:
@@ -297,7 +301,7 @@ def test_evaluate_isobaric_needs_a_single_sum():
 @pytest.mark.parametrize("n, k, q_poly, order", [
     (1, 3, Polynomial([0, 1, -1]), 20),        # Phi_1 = x - 1 is negated
     (3, 1, Polynomial(), 20),                  # Q = 0
-    (12, 2, Polynomial([0, Fraction(1, 2), Fraction(-2, 3)]), 20),
+    (12, 2, poly_from_rationals([0, Fraction(1, 2), Fraction(-2, 3)]), 20),
     (4, 2, X2, 1),
     (6, 1, Polynomial([0, 1, 0, 1]), 25),
 ])
@@ -315,7 +319,8 @@ def test_newton_assembly_makes_t_choose_2_products(monkeypatch):
     # The term by E_0 = 1 of each E_j needs no product, so depth t makes
     # t(t-1)/2 Kronecker products, not t(t+1)/2, with the same result.
     order = 20
-    singles = brute_single_sums(6, 1, Polynomial([0, 1, 0, Fraction(-1, 2)]),
+    singles = brute_single_sums(6, 1,
+                                poly_from_rationals([0, 1, 0, Fraction(-1, 2)]),
                                 6, order)
     calls = []
 
@@ -417,7 +422,7 @@ def test_level_one_series_are_quasimodular(t, k, q_poly, rank):
     # none of chars, field or pfdform.  Full rank makes the fit unique.
     order = 60
     singles = [closed_form(AdmissibleInput(
-        1, s * k, Polynomial(frac_pow(q_poly.coeffs, s)))).evaluate(order)
+        1, s * k, poly_from_rationals(frac_pow(q_poly.coeffs, s)))).evaluate(order)
         for s in range(1, t + 1)]
     for strict in (True, False):
         for series in (brute_force(MacMahonSpec(t, 1, k, q_poly, strict),
@@ -458,7 +463,7 @@ def test_series_at_levels_two_to_four_are_quasimodular(n, t, k, q_poly, rank):
     order = 60
     assert len(quasimodular_basis(k * t, n, order)) == rank
     singles = [closed_form(AdmissibleInput(
-        n, s * k, Polynomial(frac_pow(q_poly.coeffs, s)))).evaluate(order)
+        n, s * k, poly_from_rationals(frac_pow(q_poly.coeffs, s)))).evaluate(order)
         for s in range(1, t + 1)]
     for strict in (True, False):
         for series in (brute_force(MacMahonSpec(t, n, k, q_poly, strict),
@@ -494,7 +499,7 @@ def test_fitted_weight_zero_part_is_the_g_form_constant():
                 assert found == columns, (n, k, q_poly)
                 constant = to_g_form(closed_form(
                     AdmissibleInput(n, k, q_poly))).constant
-                assert solution[0] == constant, (n, k, q_poly)
+                assert solution[0] == as_fraction(constant), (n, k, q_poly)
                 checked += 1
     assert checked == 28
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 from itertools import accumulate, repeat
 from math import lcm
@@ -134,7 +133,7 @@ def parse_polynomial(src: str) -> Polynomial:
     c, c x^e, c*x^e or x^e (c an integer or a fraction, x alone is x^1), and
     a sign comes before every term but the first, where it is optional."""
     tokens = _tokenize(src)
-    coeffs: dict[int, Fraction] = {}
+    terms: list[tuple[int, int, int]] = []  # (exponent, signed a, b) for a/b
     i = 0
     while i == 0 or tokens[i][0] != "end":
         kind, value, offset = tokens[i]
@@ -145,7 +144,7 @@ def parse_polynomial(src: str) -> Polynomial:
         elif i > 0:
             raise PolynomialSyntaxError("unexpected trailing input", offset)
         if kind == "int":
-            coeff = Fraction(value)
+            num, den = value, 1
             i += 1
             if tokens[i][0] == "/":
                 kind, den, offset = tokens[i + 1]
@@ -153,14 +152,13 @@ def parse_polynomial(src: str) -> Polynomial:
                     raise PolynomialSyntaxError("expected a denominator", offset)
                 if den == 0:
                     raise PolynomialSyntaxError("denominator must be nonzero", offset)
-                coeff = Fraction(value, den)
                 i += 2
             if tokens[i][0] == "*":
                 i += 1
                 if tokens[i][0] != "x":
                     raise PolynomialSyntaxError("expected x after '*'", tokens[i][2])
         elif kind == "x":
-            coeff = Fraction(1)
+            num, den = 1, 1
         else:
             raise PolynomialSyntaxError("expected a term", offset)
         exponent = 0
@@ -175,10 +173,12 @@ def parse_polynomial(src: str) -> Polynomial:
                     raise PolynomialSyntaxError(
                         f"exponent {exponent} exceeds the cap {MAX_EXPONENT}", offset)
                 i += 2
-        coeffs[exponent] = coeffs.get(exponent, 0) + sign * coeff
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return Polynomial([int(coeffs.get(e, 0) * den)
-                       for e in range(max(coeffs) + 1)], den)
+        terms.append((exponent, sign * num, den))
+    den = lcm(*(b for _, _, b in terms))  # Polynomial reduces to lowest terms
+    nums = [0] * (max(e for e, _, _ in terms) + 1)
+    for e, a, b in terms:
+        nums[e] += a * (den // b)
+    return Polynomial(nums, den)
 
 
 # -- reports -------------------------------------------------------------

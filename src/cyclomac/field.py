@@ -11,12 +11,11 @@ Q(zeta_b) lands at lcm(a, b).  Values are immutable.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from .comb import euler_phi, factorint
-from .polynomial import cyclotomic_power, format_terms
+from .polynomial import cyclotomic_power, format_terms, lowest_terms
 
 
 class LevelMismatchError(ValueError):
@@ -72,11 +71,10 @@ def _reduce(level: int, rem: list[int]) -> list[int]:
 
 
 def _canonical(level: int, nums, den: int) -> "CycNum":
-    """sum(nums[i] zeta^i) / den, den > 0, divided through by the gcd."""
-    g = gcd(den, *nums)
+    """sum(nums[i] zeta^i) / den in lowest terms; ValueError for den < 1."""
     v = object.__new__(CycNum)
-    v.level, v.den = level, den // g
-    v.nums = tuple(nums) if g == 1 else tuple(c // g for c in nums)
+    v.level = level
+    v.nums, v.den = lowest_terms(nums, den)
     return v
 
 
@@ -88,8 +86,9 @@ class CycNum:
     __slots__ = ("level", "nums", "den")
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self):
         """The power-basis coefficients as Fractions."""
+        from fractions import Fraction
         return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- construction -------------------------------------------------
@@ -98,7 +97,8 @@ class CycNum:
     def from_exponents(cls, level: int, terms, den: int = 1) -> "CycNum":
         """sum(c * zeta_level^e) / den over a dict {e: c} or an iterable of
         (e, c) pairs, with arbitrary integer exponents e and integers c;
-        repeated exponents add.  den is a positive integer."""
+        repeated exponents add.  den is a positive integer (ValueError
+        otherwise)."""
         dense = [0] * level
         for e, c in terms.items() if isinstance(terms, dict) else terms:
             dense[e % level] += c
@@ -106,9 +106,8 @@ class CycNum:
 
     @classmethod
     def from_rational(cls, level: int, num: int, den: int = 1) -> "CycNum":
-        """num/den for integers num and den > 0; TypeError for non-integers."""
-        if den < 1:
-            raise ValueError("the denominator must be a positive integer")
+        """num/den for integers num and den > 0: TypeError for non-integers,
+        ValueError for den < 1."""
         return _canonical(level, [num] + [0] * (euler_phi(level) - 1), den)
 
     @classmethod

@@ -7,7 +7,6 @@ integer arithmetic.  The zero polynomial has degree ``-inf``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, zip_longest
 from math import gcd, lcm
@@ -18,27 +17,32 @@ from .comb import divisors, euler_phi, mobius
 NEG_INFINITY = float("-inf")
 
 
+def lowest_terms(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """(numerators, den) of nums/den in lowest terms, the one normalization
+    of `Polynomial`, `QSeries` and `CycNum`: ValueError for den < 1, and
+    TypeError (from the gcd) for anything but integers."""
+    g = gcd(den, *nums)
+    if den < 1:
+        raise ValueError("the denominator must be a positive integer")
+    return ((tuple(nums), den) if g == 1
+            else (tuple(c // g for c in nums), den // g))
+
+
 class Polynomial:
     """A polynomial sum(c_i * x^i) with rational c_i, held as the integers
-    `nums` over the positive integer `den`, gcd(den, *nums) = 1, with no
-    trailing zero; `coeffs` reads them as Fractions."""
+    `nums` over the positive integer `den` in lowest terms, with no
+    trailing zero."""
 
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable = (), den: int = 1):
         """Integer coefficients, or integer numerators over the positive
-        integer `den`; anything else raises TypeError (from the gcd)."""
+        integer `den` (ValueError below 1); anything else raises TypeError."""
         cs = list(coeffs)
-        g = gcd(den, *cs)
+        nums, self.den = lowest_terms(cs, den)
         while cs and not cs[-1]:
             cs.pop()
-        self.den = den // g
-        self.nums: tuple[int, ...] = tuple(cs) if g == 1 else tuple(c // g for c in cs)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
+        self.nums = nums[:len(cs)]
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "Polynomial":
@@ -93,7 +97,7 @@ class Polynomial:
         return acc * x.from_rational(x.level, 1, self.den)
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r})"
+        return f"Polynomial({list(self.nums)!r}, {self.den})"
 
     def __str__(self) -> str:
         return format_polynomial(self)

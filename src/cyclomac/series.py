@@ -5,13 +5,13 @@ terms that turn an F-series into a G-series.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .chars import DirichletCharacter
 from .comb import gen_bernoulli
 from .field import CycNum, _canonical
+from .polynomial import lowest_terms
 
 
 class OrderMismatchError(ValueError):
@@ -25,16 +25,17 @@ class NonUnitError(ValueError):
 class QSeries:
     """A power series in q truncated at a fixed order M (inclusive), with
     rational coefficients held as the integers `nums` over the positive
-    integer `den`, gcd(den, *nums) = 1, as in `CycNum`; `coeffs` reads them
-    as Fractions.  The product of series of different orders truncates to
-    the smaller order and never reads beyond it.
+    integer `den` in lowest terms, as in `CycNum`; `coeffs` reads them as
+    Fractions.  The product of series of different orders truncates to the
+    smaller order and never reads beyond it.
     """
 
     __slots__ = ("order", "nums", "den")
 
-    def __init__(self, coeffs, order: int | None = None, den: int | None = None):
-        """Rational (int or Fraction) coefficients, or, given `den`, the
-        integer numerators over it; padded with zeros or cut at the order."""
+    def __init__(self, coeffs, order: int | None = None, den: int = 1):
+        """Integer coefficients, or integer numerators over the positive
+        integer `den` (ValueError below 1; anything but integers raises
+        TypeError); padded with zeros or cut at the order."""
         coeffs = list(coeffs)
         if order is None:
             if not coeffs:
@@ -43,22 +44,18 @@ class QSeries:
         if order < 0:
             raise ValueError("order must be nonnegative")
         del coeffs[order + 1:]
-        if den is None:
-            den = lcm(*(c.denominator for c in coeffs))
-            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
-        elif den < 1:
-            raise ValueError("the denominator must be a positive integer")
         coeffs.extend([0] * (order + 1 - len(coeffs)))
-        g = gcd(den, *coeffs)
-        self.order, self.den = order, den // g
-        self.nums = tuple(coeffs) if g == 1 else tuple(c // g for c in coeffs)
+        self.order = order
+        self.nums, self.den = lowest_terms(coeffs, den)
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self):
         """The coefficients as Fractions."""
+        from fractions import Fraction
         return tuple(Fraction(c, self.den) for c in self.nums)
 
-    def coefficient(self, j: int) -> Fraction:
+    def coefficient(self, j: int):
+        from fractions import Fraction
         if not 0 <= j <= self.order:
             raise IndexError(f"exponent {j} outside the tracked range")
         return Fraction(self.nums[j], self.den)

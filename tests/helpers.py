@@ -178,14 +178,15 @@ def substitute_qn(p, n: int, order: int) -> QSeries:
     """Compose a polynomial or series with q^n, truncated at the order."""
     if n < 1:
         raise ValueError("the substitution exponent must be positive")
-    src = p.coeffs if isinstance(p, (Polynomial, QSeries)) else tuple(p)
+    src = (poly_coeffs(p) if isinstance(p, Polynomial)
+           else p.coeffs if isinstance(p, QSeries) else tuple(p))
     out = [Fraction(0)] * (order + 1)
     for i, c in enumerate(src):
         if i * n > order:
             break
         if c:
             out[i * n] = out[i * n] + c
-    return QSeries(out, order)
+    return series_from_rationals(out, order)
 
 
 def nested_enumeration(spec: MacMahonSpec, order: int) -> QSeries:
@@ -206,7 +207,7 @@ def nested_enumeration(spec: MacMahonSpec, order: int) -> QSeries:
                     series_mul(prod, weights[n]))
 
     recurse(1, spec.t, order, [Fraction(1)] + [Fraction(0)] * order)
-    return QSeries(total, order)
+    return series_from_rationals(total, order)
 
 
 @dataclass(frozen=True)
@@ -284,7 +285,7 @@ def brute_single_sums(n: int, k: int, q_poly: Polynomial, t: int,
     s k with numerator Q^s: the input `evaluate_isobaric` assembles."""
     return [brute_force(MacMahonSpec(1, n, s * k,
                                      poly_from_rationals(
-                                         frac_pow(q_poly.coeffs, s))),
+                                         frac_pow(poly_coeffs(q_poly), s))),
                         order)
             for s in range(1, t + 1)]
 
@@ -300,7 +301,7 @@ def isobaric_by_partitions(single_sum, t: int, strict: bool,
         for s in term.partition.parts():
             prod = series_mul(prod, single_sum(s).coeffs)
         total = [a + b for a, b in zip(total, prod)]
-    return QSeries(total, order)
+    return series_from_rationals(total, order)
 
 
 def bernoulli_by_generating_function(k: int, chi):
@@ -357,9 +358,9 @@ def reconstruct_series(p, order: int) -> list:
 def rational_function_series(inp: AdmissibleInput, order: int) -> list:
     """The coefficients of the direct power-series expansion of
     Q(x)/Phi_N(x)^k, by Fraction list products."""
-    out = list(QSeries(inp.Q.coeffs, order).coeffs)
-    phi_inverse = series_inverse(
-        QSeries(cyclotomic_polynomial(inp.N).coeffs, order).coeffs)
+    phi = cyclotomic_polynomial(inp.N)
+    out = list(QSeries(inp.Q.nums, order, inp.Q.den).coeffs)
+    phi_inverse = series_inverse(QSeries(phi.nums, order, phi.den).coeffs)
     for _ in range(inp.k):
         out = series_mul(out, phi_inverse)
     return out
@@ -398,8 +399,8 @@ def evaluate_term_by_term(cf, order: int) -> list:
 def rational_series(values) -> QSeries:
     """A QSeries from a list of ints, Fractions and rational CycNums, such as
     `f_series` returns; NotRationalError if a CycNum is not rational."""
-    return QSeries([as_fraction(v) if isinstance(v, CycNum) else v
-                    for v in values])
+    return series_from_rationals([as_fraction(v) if isinstance(v, CycNum)
+                                  else v for v in values])
 
 
 # -- test-only algebra ----------------------------------------------------
@@ -410,7 +411,7 @@ def reversed_to(p: Polynomial, degree: int) -> Polynomial:
     if p.degree() > degree:
         raise ValueError("reversal degree smaller than polynomial degree")
     out = [Fraction(0)] * (degree + 1)
-    for i, c in enumerate(p.coeffs):
+    for i, c in enumerate(poly_coeffs(p)):
         out[degree - i] = c
     return poly_from_rationals(out)
 
@@ -432,8 +433,8 @@ def eulerian_poly(k: int) -> Polynomial:
         return Polynomial([1])
     prev = eulerian_poly(k - 1)
     return poly_from_rationals(frac_add(
-        frac_mul([1, k - 1], prev.coeffs),
-        frac_mul([0, 1, -1], derivative(prev).coeffs)))
+        frac_mul([1, k - 1], poly_coeffs(prev)),
+        frac_mul([0, 1, -1], poly_coeffs(derivative(prev)))))
 
 
 @lru_cache(maxsize=None)
@@ -447,8 +448,8 @@ def rising_factorial(n: int) -> Polynomial:
 def stirling_first_unsigned(n: int, k: int) -> int:
     """The unsigned Stirling number of the first kind s(n, k), the
     coefficient of x^k in the rising factorial x(x+1)...(x+n-1)."""
-    cs = rising_factorial(n).coeffs
-    return int(cs[k]) if 0 <= k < len(cs) else 0
+    cs = rising_factorial(n).nums
+    return cs[k] if 0 <= k < len(cs) else 0
 
 
 def c_by_stirling_sum(a, k: int) -> dict:
@@ -542,13 +543,30 @@ def as_fraction(v: CycNum) -> Fraction:
     return Fraction(*v.to_rational())
 
 
-def poly_from_rationals(coeffs) -> Polynomial:
-    """A Polynomial from int and Fraction coefficients, which its
-    constructor does not take: the numerators over their common
-    denominator."""
+def _over_common_denominator(coeffs) -> tuple[list[int], int]:
+    """Int and Fraction coefficients as integer numerators over their
+    common denominator."""
     cs = [Fraction(c) for c in coeffs]
     den = lcm(*(c.denominator for c in cs))
-    return Polynomial([int(c * den) for c in cs], den)
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def poly_from_rationals(coeffs) -> Polynomial:
+    """A Polynomial from int and Fraction coefficients, which its
+    constructor does not take."""
+    return Polynomial(*_over_common_denominator(coeffs))
+
+
+def series_from_rationals(coeffs, order: int | None = None) -> QSeries:
+    """A QSeries from int and Fraction coefficients, which its constructor
+    does not take."""
+    nums, den = _over_common_denominator(coeffs)
+    return QSeries(nums, order, den)
+
+
+def poly_coeffs(p: Polynomial) -> tuple[Fraction, ...]:
+    """The coefficients of a Polynomial as Fractions."""
+    return tuple(Fraction(c, p.den) for c in p.nums)
 
 
 class NotInSubfieldError(ValueError):

@@ -44,6 +44,7 @@ from helpers import (
     nested_enumeration,
     rational_series,
     reversed_to,
+    series_from_rationals,
     stirling_first_unsigned,
     sweep_inputs,
     zeta_power_expand,
@@ -70,7 +71,7 @@ def _combination(order, *terms):
         f = f_series(weight, chi[0] if chi else trivial_character(), dilation,
                      order)
         total = [a + c * b for a, b in zip(total, rational_series(f).coeffs)]
-    return QSeries(total, order)
+    return series_from_rationals(total, order)
 
 
 def test_acceptance_1a_reference_case_level_two():
@@ -226,7 +227,8 @@ def _check_stirling_eulerian_expansion():
             st = stirling_first_unsigned(r - 1, ell - 1)
             if not st:
                 continue
-            kernel = QSeries(eulerian_poly(ell - 1).coeffs, order) * (
+            eulerian = eulerian_poly(ell - 1)
+            kernel = QSeries(eulerian.nums, order, eulerian.den) * (
                 geom_powers[ell]
             )
             weight = Fraction(st, math.factorial(r - 1))

@@ -69,3 +69,11 @@ def test_importing_the_cli_loads_no_start_up_heavy_modules():
     assert "cyclomac.cli" in added
     assert added & {"dataclasses", "inspect", "csv", "string", "argparse",
                     "gettext", "locale"} == set()
+
+
+def test_importing_the_cli_loads_no_fractions():
+    # Every rational enters as integer numerators over a denominator; only
+    # the Fraction views import `fractions`, when one is read.
+    held = _modules_after("import cyclomac.cli")
+    assert "cyclomac.cli" in held
+    assert held & {"fractions", "decimal", "numbers"} == set()

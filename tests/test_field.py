@@ -23,6 +23,7 @@ from helpers import (
     conductor,
     frac_mul,
     from_rationals,
+    poly_coeffs,
     poly_from_rationals,
     project,
 )
@@ -78,6 +79,14 @@ def test_from_rational_needs_a_positive_denominator():
     for den in (0, -2):
         with pytest.raises(ValueError):
             CycNum.from_rational(4, 1, den)
+
+
+def test_from_exponents_needs_a_positive_denominator():
+    assert CycNum.from_exponents(3, [(0, 2), (1, 4)], 6) == from_rationals(
+        3, {0: Fraction(1, 3), 1: Fraction(2, 3)})
+    for den in (0, -2):
+        with pytest.raises(ValueError):
+            CycNum.from_exponents(3, [(0, 1)], den)
 
 
 def test_repr_is_the_from_exponents_call():
@@ -329,7 +338,7 @@ def _is_canonical(v):
 def _from_exponents(level, terms):
     """The Fraction-coefficient definition of sum(c x^e) over (e, c) pairs,
     reduced modulo the monic Phi_level by long division on Fractions."""
-    modulus = cyclotomic_polynomial(level).coeffs
+    modulus = poly_coeffs(cyclotomic_polynomial(level))
     phi = len(modulus) - 1
     dense = [Fraction(0)] * max(max((e for e, _ in terms), default=0) + 1, phi)
     for e, c in terms:

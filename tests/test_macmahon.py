@@ -1,4 +1,7 @@
+import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,7 @@ from cyclomac import (
     trivial_character,
     weight_series,
 )
-from cyclomac.cli import main
+from cyclomac.cli import REFERENCE_CASES, build_parser, main
 from helpers import (
     as_fraction,
     brute_single_sums,
@@ -30,11 +33,14 @@ from helpers import (
     isobaric_by_partitions,
     isobaric_decomposition,
     nested_enumeration,
+    poly_coeffs,
     poly_from_rationals,
     quasimodular_basis,
     quasimodular_fit,
     rational_function_series,
+    series_from_rationals,
     series_mul,
+    sweep_inputs,
 )
 
 X = Polynomial.monomial(1)
@@ -422,7 +428,8 @@ def test_level_one_series_are_quasimodular(t, k, q_poly, rank):
     # none of chars, field or pfdform.  Full rank makes the fit unique.
     order = 60
     singles = [closed_form(AdmissibleInput(
-        1, s * k, poly_from_rationals(frac_pow(q_poly.coeffs, s)))).evaluate(order)
+        1, s * k,
+        poly_from_rationals(frac_pow(poly_coeffs(q_poly), s)))).evaluate(order)
         for s in range(1, t + 1)]
     for strict in (True, False):
         for series in (brute_force(MacMahonSpec(t, 1, k, q_poly, strict),
@@ -463,7 +470,8 @@ def test_series_at_levels_two_to_four_are_quasimodular(n, t, k, q_poly, rank):
     order = 60
     assert len(quasimodular_basis(k * t, n, order)) == rank
     singles = [closed_form(AdmissibleInput(
-        n, s * k, poly_from_rationals(frac_pow(q_poly.coeffs, s)))).evaluate(order)
+        n, s * k,
+        poly_from_rationals(frac_pow(poly_coeffs(q_poly), s)))).evaluate(order)
         for s in range(1, t + 1)]
     for strict in (True, False):
         for series in (brute_force(MacMahonSpec(t, n, k, q_poly, strict),
@@ -504,6 +512,81 @@ def test_fitted_weight_zero_part_is_the_g_form_constant():
     assert checked == 28
 
 
+def _dim_modular_forms(k: int, n: int) -> int:
+    """dim M_k(Gamma_1(n)) for k >= 0 and n <= 4 (Diamond and Shurman, A
+    First Course in Modular Forms, ch. 3); 0 for odd k at n <= 2."""
+    if n <= 2 and k % 2:
+        return 0
+    if n == 1:
+        return k // 12 + 1 - (k % 12 == 2)
+    return k // {2: 4, 3: 3, 4: 2}[n] + 1
+
+
+def _full_rank_order(columns) -> int | None:
+    """The least r at which the coefficients of q^0..q^r of the columns are
+    linearly independent, by elimination one row at a time; None if they
+    are not through the columns' order."""
+    pivots = {}  # pivot column -> its row, 1 there and 0 at earlier pivots
+    for r in range(len(columns[0][1])):
+        row = [col[r] for _, col in columns]
+        for c, pivot in pivots.items():
+            if row[c]:
+                f = row[c]
+                row = [a - f * b for a, b in zip(row, pivot)]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is not None:
+            pivots[lead] = [v / row[lead] for v in row]
+            if len(pivots) == len(columns):
+                return r
+    return None
+
+
+# r_0 by (N, W): the least order at which the quasimodular forms on
+# Gamma_1(N) of mixed weight <= W are told apart by their coefficients of
+# q^0..q^r_0; README's table.
+FULL_RANK_ORDERS = {(1, 2): 1, (1, 3): 1, (1, 4): 3, (2, 2): 2, (2, 3): 2,
+                    (2, 4): 6, (3, 1): 1, (3, 2): 3, (3, 3): 6, (3, 4): 10,
+                    (3, 6): 22, (4, 1): 1, (4, 2): 4, (4, 3): 7, (4, 4): 13,
+                    (4, 6): 29}
+
+
+def _benchmark_certificates_at_levels_one_to_four():
+    """(N, W, order) for the certificates that the benchmark's argvs print
+    at N <= 4, W the largest weight of the series they compare: k t for
+    verify, k for the examples cases and the sweep items."""
+    digests = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                          / "digests.json").read_text())["digests"]
+    out = set()
+    for command in digests:
+        args = build_parser().parse_args(shlex.split(command))
+        if args.command == "verify" and args.N <= 4:
+            out.add((args.N, args.k * args.t, args.order))
+        elif args.command == "examples":
+            out.update((case["N"], case["k"], args.order)
+                       for case in REFERENCE_CASES if case["N"] <= 4)
+        elif args.command == "sweep":
+            out.update((inp.N, inp.k, args.order) for inp in sweep_inputs(
+                min(args.max_N, 4), args.max_k, args.degree_bound))
+    return sorted(out)
+
+
+def test_benchmark_certificates_at_levels_one_to_four_are_proofs():
+    # Both sides of a certificate lie in the quasimodular forms on
+    # Gamma_1(N) of mixed weight <= W, M[E2] (Kaneko and Zagier), a space of
+    # the dimension below.  Once its basis has full column rank through
+    # q^r_0, two of its forms that agree through q^r_0 are equal, so a
+    # match at an order >= r_0 is a proof.
+    cases = _benchmark_certificates_at_levels_one_to_four()
+    assert {(n, w) for n, w, _ in cases} == set(FULL_RANK_ORDERS)
+    for n, w, order in cases:
+        columns = quasimodular_basis(w, n, order)
+        assert len(columns) == sum(_dim_modular_forms(u - 2 * j, n)
+                                   for u in range(w + 1)
+                                   for j in range(u // 2 + 1)), (n, w)
+        r0 = _full_rank_order(columns)
+        assert r0 == FULL_RANK_ORDERS[n, w] and r0 <= order, (n, w, order)
+
+
 def test_certify_identical_series():
     s = brute_force(MacMahonSpec(1, 1, 2, X), 20)
     cert = certify(s, s, "lhs", "rhs")
@@ -520,7 +603,7 @@ def test_certify_reports_first_mismatch():
 
 
 def test_certify_reports_a_mismatch_at_q0():
-    a = QSeries([Fraction(1, 8), 1, 2], 2)
+    a = series_from_rationals([Fraction(1, 8), 1, 2], 2)
     b = QSeries([0, 1, 2], 2)
     cert = certify(a, b, "a", "b")
     assert not cert.match

@@ -47,7 +47,6 @@ EXCEPTIONS = {
     "field.CycNum.inverse": SPANS,
     "field.NotRationalError.__init__": ERROR,
     "polynomial.Polynomial.__call__": SPANS,
-    "polynomial.Polynomial.coeffs": REPR + ", which prints the Fraction view",
     "polynomial.Polynomial.__repr__": REPR,
     "polynomial.cyclotomic_polynomial": SPANS + ", which reads its cache_info",
     "series.QSeries.__eq__": "value equality; README's example uses it",

@@ -131,7 +131,8 @@ def test_pole_coefficients_match_linear_solve_oracle():
         # series of Q(x)/x / (x-1)^k = Q(x)/x * (-1)^k / (1-x)^k
         order = k - 1
         q_over_x = Polynomial(q_poly.nums[1:], q_poly.den)
-        lhs = [(-1) ** k * c for c in QSeries(q_over_x.coeffs, order).coeffs]
+        lhs = [(-1) ** k * c
+               for c in QSeries(q_over_x.nums, order, q_over_x.den).coeffs]
         for _ in range(k):
             lhs = series_mul(lhs, [1] * k)      # times 1/(1 - x)
         rows = [
@@ -356,6 +357,17 @@ def test_g_form_evaluates_to_same_series():
         cf = closed_form(AdmissibleInput(n, k, X2))
         gf = to_g_form(cf)
         assert gf.evaluate(30) == cf.evaluate(30)
+
+
+def test_every_g_form_constant_is_rational():
+    # The G-form constant is the weight-0 part of a series with rational
+    # coefficients, so it is rational however many characters add into it.
+    inputs = sweep_inputs(12, 4, 12) + [
+        AdmissibleInput(n, 1, q) for n in (5, 7, 11, 13, 17, 19, 23)
+        for q in admissible_polynomials(n, 1)]
+    assert len(inputs) == 109 + 44
+    for inp in inputs:
+        assert to_g_form(closed_form(inp)).constant.is_rational(), inp
 
 
 def test_g_form_uses_primitive_or_trivial_characters():

@@ -2,12 +2,14 @@
 
 A polynomial holds integer numerators over one denominator, and takes ints
 (and Polynomials) as operands; the oracle in helpers holds plain Fraction
-lists, and `poly_from_rationals` builds a Polynomial from one.  Every operation must give the same
-value, read back through `coeffs`, `coefficient`, `degree` and `str`, and
+lists, and `poly_from_rationals` builds a Polynomial from one.  Every
+operation must give the same value in lowest terms, read back through
+`helpers.poly_coeffs`, `degree` and `str`, and
 equal values must compare and hash equal however they were built, as
 `pfd_coefficients` memoizes on `AdmissibleInput(N, k, Q)`.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclomac import AdmissibleInput, CycNum, Polynomial, pfd_coefficients, zeta
-from helpers import frac_add, frac_mul, frac_str, frac_trim, poly_from_rationals
+from helpers import (
+    frac_add,
+    frac_mul,
+    frac_str,
+    frac_trim,
+    poly_coeffs,
+    poly_from_rationals,
+)
 
 RATIONALS = st.one_of(
     st.integers(min_value=-6, max_value=6),
@@ -27,7 +36,10 @@ INTS = st.integers(min_value=-6, max_value=6)
 
 
 def _agrees(p: Polynomial, cs: list) -> None:
-    assert p.coeffs == tuple(cs) and all(type(c) is Fraction for c in p.coeffs)
+    assert poly_coeffs(p) == tuple(cs)
+    assert all(type(c) is Fraction for c in poly_coeffs(p))
+    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1]
     assert p.degree() == (len(cs) - 1 if cs else float("-inf"))
     assert p.is_zero() == (not cs)
     assert str(p) == frac_str(cs)
@@ -71,6 +83,20 @@ def test_ints_and_fractions_share_one_pole_data_record():
     ints = AdmissibleInput(3, 2, Polynomial([0, 0, 2]))
     fractions = AdmissibleInput(3, 2, Polynomial([0, 0, 4], 2))
     assert pfd_coefficients(ints) is pfd_coefficients(fractions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(COEFFS)
+def test_repr_rebuilds_the_value(a):
+    p = poly_from_rationals(a)
+    assert eval(repr(p)) == p
+    assert repr(Polynomial([2, 4, 0], 6)) == "Polynomial([1, 2], 3)"
+
+
+def test_denominators_below_one_are_rejected():
+    for nums, den in (([1], 0), ([1], -2), ([], 0), ([2, 4], -6)):
+        with pytest.raises(ValueError):
+            Polynomial(nums, den)
 
 
 def test_numerators_are_in_lowest_terms():

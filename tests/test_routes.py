@@ -66,6 +66,8 @@ _INPUT_SHARED = {
     "comb.mobius": "mu from the factorization; tested alone in test_comb",
     "series.QSeries.__init__": "stores integers over one denominator in "
                                "lowest terms; no other arithmetic",
+    "polynomial.lowest_terms": "QSeries.__init__'s division by one gcd, the "
+                               "normalization Polynomial and CycNum share",
     "polynomial.cyclotomic_power": "Phi_N^-k in weight_series and the pole "
                                    "cofactor in _pole_taylor; checked against "
                                    "Phi_N by division, cyclotomic_by_division",

@@ -23,6 +23,7 @@ from helpers import (
     eulerian_poly,
     poly_from_rationals,
     principal_character,
+    series_from_rationals,
     substitute_qn,
 )
 
@@ -45,8 +46,8 @@ def test_mul_matches_schoolbook_convolution():
         b = poly_from_rationals([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                                  for _ in range(rng.randint(1, 6))])
         order = 12
-        product = QSeries(a.coeffs, order) * QSeries(b.coeffs, order)
-        expected = QSeries((a * b).coeffs, order)
+        product = QSeries(a.nums, order, a.den) * QSeries(b.nums, order, b.den)
+        expected = QSeries((a * b).nums, order, (a * b).den)
         assert product == expected
 
 
@@ -112,7 +113,7 @@ def _fraction_inverse(a):
 @given(st.lists(_FRACTIONS, max_size=8), st.lists(_FRACTIONS, max_size=8),
        st.integers(0, 7), st.integers(0, 7), st.integers(1, 30))
 def test_integer_form_matches_fraction_definitions(ca, cb, oa, ob, g):
-    a, b = QSeries(ca, oa), QSeries(cb, ob)
+    a, b = series_from_rationals(ca, oa), series_from_rationals(cb, ob)
     # The Fraction definitions, on the coefficients padded to the order.
     fa = (ca + [Fraction(0)] * 8)[: oa + 1]
     fb = (cb + [Fraction(0)] * 8)[: ob + 1]
@@ -152,12 +153,12 @@ def test_inverse_geometric():
 
 def test_inverse_of_cyclotomic_one():
     # q - 1 inverts to the negated geometric series
-    inv = QSeries(cyclotomic_polynomial(1).coeffs, 6).inverse()
+    inv = QSeries(cyclotomic_polynomial(1).nums, 6).inverse()
     assert list(inv.coeffs) == [-1] * 7
 
 
 def test_inverse_of_cyclotomic_six_by_remultiplication():
-    s = QSeries(cyclotomic_polynomial(6).coeffs, 12)
+    s = QSeries(cyclotomic_polynomial(6).nums, 12)
     assert s * s.inverse() == QSeries([1], 12)
 
 
@@ -172,7 +173,7 @@ def test_inverse_two_sided_on_random_unit_series():
         coeffs = [Fraction(rng.choice([1, -1, 2, 3]))] + [
             Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(10)
         ]
-        s = QSeries(coeffs, 10)
+        s = series_from_rationals(coeffs, 10)
         inv = s.inverse()
         assert s * inv == QSeries([1], 10)
         assert inv * s == QSeries([1], 10)
@@ -256,11 +257,24 @@ def test_eulerian_series_identity():
     order = 40
     geometric = QSeries([1, -1], order).inverse()
     for ell in range(9):
-        lhs = QSeries(eulerian_poly(ell).coeffs, order)
+        lhs = QSeries(eulerian_poly(ell).nums, order)
         for _ in range(ell + 1):
             lhs = lhs * geometric
         for n in range(1, order + 2):
             assert lhs.coeffs[n - 1] == Fraction(n) ** ell
+
+
+def test_coefficients_are_integers_over_a_positive_denominator():
+    # Rationals enter as integer numerators over `den`; series_from_rationals
+    # in the test helpers is the Fraction intake.
+    for coeffs in ([Fraction(1, 2)], [1, Fraction(3)], [0.5]):
+        with pytest.raises(TypeError):
+            QSeries(coeffs, 0 if len(coeffs) == 1 else 1)
+    for den in (0, -2):
+        with pytest.raises(ValueError):
+            QSeries([1], 0, den)
+    assert QSeries([2, 4], 1, 6) == series_from_rationals(
+        [Fraction(1, 3), Fraction(2, 3)])
 
 
 def test_series_equality_requires_same_order():
@@ -286,11 +300,12 @@ def test_json_coefficients_print_as_their_fractions(den, data):
 
 
 def test_json_round_trip_rational():
-    s = QSeries([Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(7, 5)], 3)
+    s = series_from_rationals(
+        [Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(7, 5)], 3)
     data = s.to_json()
     assert data == {
         "order": 3,
         "coefficients": ["1/2", "-3", "0", "7/5"],
     }
-    assert QSeries([Fraction(c) for c in data["coefficients"]],
-                   data["order"]) == s
+    assert series_from_rationals([Fraction(c) for c in data["coefficients"]],
+                                 data["order"]) == s
